@@ -699,7 +699,8 @@ def run_sapp(pmap: SappPriceMap, inst: MarketInstance, profile, rng=None, coins=
 
 class BuyerOffering:
     """The buyer procures a max-weight feasible set at ironed virtual costs and
-    pays those costs; traded sellers get threshold payments."""
+    pays those costs; traded sellers get threshold payments. An item trades
+    only when b - tau(s) > 0, with no tolerance, in run and run_batch alike."""
 
     name = "buyer_offering"
 
@@ -760,11 +761,11 @@ class BuyerOffering:
         w = B - tau
         gain = B - S
         if variant == "additive":
-            return np.where(w > TOL, gain, 0.0).sum(axis=1)
+            return np.where(w > 0.0, gain, 0.0).sum(axis=1)
         if variant == "unit_demand":
             best = np.argmax(w, axis=1)
             rows = np.arange(len(B))
-            ok = w[rows, best] > TOL
+            ok = w[rows, best] > 0.0
             return np.where(ok, gain[rows, best], 0.0)
         return np.array([self.run(B[t], S[t]).gft for t in range(len(B))])
 

@@ -9,6 +9,9 @@ for intersections the value is a labeled upper bound.
 
 opt_s_lp drops the seller-side constraints entirely: the designer sees costs,
 pays them at face value, and only the buyer's incentives bind.
+
+Both LPs are assembled as sparse matrices by index arithmetic on the product
+type grids; variable names exist only in lp_text.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from . import feasibility as fea
 from .feasibility import CapacityError, Constraint
 from .mechanisms import MarketInstance, buyer_grid, seller_grid
 
@@ -35,7 +38,11 @@ __all__ = [
     "verify_ub_chain",
 ]
 
-TYPE_SPACE_CAP = 10**5
+# Largest second-best LP admitted, in constraint-matrix nonzeros. A solve
+# peaks at about 190 bytes per nonzero over the interpreter's ~80 MB
+# (measured 173-194 B on two-item and bilateral grids), so an LP at the cap
+# peaks near 1 GB.
+LP_NNZ_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -47,9 +54,27 @@ class DiscreteMarket:
     def __post_init__(self):
         if not self.inst.is_discrete:
             raise ValueError("LP oracle needs a fully discrete instance")
-        size = len(self.btypes) * len(self.stypes)
-        if size > TYPE_SPACE_CAP:
-            raise CapacityError(f"type-space product {size} exceeds {TYPE_SPACE_CAP}")
+        nnz = self.lp_nnz
+        if nnz > LP_NNZ_CAP:
+            raise CapacityError(f"second-best LP has {nnz} nonzeros, over the cap {LP_NNZ_CAP}")
+
+    @property
+    def lp_nnz(self) -> int:
+        """Nonzeros of the second-best LP (the larger of the two) counted from
+        the grid sizes, before any grid or matrix is built; zero coefficients,
+        e.g. from a zero cost atom, make the built LP sparser."""
+        n = self.inst.n
+        nb = math.prod(len(d.values) for d in self.inst.buyer_dists)
+        sizes = [len(d.values) for d in self.inst.seller_dists]
+        profiles = nb * math.prod(sizes)
+        feas = sum(len(coefs) for coefs, _ in self._prows)
+        # per profile: buyer IR/BIC (2nb-1)(n+1), seller i's IR/BIC 2(2m_i-1),
+        # budget n+1, feasibility rows
+        return profiles * ((2 * nb - 1) * (n + 1) + 2 * sum(2 * k - 1 for k in sizes) + n + 1 + feas)
+
+    @cached_property
+    def _prows(self):
+        return _polytope_rows(self.inst.constraint)
 
     @cached_property
     def _bgrid(self):
@@ -105,230 +130,194 @@ def _polytope_rows(c: Constraint) -> list[tuple[dict[int, float], float]]:
     raise ValueError(f"no polytope description for variant {v!r}")
 
 
-class _LpBuilder:
-    """Collects named variables and <=-rows, then solves or pretty-prints."""
-
-    def __init__(self):
-        self.var_names: list[str] = []
-        self.obj: dict[int, float] = {}
-        self.rows: list[tuple[str, dict[int, float], float]] = []
-
-    def var(self, name: str) -> int:
-        self.var_names.append(name)
-        return len(self.var_names) - 1
-
-    def add_row(self, name: str, coefs: dict[int, float], rhs: float) -> None:
-        self.rows.append((name, {k: v for k, v in coefs.items() if v != 0.0}, rhs))
-
-    def maximize(self, bounds: list[tuple]) -> tuple[float, np.ndarray]:
-        nv = len(self.var_names)
-        cvec = np.zeros(nv)
-        for j, w in self.obj.items():
-            cvec[j] = -w
-        if self.rows:
-            A = np.zeros((len(self.rows), nv))
-            b = np.zeros(len(self.rows))
-            for r, (_, coefs, rhs) in enumerate(self.rows):
-                for j, w in coefs.items():
-                    A[r, j] = w
-                b[r] = rhs
-        else:
-            A = b = None
-        res = linprog(cvec, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-        if not res.success:
-            raise RuntimeError(f"LP solve failed: {res.message}")
-        return float(-res.fun), res.x
-
-    def text(self) -> str:
-        def term(j: int, w: float) -> str:
-            sign = "+" if w >= 0 else "-"
-            return f"{sign} {abs(w):.6g} {self.var_names[j]}"
-
-        lines = ["maximize"]
-        lines.append("  " + " ".join(term(j, w) for j, w in sorted(self.obj.items())))
-        lines.append("subject to")
-        for name, coefs, rhs in self.rows:
-            expr = " ".join(term(j, w) for j, w in sorted(coefs.items()))
-            lines.append(f"  {name}: {expr} <= {rhs:.6g}")
-        return "\n".join(lines)
-
-
 def _fmt(vals: Sequence[float]) -> str:
     return ",".join(f"{v:g}" for v in vals)
 
 
-def _build_second_best(m: DiscreteMarket, budget: str) -> _LpBuilder:
-    if budget not in ("exante", "expost"):
-        raise ValueError("budget must be 'exante' or 'expost'")
+# Both LPs lay out one block of `stride` variables per profile (a, k), in
+# buyer-major order: variable j of profile (a, k) is (a*ns + k)*stride + j.
+# Second best has stride 2n+1 (x[0..n-1], pB, pS[0..n-1]); OPT-S has n+1
+# (x, pB). Every row block below is (rows, cols, vals, rhs) with local rows.
+
+
+def _feasibility_rows(m: DiscreteMarket, base: np.ndarray):
+    """The allocation polytope's rows for every profile, in profile order."""
+    prows = m._prows
+    sizes = [len(coefs) for coefs, _ in prows]
+    ridx = np.repeat(np.arange(len(prows)), sizes)
+    items = np.array([i for coefs, _ in prows for i in coefs], dtype=int)
+    coef = np.array([w for coefs, _ in prows for w in coefs.values()], dtype=float)
+    rhs = np.array([r for _, r in prows], dtype=float)
+    rows = np.arange(base.size).reshape(-1, 1) * len(prows) + ridx
+    cols = base.reshape(-1, 1) + items
+    return rows.ravel(), cols.ravel(), np.tile(coef, base.size), np.tile(rhs, base.size)
+
+
+def _incentive_rows(cols: np.ndarray, vals: np.ndarray, step: int):
+    """Interim IR and BIC rows of one agent with m types. Row t*m is the IR row
+    of true type t, sum vals[t] * var[cols[t]] <= 0; rows t*m+1 .. t*m+m-1 are
+    its misreports r != t in order, which add -vals[t] at the same variables
+    of the profiles reporting r, i.e. at cols[t] + (r - t)*step."""
+    m, width = cols.shape
+    t = np.arange(m).reshape(-1, 1)
+    q = np.arange(m - 1).reshape(1, -1)
+    shift = (q + (q >= t) - t) * step
+    rows = np.concatenate([np.arange(m * m), (t * m + 1 + q).ravel()])
+    own_cols, own_vals = np.repeat(cols, m, axis=0), np.repeat(vals, m, axis=0)
+    dev_cols = cols[:, None, :] + shift[:, :, None]
+    dev_vals = np.broadcast_to(-vals[:, None, :], dev_cols.shape)
+    return (
+        np.repeat(rows, width),
+        np.concatenate([own_cols.ravel(), dev_cols.ravel()]),
+        np.concatenate([own_vals.ravel(), dev_vals.ravel()]),
+        np.zeros(m * m),
+    )
+
+
+def _buyer_rows(m: DiscreteMarket, base: np.ndarray, stride: int):
+    """Buyer interim IR/BIC over (x, pB): type a's value of reporting a2 is
+    sum_k pS[k] * (B[a].x(a2, k) - pB(a2, k))."""
+    B, pS = m.btypes, m.sprobs
+    nb, ns = base.shape
+    n = B.shape[1]
+    util = np.empty((nb, ns, n + 1))
+    util[:, :, :n] = pS[None, :, None] * B[:, None, :]
+    util[:, :, n] = -pS
+    cols = base[:, :, None] + np.arange(n + 1)
+    return _incentive_rows(cols.reshape(nb, -1), -util.reshape(nb, -1), ns * stride)
+
+
+def _seller_rows(m: DiscreteMarket, base: np.ndarray, stride: int, i: int):
+    """Seller i's interim IR/BIC over (x[i], pS[i]): reporting r instead of the
+    true cost t moves profile k to k + (r - t)*stride_i in the seller grid."""
     inst = m.inst
     n = inst.n
-    B, pB = m.btypes, m.bprobs
-    S, pS = m.stypes, m.sprobs
-    nb, ns = len(B), len(S)
-    lp = _LpBuilder()
-    xid = np.empty((nb, ns, n), dtype=int)
-    pbid = np.empty((nb, ns), dtype=int)
-    psid = np.empty((nb, ns, n), dtype=int)
-    for a in range(nb):
-        for k in range(ns):
-            tag = f"({_fmt(B[a])}|{_fmt(S[k])})"
-            for i in range(n):
-                xid[a, k, i] = lp.var(f"x[{i}]{tag}")
-            pbid[a, k] = lp.var(f"pB{tag}")
-            for i in range(n):
-                psid[a, k, i] = lp.var(f"pS[{i}]{tag}")
+    atoms = np.array(inst.seller_dists[i].values)
+    g = np.array(inst.seller_dists[i].probs)
+    mi = len(atoms)
+    stride_i = math.prod(len(d.values) for d in inst.seller_dists[i + 1 :])
+    nb, ns = base.shape
+    digit = np.arange(ns) // stride_i % mi
+    K = np.argsort(digit, kind="stable").reshape(mi, -1)  # profiles k with cost atoms[t]
+    w = m.bprobs[None, :, None] * (m.sprobs[K] / g[:, None])[:, None, :]
+    prof = base[:, K].transpose(1, 0, 2)
+    cols = np.stack([prof + n + 1 + i, prof + i], axis=1)
+    vals = np.stack([-w, w * atoms[:, None, None]], axis=1)
+    return _incentive_rows(cols.reshape(mi, -1), vals.reshape(mi, -1), stride_i * stride)
 
-    for a in range(nb):
-        for k in range(ns):
-            w = pB[a] * pS[k]
-            for i in range(n):
-                lp.obj[xid[a, k, i]] = lp.obj.get(xid[a, k, i], 0.0) + w * (B[a, i] - S[k, i])
 
-    prows = _polytope_rows(inst.constraint)
-    for a in range(nb):
-        for k in range(ns):
-            for ridx, (coefs, rhs) in enumerate(prows):
-                lp.add_row(
-                    f"feas[{ridx}]({_fmt(B[a])}|{_fmt(S[k])})",
-                    {xid[a, k, i]: c for i, c in coefs.items()},
-                    rhs,
-                )
-
-    # buyer interim incentive and participation
-    for a in range(nb):
-        truth: dict[int, float] = {}
-        for k in range(ns):
-            for i in range(n):
-                truth[xid[a, k, i]] = truth.get(xid[a, k, i], 0.0) + pS[k] * B[a, i]
-            truth[pbid[a, k]] = truth.get(pbid[a, k], 0.0) - pS[k]
-        lp.add_row(f"buyerIR({_fmt(B[a])})", {j: -w for j, w in truth.items()}, 0.0)
-        for a2 in range(nb):
-            if a2 == a:
-                continue
-            row = {j: -w for j, w in truth.items()}
-            for k in range(ns):
-                for i in range(n):
-                    row[xid[a2, k, i]] = row.get(xid[a2, k, i], 0.0) + pS[k] * B[a, i]
-                row[pbid[a2, k]] = row.get(pbid[a2, k], 0.0) - pS[k]
-            lp.add_row(f"buyerBIC({_fmt(B[a])}->{_fmt(B[a2])})", row, 0.0)
-
-    # seller interim incentive and participation
-    sidx = {tuple(S[k]): k for k in range(ns)}
-    for i in range(n):
-        atoms = inst.seller_dists[i].values
-        gi = dict(zip(atoms, inst.seller_dists[i].probs))
-        for a_true in atoms:
-            truth = {}
-            for k in range(ns):
-                if S[k, i] != a_true:
-                    continue
-                wout = pS[k] / gi[a_true]
-                for a in range(nb):
-                    w = pB[a] * wout
-                    truth[psid[a, k, i]] = truth.get(psid[a, k, i], 0.0) + w
-                    truth[xid[a, k, i]] = truth.get(xid[a, k, i], 0.0) - w * a_true
-            lp.add_row(f"sellerIR[{i}]({a_true:g})", {j: -w for j, w in truth.items()}, 0.0)
-            for a_rep in atoms:
-                if a_rep == a_true:
-                    continue
-                row = {j: -w for j, w in truth.items()}
-                for k in range(ns):
-                    if S[k, i] != a_true:
-                        continue
-                    rep = list(S[k])
-                    rep[i] = a_rep
-                    k2 = sidx[tuple(rep)]
-                    wout = pS[k] / gi[a_true]
-                    for a in range(nb):
-                        w = pB[a] * wout
-                        row[psid[a, k2, i]] = row.get(psid[a, k2, i], 0.0) + w
-                        row[xid[a, k2, i]] = row.get(xid[a, k2, i], 0.0) - w * a_true
-                lp.add_row(f"sellerBIC[{i}]({a_true:g}->{a_rep:g})", row, 0.0)
-
+def _budget_rows(m: DiscreteMarket, base: np.ndarray, budget: str):
+    """sum_i pS[i] - pB <= 0: in expectation (one row) or per profile."""
+    n = m.inst.n
+    sign = np.r_[-1.0, np.ones(n)]
+    cols = (base.reshape(-1, 1) + n + np.arange(n + 1)).ravel()
     if budget == "exante":
-        row = {}
-        for a in range(nb):
-            for k in range(ns):
-                w = pB[a] * pS[k]
-                row[pbid[a, k]] = row.get(pbid[a, k], 0.0) - w
-                for i in range(n):
-                    row[psid[a, k, i]] = row.get(psid[a, k, i], 0.0) + w
-        lp.add_row("budget(exante)", row, 0.0)
-    else:
-        for a in range(nb):
-            for k in range(ns):
-                row = {pbid[a, k]: -1.0}
-                for i in range(n):
-                    row[psid[a, k, i]] = 1.0
-                lp.add_row(f"budget({_fmt(B[a])}|{_fmt(S[k])})", row, 0.0)
+        w = np.outer(m.bprobs, m.sprobs).ravel()
+        return np.zeros(cols.size, dtype=int), cols, np.outer(w, sign).ravel(), np.zeros(1)
+    return np.repeat(np.arange(base.size), n + 1), cols, np.tile(sign, base.size), np.zeros(base.size)
 
-    lp._bounds = [
-        (0.0, 1.0) if name.startswith("x[") else (None, None) for name in lp.var_names
-    ]
-    return lp
+
+def _stack(blocks, nv: int):
+    """One canonical CSR matrix (sorted indices, no duplicates or explicit
+    zeros) and the right-hand side from the row blocks, in order."""
+    rows, cols, vals, rhs = [], [], [], []
+    nrows = 0
+    for r, c, v, b in blocks:
+        rows.append(r + nrows)
+        cols.append(c)
+        vals.append(v)
+        rhs.append(b)
+        nrows += len(b)
+    coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    A = sp.csr_array(coo, shape=(nrows, nv))
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return A, np.concatenate(rhs)
+
+
+def _lp(m: DiscreteMarket, stride: int):
+    """The variable base offsets, shape (nb, ns), the x columns, and the box
+    0 <= x <= 1 with every payment free."""
+    nb, ns = len(m.btypes), len(m.stypes)
+    n = m.inst.n
+    base = np.arange(nb * ns).reshape(nb, ns) * stride
+    xcols = (base[:, :, None] + np.arange(n)).ravel()
+    bounds = ([(0.0, 1.0)] * n + [(None, None)] * (stride - n)) * (nb * ns)
+    return base, xcols, bounds
+
+
+def _second_best(m: DiscreteMarket, budget: str):
+    if budget not in ("exante", "expost"):
+        raise ValueError("budget must be 'exante' or 'expost'")
+    n = m.inst.n
+    stride = 2 * n + 1
+    base, xcols, bounds = _lp(m, stride)
+    B, S = m.btypes, m.stypes
+    c = np.zeros(len(bounds))
+    c[xcols] = -(np.outer(m.bprobs, m.sprobs)[:, :, None] * (B[:, None, :] - S[None, :, :])).ravel()
+    blocks = [_feasibility_rows(m, base), _buyer_rows(m, base, stride)]
+    blocks += [_seller_rows(m, base, stride, i) for i in range(n)]
+    blocks.append(_budget_rows(m, base, budget))
+    A, b = _stack(blocks, len(c))
+    return c, A, b, bounds
+
+
+def _maximize(c: np.ndarray, A, b: np.ndarray, bounds: list) -> float:
+    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    if not res.success:
+        raise RuntimeError(f"LP solve failed: {res.message}")
+    return float(-res.fun)
 
 
 def second_best_lp(m: DiscreteMarket, budget: str = "exante") -> float:
-    lp = _build_second_best(m, budget)
-    val, _ = lp.maximize(lp._bounds)
-    return val
+    return _maximize(*_second_best(m, budget))
+
+
+def _ic_names(who: str, sub: str, labels: list[str]) -> list[str]:
+    out = []
+    for t, lt in enumerate(labels):
+        out.append(f"{who}IR{sub}({lt})")
+        out += [f"{who}BIC{sub}({lt}->{lr})" for r, lr in enumerate(labels) if r != t]
+    return out
 
 
 def lp_text(m: DiscreteMarket, budget: str = "exante") -> str:
-    return _build_second_best(m, budget).text()
+    """The second-best LP in readable form, one named row per line."""
+    c, A, b, _ = _second_best(m, budget)
+    inst = m.inst
+    n = inst.n
+    tags = [f"({_fmt(bt)}|{_fmt(st)})" for bt in m.btypes for st in m.stypes]
+    slots = [f"x[{i}]" for i in range(n)] + ["pB"] + [f"pS[{i}]" for i in range(n)]
+    vnames = [s + tag for tag in tags for s in slots]
+    rnames = [f"feas[{r}]{tag}" for tag in tags for r in range(len(m._prows))]
+    rnames += _ic_names("buyer", "", [_fmt(bt) for bt in m.btypes])
+    for i, d in enumerate(inst.seller_dists):
+        rnames += _ic_names("seller", f"[{i}]", [f"{v:g}" for v in d.values])
+    rnames += ["budget(exante)"] if budget == "exante" else [f"budget{tag}" for tag in tags]
+
+    def expr(cols, vals) -> str:
+        return " ".join(f"{'+' if w >= 0 else '-'} {abs(w):.6g} {vnames[j]}" for j, w in zip(cols, vals))
+
+    x = np.flatnonzero([s.startswith("x[") for s in vnames])
+    lines = ["maximize", "  " + expr(x, -c[x]), "subject to"]
+    for r, name in enumerate(rnames):
+        lo, hi = A.indptr[r], A.indptr[r + 1]
+        lines.append(f"  {name}: {expr(A.indices[lo:hi], A.data[lo:hi])} <= {b[r]:.6g}")
+    return "\n".join(lines)
 
 
 def opt_s_lp(m: DiscreteMarket) -> float:
     """Best E[buyer payment - allocated costs] under buyer BIC/IR only, with
     the allocation free to depend on the full cost profile."""
-    inst = m.inst
-    n = inst.n
-    B, pB = m.btypes, m.bprobs
-    S, pS = m.stypes, m.sprobs
-    nb, ns = len(B), len(S)
-    lp = _LpBuilder()
-    xid = np.empty((nb, ns, n), dtype=int)
-    pbid = np.empty((nb, ns), dtype=int)
-    for a in range(nb):
-        for k in range(ns):
-            tag = f"({_fmt(B[a])}|{_fmt(S[k])})"
-            for i in range(n):
-                xid[a, k, i] = lp.var(f"x[{i}]{tag}")
-            pbid[a, k] = lp.var(f"pB{tag}")
-
-    for a in range(nb):
-        for k in range(ns):
-            w = pB[a] * pS[k]
-            lp.obj[pbid[a, k]] = lp.obj.get(pbid[a, k], 0.0) + w
-            for i in range(n):
-                lp.obj[xid[a, k, i]] = lp.obj.get(xid[a, k, i], 0.0) - w * S[k, i]
-
-    prows = _polytope_rows(inst.constraint)
-    for a in range(nb):
-        for k in range(ns):
-            for ridx, (coefs, rhs) in enumerate(prows):
-                lp.add_row(f"feas[{ridx}]", {xid[a, k, i]: c for i, c in coefs.items()}, rhs)
-
-    for a in range(nb):
-        truth: dict[int, float] = {}
-        for k in range(ns):
-            for i in range(n):
-                truth[xid[a, k, i]] = truth.get(xid[a, k, i], 0.0) + pS[k] * B[a, i]
-            truth[pbid[a, k]] = truth.get(pbid[a, k], 0.0) - pS[k]
-        lp.add_row(f"buyerIR({_fmt(B[a])})", {j: -w for j, w in truth.items()}, 0.0)
-        for a2 in range(nb):
-            if a2 == a:
-                continue
-            row = {j: -w for j, w in truth.items()}
-            for k in range(ns):
-                for i in range(n):
-                    row[xid[a2, k, i]] = row.get(xid[a2, k, i], 0.0) + pS[k] * B[a, i]
-                row[pbid[a2, k]] = row.get(pbid[a2, k], 0.0) - pS[k]
-            lp.add_row(f"buyerBIC({_fmt(B[a])}->{_fmt(B[a2])})", row, 0.0)
-
-    bounds = [(0.0, 1.0) if name.startswith("x[") else (None, None) for name in lp.var_names]
-    val, _ = lp.maximize(bounds)
-    return val
+    n = m.inst.n
+    stride = n + 1
+    base, xcols, bounds = _lp(m, stride)
+    w = np.outer(m.bprobs, m.sprobs)
+    c = np.zeros(len(bounds))
+    c[base.ravel() + n] = -w.ravel()
+    c[xcols] = (w[:, :, None] * m.stypes[None, :, :]).ravel()
+    A, b = _stack([_feasibility_rows(m, base), _buyer_rows(m, base, stride)], len(c))
+    return _maximize(c, A, b, bounds)
 
 
 def opt_s_partition_check(m: DiscreteMarket, tol: float = 1e-6) -> dict:

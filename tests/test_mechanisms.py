@@ -296,6 +296,30 @@ def test_buyer_offering_point_mass():
     assert math.isclose(o.gft, 1.0, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [
+        mech.market([dst.point_mass(1.0 + 5e-10)], [dst.point_mass(1.0)], fea.additive([0])),
+        mech.market(
+            [dst.point_mass(1.0 + 5e-10), dst.point_mass(1.0 + 3e-10)],
+            [dst.point_mass(1.0), dst.point_mass(1.0)],
+            fea.unit_demand(range(2)),
+        ),
+    ],
+    ids=["bilateral", "unit-demand"],
+)
+def test_buyer_offering_near_tie_paths_agree(inst):
+    # b - tau(s) = 5e-10 is below mechanisms.TOL but positive: every path trades
+    bo = mech.BuyerOffering(inst)
+    B, _ = mech.buyer_grid(inst)
+    S, _ = mech.seller_grid(inst)
+    run = bo.run(B[0], S[0])
+    assert run.traded == (0,)
+    assert math.isclose(run.gft, 5e-10, rel_tol=1e-6)
+    assert bo.run_batch(B, S)[0] == run.gft
+    assert audits.exact_gft(bo, inst) == run.gft
+
+
 def test_buyer_offering_expost_buyer_ir():
     inst = ud2a()
     bo = mech.BuyerOffering(inst)
