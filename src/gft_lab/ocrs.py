@@ -4,7 +4,10 @@ A scheme commits, given activation probabilities q_hat in delta * P_F, to a
 random subconstraint F' <= F. It is (delta, eta)-selectable when every element
 i satisfies Pr[S + i in F' for every F'-feasible S subseteq R \\ {i}] >= eta,
 with R the random active set. Schemes here are greedy: the subconstraint is
-drawn up front and any arrival order gives the same guarantee.
+drawn up front from a finite set of branches, and any arrival order gives the
+same guarantee. So eta depends only on the active pattern of the other
+elements and on the branch drawn, which is what both selectability
+computations enumerate.
 
 Also hosts the constrained-posted-price glue: activation-calibrated seller
 prices and the Frank-Wolfe search for good activation vectors.
@@ -23,7 +26,7 @@ import numpy as np
 from . import distributions as dst
 from . import feasibility as fea
 from .feasibility import CapacityError, Constraint
-from .mechanisms import Cfpp, MarketInstance
+from .mechanisms import Cfpp, MarketInstance, _prob_below
 
 __all__ = [
     "GreedyOcrs",
@@ -31,6 +34,7 @@ __all__ = [
     "knapsack_ocrs",
     "compose_ocrs",
     "estimate_selectability",
+    "exact_selectability",
     "CfppPrices",
     "cfpp_prices",
     "optimize_q",
@@ -40,15 +44,22 @@ __all__ = [
 _SUBSET_LIMIT = 18
 
 
+Branches = tuple[tuple[float, Constraint], ...]
+
+
 @dataclass(frozen=True)
 class GreedyOcrs:
     """kind names the scheme; base_for binds the offline constraint to a ground
-    size; subconstraint_sampler(q_hat, seed) draws the committed subfamily;
-    claimed_eta(q_hat) is the scheme's own selectability lower bound."""
+    size; branches(q_hat) lists the subconstraints the scheme may commit to,
+    as (probability, constraint) pairs whose probabilities sum to 1;
+    subconstraint_sampler(q_hat, seed) draws one of them, deterministically in
+    the seed; claimed_eta(q_hat) is the scheme's own selectability lower
+    bound."""
 
     kind: str
     delta: float
     base_for: Callable[[int], Constraint]
+    branches: Callable[[np.ndarray], Branches]
     subconstraint_sampler: Callable[[np.ndarray, int], Constraint]
     claimed_eta: Callable[[np.ndarray], float]
 
@@ -64,6 +75,26 @@ def _rng_for(q_hat: np.ndarray, seed: int) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(dig, "little"))
 
 
+def _pick(branches: Branches, u):
+    """Index of the branch that the uniform(s) u select, by cumulative
+    probability; a branch of probability 0 is never picked."""
+    cum = np.cumsum([p for p, _ in branches])
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(branches) - 1)
+
+
+def _greedy_ocrs(kind: str, delta: float, base_for, branches, claimed) -> GreedyOcrs:
+    """A scheme whose sampler seeds one uniform from (q_hat, seed) and uses it
+    to pick a branch; a single-branch scheme draws nothing."""
+
+    def sampler(q_hat: np.ndarray, seed: int) -> Constraint:
+        options = branches(q_hat)
+        if len(options) == 1:
+            return options[0][1]
+        return options[int(_pick(options, _rng_for(q_hat, seed).random()))][1]
+
+    return GreedyOcrs(kind, delta, base_for, branches, sampler, claimed)
+
+
 def unit_demand_ocrs(delta: float) -> GreedyOcrs:
     """Commit to the full unit-demand family: the first active element wins.
 
@@ -72,19 +103,16 @@ def unit_demand_ocrs(delta: float) -> GreedyOcrs:
     """
     _check_delta(delta)
 
-    def sampler(q_hat: np.ndarray, seed: int) -> Constraint:
-        return fea.unit_demand(range(len(q_hat)))
-
     def claimed(q_hat: np.ndarray) -> float:
         q = np.asarray(q_hat, dtype=float)
         full = np.prod(1.0 - q)
         return float(min(full / (1.0 - qi) if qi < 1.0 else full for qi in q))
 
-    return GreedyOcrs("unit_demand", delta, lambda n: fea.unit_demand(range(n)), sampler, claimed)
+    return _full_family_ocrs("unit_demand", delta, lambda n: fea.unit_demand(range(n)), claimed)
 
 
 def _full_family_ocrs(kind: str, delta: float, base_for, claimed) -> GreedyOcrs:
-    return GreedyOcrs(kind, delta, base_for, lambda q_hat, seed: base_for(len(q_hat)), claimed)
+    return _greedy_ocrs(kind, delta, base_for, lambda q_hat: ((1.0, base_for(len(q_hat))),), claimed)
 
 
 def knapsack_ocrs(delta: float, sizes: Sequence[float]) -> GreedyOcrs:
@@ -137,17 +165,16 @@ def knapsack_ocrs(delta: float, sizes: Sequence[float]) -> GreedyOcrs:
             return 0.5
         return ls / (lb + ls)
 
-    def sampler(q_hat: np.ndarray, seed: int) -> Constraint:
+    def branches(q_hat: np.ndarray) -> Branches:
         if len(q_hat) != n:
             raise ValueError("activation vector length must match the sizes")
         rho = _rho(np.asarray(q_hat, dtype=float))
         ground = range(n)
         if rho >= 1.0:
-            return _big_only(ground)
+            return ((1.0, _big_only(ground)),)
         if rho <= 0.0:
-            return _small_only(ground)
-        pick_big = _rng_for(q_hat, seed).random() < rho
-        return _big_only(ground) if pick_big else _small_only(ground)
+            return ((1.0, _small_only(ground)),)
+        return ((rho, _big_only(ground)), (1.0 - rho, _small_only(ground)))
 
     def claimed(q_hat: np.ndarray) -> float:
         lb, ls = _bounds(q_hat)
@@ -159,7 +186,7 @@ def knapsack_ocrs(delta: float, sizes: Sequence[float]) -> GreedyOcrs:
             vals.append((1.0 - rho) * ls)
         return float(min(vals)) if vals else 1.0
 
-    return GreedyOcrs("knapsack", delta, lambda m: fea.knapsack(sz), sampler, claimed)
+    return _greedy_ocrs("knapsack", delta, lambda m: fea.knapsack(sz), branches, claimed)
 
 
 def compose_ocrs(a: GreedyOcrs, b: GreedyOcrs) -> GreedyOcrs:
@@ -171,6 +198,11 @@ def compose_ocrs(a: GreedyOcrs, b: GreedyOcrs) -> GreedyOcrs:
     def base_for(n: int) -> Constraint:
         return fea.intersection(a.base_for(n), b.base_for(n))
 
+    def branches(q_hat: np.ndarray) -> Branches:
+        return tuple(
+            (pa * pb, fea.intersection(ca, cb)) for pa, ca in a.branches(q_hat) for pb, cb in b.branches(q_hat)
+        )
+
     def sampler(q_hat: np.ndarray, seed: int) -> Constraint:
         return fea.intersection(
             a.subconstraint_sampler(q_hat, 2 * seed + 1),
@@ -180,7 +212,7 @@ def compose_ocrs(a: GreedyOcrs, b: GreedyOcrs) -> GreedyOcrs:
     def claimed(q_hat: np.ndarray) -> float:
         return a.claimed_eta(q_hat) * b.claimed_eta(q_hat)
 
-    return GreedyOcrs(f"compose[{a.kind},{b.kind}]", a.delta, base_for, sampler, claimed)
+    return GreedyOcrs(f"compose[{a.kind},{b.kind}]", a.delta, base_for, branches, sampler, claimed)
 
 
 def _admits(sub: Constraint, others: tuple[int, ...], i: int) -> bool:
@@ -195,6 +227,29 @@ def _admits(sub: Constraint, others: tuple[int, ...], i: int) -> bool:
     return True
 
 
+def _checked_activation(ocrs: GreedyOcrs, q_hat: Sequence[float], i: int) -> np.ndarray:
+    q = np.asarray(q_hat, dtype=float)
+    if not 0 <= i < len(q):
+        raise ValueError("element index out of range")
+    if not fea.in_scaled_polytope(ocrs.base_for(len(q)), q, ocrs.delta):
+        raise ValueError("activation vector outside delta-scaled polytope")
+    return q
+
+
+def _admission(branches: Branches, n: int, i: int) -> Callable[[int], bool]:
+    """admits(key): whether i is admissible under a key whose low n-1 bits are
+    the active pattern of the other elements, in index order, and whose high
+    bits are the branch index."""
+    others = [j for j in range(n) if j != i]
+    m = len(others)
+
+    def admits(key: int) -> bool:
+        active = tuple(j for t, j in enumerate(others) if key >> t & 1)
+        return _admits(branches[key >> m][1], active, i)
+
+    return admits
+
+
 def estimate_selectability(
     ocrs: GreedyOcrs,
     q_hat: Sequence[float],
@@ -204,27 +259,46 @@ def estimate_selectability(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of Pr[element i is admissible] with its stderr.
 
-    Each sample draws the active set and a fresh subconstraint, then verifies
-    exhaustively that every feasible subset of the other active elements still
-    admits i.
+    Each sample draws the active set and, when the scheme has more than one
+    branch, a uniform that picks the branch. Admission is verified
+    exhaustively (every feasible subset of the other active elements still
+    admits i) once per distinct (active pattern, branch) key.
     """
-    q = np.asarray(q_hat, dtype=float)
+    q = _checked_activation(ocrs, q_hat, i)
     n = len(q)
-    if not 0 <= i < n:
-        raise ValueError("element index out of range")
-    base = ocrs.base_for(n)
-    if not fea.in_scaled_polytope(base, q, ocrs.delta):
-        raise ValueError("activation vector outside delta-scaled polytope")
+    branches = ocrs.branches(q)
     rng = np.random.default_rng(seed)
     active = rng.random((samples, n)) < q
-    hits = 0
-    for t in range(samples):
-        others = tuple(j for j in np.nonzero(active[t])[0] if j != i)
-        sub = ocrs.subconstraint_sampler(q, (seed << 20) + t)
-        if _admits(sub, others, int(i)):
-            hits += 1
+    m = n - 1
+    # keys wider than int64 fall back to Python integers
+    dtype = np.int64 if m + (len(branches) - 1).bit_length() < 63 else object
+    keys = np.delete(active, i, axis=1).astype(dtype) @ np.array([1 << t for t in range(m)], dtype=dtype)
+    if len(branches) > 1:
+        keys = keys + _pick(branches, rng.random(samples)).astype(dtype) * (1 << m)
+    admits = _admission(branches, n, int(i))
+    distinct, counts = np.unique(keys, return_counts=True)
+    hits = sum(int(c) for key, c in zip(distinct, counts) if admits(int(key)))
     eta = hits / samples
     return eta, math.sqrt(max(eta * (1.0 - eta), 1e-12) / samples)
+
+
+def exact_selectability(ocrs: GreedyOcrs, q_hat: Sequence[float], i: int) -> float:
+    """Pr[element i is admissible]: the sum over every active pattern of the
+    other elements and every branch of Pr[pattern] * Pr[branch] * admits."""
+    q = _checked_activation(ocrs, q_hat, i)
+    n = len(q)
+    m = n - 1
+    if m > _SUBSET_LIMIT:
+        raise CapacityError(f"2^{m} active patterns exceed the exact enumeration limit 2^{_SUBSET_LIMIT}")
+    branches = ocrs.branches(q)
+    q_others = np.delete(q, i)
+    admits = _admission(branches, n, int(i))
+    total = 0.0
+    for key in range(len(branches) << m):
+        if admits(key):
+            pr = math.prod(q_others[t] if key >> t & 1 else 1.0 - q_others[t] for t in range(m))
+            total += branches[key >> m][0] * pr
+    return float(total)
 
 
 # -- constrained posted prices from activation targets ---------------------------
@@ -280,7 +354,7 @@ def cfpp_prices(inst: MarketInstance, p: Sequence[float], q: Sequence[float], de
     theta_s = np.empty(n)
     for i in range(n):
         pr_b = inst.buyer_dists[i].tail(p[i])
-        cap = pr_b * _prob_strictly_below(inst.seller_dists[i], p[i])
+        cap = pr_b * _prob_below(inst.seller_dists[i], p[i])
         if q[i] > cap + 1e-9:
             raise ValueError(f"q[{i}] exceeds Pr[b >= p > s] = {cap:.6g}")
         if pr_b <= 0.0 or q[i] <= 0.0:
@@ -289,12 +363,6 @@ def cfpp_prices(inst: MarketInstance, p: Sequence[float], q: Sequence[float], de
         else:
             theta_s[i] = dst.quantile(inst.seller_dists[i], min(1.0, delta * q[i] / pr_b))
     return CfppPrices(p.copy(), theta_s, delta * q, _scheme_for(inst.constraint, delta))
-
-
-def _prob_strictly_below(d: dst.Dist, v: float) -> float:
-    if d.kind == "discrete":
-        return float(sum(p for val, p in zip(d.values, d.probs) if val < v - dst.ATOL))
-    return d.cdf(v)
 
 
 # -- activation search (Frank-Wolfe on the concave surrogate) --------------------
@@ -331,7 +399,7 @@ def lower_bound_value(inst: MarketInstance, p: Sequence[float], q: Sequence[floa
         pr_b = inst.buyer_dists[i].tail(p[i])
         if pr_b <= 0.0:
             continue
-        cap = pr_b * _prob_strictly_below(inst.seller_dists[i], p[i])
+        cap = pr_b * _prob_below(inst.seller_dists[i], p[i])
         w = min(q[i], cap)
         if w <= 0.0:
             continue
@@ -351,7 +419,7 @@ def optimize_q(
     n = inst.n
     pr_b = np.array([inst.buyer_dists[i].tail(p[i]) for i in range(n)])
     cap = np.array(
-        [pr_b[i] * _prob_strictly_below(inst.seller_dists[i], p[i]) for i in range(n)]
+        [pr_b[i] * _prob_below(inst.seller_dists[i], p[i]) for i in range(n)]
     )
     q = np.zeros(n)
 
