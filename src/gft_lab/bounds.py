@@ -235,11 +235,7 @@ def sub_instance(inst: MarketInstance, items: Iterable[int]) -> MarketInstance:
 
 
 def _tau_matrix(inst: MarketInstance, S: np.ndarray) -> np.ndarray:
-    cols = []
-    for i in range(inst.n):
-        iv = inst.seller_ironed[i]
-        cols.append(np.array([iv(v) for v in S[:, i]]))
-    return np.column_stack(cols)
+    return np.column_stack([inst.seller_ironed[i](S[:, i]) for i in range(inst.n)])
 
 
 def opt_b(inst: MarketInstance, mode: str = "exact", samples: int = 10**5, seed: int = 0):
@@ -280,7 +276,7 @@ def expected_positive_margin(inst: MarketInstance, i: int, samples: int = 10**5,
     rng = np.random.default_rng(seed)
     bs = db.sample(rng, samples)
     ss = ds.sample(rng, samples)
-    return float(np.maximum(np.array([phi(v) for v in bs]) - ss, 0.0).mean())
+    return float(np.maximum(phi(bs) - ss, 0.0).mean())
 
 
 def _e_pos_vs_cost(ds: Dist, v: float) -> float:
@@ -339,9 +335,7 @@ def brustle_sd_upper(inst: MarketInstance) -> float:
         raise ValueError("exact evaluation needs a discrete instance")
     B, pB = buyer_grid(inst)
     S, pS = seller_grid(inst)
-    phiB = np.column_stack(
-        [[inst.buyer_ironed[i](v) for v in B[:, i]] for i in range(inst.n)]
-    )
+    phiB = np.column_stack([inst.buyer_ironed[i](B[:, i]) for i in range(inst.n)])
     tauS = _tau_matrix(inst, S)
     x_term = y_term = 0.0
     for kk in range(len(S)):

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
+from scipy.special import erf, erfinv
 
 ATOL = 1e-12
 
@@ -28,7 +30,6 @@ __all__ = [
     "IronedVirtual",
     "discrete",
     "point_mass",
-    "smooth_point_mass",
     "uniform",
     "exponential_truncated",
     "exponential_truncated_reversed",
@@ -54,10 +55,10 @@ class Dist:
     kind == "discrete": ``values``/``probs`` hold the atoms (strictly
     increasing values, masses summing to 1 within 1e-12).
 
-    kind == "continuous": ``cdf_fn``, ``pdf_fn``, ``quantile_fn`` are scalar
-    closures, vectorized over numpy arrays where convenient, with support
-    [lo, hi]. Point masses inside continuous inputs are not representable;
-    callers smooth them (``smooth_point_mass``) or go discrete.
+    kind == "continuous": ``cdf_fn``, ``pdf_fn``, ``quantile_fn`` are numpy
+    array functions with support [lo, hi]: each accepts an array and acts
+    elementwise, and each also accepts a Python float. Point masses inside
+    continuous inputs are not representable; model them as discrete atoms.
     """
 
     kind: str
@@ -126,8 +127,7 @@ class Dist:
             idx = np.minimum(idx, len(self.values) - 1)
             out = np.asarray(self.values)[idx]
         else:
-            fn = np.vectorize(self.quantile_fn)
-            out = fn(np.clip(u, 0.0, 1.0))
+            out = np.asarray(self.quantile_fn(np.clip(u, 0.0, 1.0)), dtype=float)
         return out if out.shape else float(out)
 
 
@@ -157,22 +157,16 @@ def point_mass(v: float) -> Dist:
     return Dist(kind="discrete", values=(float(v),), probs=(1.0,))
 
 
-def smooth_point_mass(v: float, eps: float) -> Dist:
-    """Uniform on [v-eps, v+eps]; the standard fix for an atom inside a
-    continuous model. eps is caller-chosen."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return uniform(v - eps, v + eps)
-
-
 def uniform(lo: float, hi: float) -> Dist:
     if not hi > lo:
         raise ValueError("need hi > lo")
     w = hi - lo
+    # The in-support masks are booleans used as 0/1 in arithmetic, so the
+    # density of a Python float is a Python float and no np.where is needed.
     return Dist(
         kind="continuous",
         cdf_fn=lambda v: (v - lo) / w,
-        pdf_fn=lambda v: 1.0 / w if lo <= v <= hi else 0.0,
+        pdf_fn=lambda v: ((v >= lo) & (v <= hi)) / w,
         quantile_fn=lambda q: lo + q * w,
         lo=lo,
         hi=hi,
@@ -188,9 +182,9 @@ def exponential_truncated(t: float) -> Dist:
     lam = 1.0 / (1.0 - math.exp(-t))
     return Dist(
         kind="continuous",
-        cdf_fn=lambda v: lam * (1.0 - math.exp(-v)),
-        pdf_fn=lambda v: lam * math.exp(-v) if 0 <= v <= t else 0.0,
-        quantile_fn=lambda q: -math.log(max(1.0 - q / lam, 1e-300)),
+        cdf_fn=lambda v: lam * (1.0 - np.exp(-v)),
+        pdf_fn=lambda v: lam * np.exp(-v) * ((v >= 0) & (v <= t)),
+        quantile_fn=lambda q: -np.log(np.maximum(1.0 - q / lam, 1e-300)),
         lo=0.0,
         hi=t,
         name="exponential_truncated",
@@ -206,9 +200,9 @@ def exponential_truncated_reversed(t: float) -> Dist:
     emt = math.exp(-t)
     return Dist(
         kind="continuous",
-        cdf_fn=lambda v: lam * (math.exp(v - t) - emt),
-        pdf_fn=lambda v: lam * math.exp(v - t) if 0 <= v <= t else 0.0,
-        quantile_fn=lambda q: t + math.log(q / lam + emt),
+        cdf_fn=lambda v: lam * (np.exp(v - t) - emt),
+        pdf_fn=lambda v: lam * np.exp(v - t) * ((v >= 0) & (v <= t)),
+        quantile_fn=lambda q: t + np.log(q / lam + emt),
         lo=0.0,
         hi=t,
         name="exponential_truncated_reversed",
@@ -217,36 +211,34 @@ def exponential_truncated_reversed(t: float) -> Dist:
 
 
 _SQRT2 = math.sqrt(2.0)
+_TINY = 1e-300  # stands in for v <= 0 inside log(); the cdf and density there are masked to 0
 
 
 def lognormal(mu: float, sigma: float) -> Dist:
     """Lognormal truncated (numerically) to its central 1-1e-12 quantile range."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    from scipy.special import erfinv
 
-    def cdf_fn(v: float) -> float:
-        if v <= 0:
-            return 0.0
-        return 0.5 * (1.0 + math.erf((math.log(v) - mu) / (sigma * _SQRT2)))
+    def cdf_fn(v):
+        z = (np.log(np.maximum(v, _TINY)) - mu) / (sigma * _SQRT2)
+        return 0.5 * (1.0 + erf(z)) * (v > 0)
 
-    def pdf_fn(v: float) -> float:
-        if v <= 0:
-            return 0.0
-        z = (math.log(v) - mu) / sigma
-        return math.exp(-0.5 * z * z) / (v * sigma * math.sqrt(2 * math.pi))
+    def pdf_fn(v):
+        x = np.maximum(v, _TINY)
+        z = (np.log(x) - mu) / sigma
+        return np.exp(-0.5 * z * z) / (x * sigma * math.sqrt(2 * math.pi)) * (v > 0)
 
-    def quantile_fn(q: float) -> float:
-        q = min(max(q, 1e-16), 1.0 - 1e-16)
-        return math.exp(mu + sigma * _SQRT2 * float(erfinv(2.0 * q - 1.0)))
+    def quantile_fn(q):
+        q = np.minimum(np.maximum(q, 1e-16), 1.0 - 1e-16)
+        return np.exp(mu + sigma * _SQRT2 * erfinv(2.0 * q - 1.0))
 
     return Dist(
         kind="continuous",
         cdf_fn=cdf_fn,
         pdf_fn=pdf_fn,
         quantile_fn=quantile_fn,
-        lo=quantile_fn(1e-12),
-        hi=quantile_fn(1.0 - 1e-12),
+        lo=float(quantile_fn(1e-12)),
+        hi=float(quantile_fn(1.0 - 1e-12)),
         name="lognormal",
         params=(("mu", mu), ("sigma", sigma)),
     )
@@ -351,11 +343,27 @@ def _discrete_index(d: Dist, v: float) -> int:
     raise ValueError(f"{v} is not a support point")
 
 
-def buyer_virtual(d: Dist, b: float) -> float:
+def _density_and_cdf(d: Dist, v, what: str):
+    """Density and cdf of a continuous Dist at v, a float or an array (then
+    both are arrays); raises if any density is <= 0."""
+    if isinstance(v, np.ndarray):
+        f = d.pdf_fn(v)
+        bad = f <= 0
+        if np.any(bad):
+            raise ValueError(f"zero density at {v[bad][0]}; {what} undefined")
+        return f, np.clip(d.cdf_fn(v), 0.0, 1.0)
+    f = d.pdf(v)
+    if f <= 0:
+        raise ValueError(f"zero density at {v}; {what} undefined")
+    return f, d.cdf(v)
+
+
+def buyer_virtual(d: Dist, b):
     """Myerson buyer virtual value phi(b) = b - (1-F(b))/f(b).
 
     Discrete convention: phi(v_k) = v_k - (v_{k+1}-v_k) * Pr[X > v_k] / f(v_k),
-    with phi = value at the top atom.
+    with phi = value at the top atom. A continuous Dist also takes an array of
+    values and returns an array.
     """
     if d.kind == "discrete":
         k = _discrete_index(d, b)
@@ -363,17 +371,16 @@ def buyer_virtual(d: Dist, b: float) -> float:
             return d.values[k]
         above = float(np.sum(d.probs[k + 1:]))
         return d.values[k] - (d.values[k + 1] - d.values[k]) * above / d.probs[k]
-    f = d.pdf(b)
-    if f <= 0:
-        raise ValueError(f"zero density at {b}; virtual value undefined")
-    return b - (1.0 - d.cdf(b)) / f
+    f, cdf = _density_and_cdf(d, b, "virtual value")
+    return b - (1.0 - cdf) / f
 
 
-def seller_virtual(d: Dist, s: float) -> float:
+def seller_virtual(d: Dist, s):
     """Myerson seller virtual cost tau(s) = s + G(s)/g(s).
 
     Discrete convention: tau(v_k) = v_k + (v_k - v_{k-1}) * Pr[X < v_k] / g(v_k),
-    with tau = value at the bottom atom.
+    with tau = value at the bottom atom. A continuous Dist also takes an array
+    of costs and returns an array.
     """
     if d.kind == "discrete":
         k = _discrete_index(d, s)
@@ -381,10 +388,8 @@ def seller_virtual(d: Dist, s: float) -> float:
             return d.values[0]
         below = float(np.sum(d.probs[:k]))
         return d.values[k] + (d.values[k] - d.values[k - 1]) * below / d.probs[k]
-    g = d.pdf(s)
-    if g <= 0:
-        raise ValueError(f"zero density at {s}; virtual cost undefined")
-    return s + d.cdf(s) / g
+    g, cdf = _density_and_cdf(d, s, "virtual cost")
+    return s + cdf / g
 
 
 # -- ironing ----------------------------------------------------------------
@@ -408,19 +413,32 @@ class IronedVirtual:
     grid_virtuals: tuple[float, ...]
     exact: bool
 
-    def __call__(self, v: float) -> float:
+    def __call__(self, v):
+        """The ironed virtual at v: a float for a scalar, an array for an array."""
         if self.exact and self.dist.kind == "continuous":
             fn = buyer_virtual if self.side == "buyer" else seller_virtual
-            return fn(self.dist, float(np.clip(v, *self.dist.support())))
-        vals = np.asarray(self.grid_values)
+            lo, hi = self.dist.support()
+            # isinstance, not np.ndim: scalars must stay off the array branch
+            v = np.clip(v, lo, hi) if isinstance(v, np.ndarray) else min(max(float(v), lo), hi)
+            return fn(self.dist, v)
         if self.side == "buyer":
             # value of the largest grid point <= v (grid covers the support)
-            idx = int(np.searchsorted(vals, v + 1e-9, side="right")) - 1
-            idx = max(idx, 0)
+            out = self._lookup[np.searchsorted(self._grid, v + 1e-9, side="right")]
         else:
-            idx = int(np.searchsorted(vals, v - 1e-9, side="left"))
-            idx = min(idx, len(vals) - 1)
-        return self.grid_virtuals[idx]
+            out = self._lookup[np.searchsorted(self._grid, v - 1e-9, side="left")]
+        return out if isinstance(v, np.ndarray) else float(out)
+
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        return np.asarray(self.grid_values, dtype=float)
+
+    @cached_property
+    def _lookup(self) -> np.ndarray:
+        """grid_virtuals indexed by the searchsorted position: padded with the
+        first entry (buyer, position 0 is below the grid) or the last (seller,
+        position len is above it), so no index needs clamping."""
+        g = np.asarray(self.grid_virtuals, dtype=float)
+        return np.concatenate((g[:1], g)) if self.side == "buyer" else np.concatenate((g, g[-1:]))
 
     def at_atoms(self) -> np.ndarray:
         return np.asarray(self.grid_virtuals)
@@ -481,10 +499,8 @@ def iron(d: Dist, side: str) -> IronedVirtual:
         ironed = _iron_discrete(vals, np.asarray(d.probs), side)
         return IronedVirtual(side, d, tuple(vals), tuple(ironed), exact=_is_monotone_match(d, side, ironed))
     # continuous: probe the raw virtual on an interior quantile grid
-    qs = (np.arange(IRON_GRID) + 0.5) / IRON_GRID
-    vals = np.array([d.quantile_fn(q) for q in qs])
-    fn = buyer_virtual if side == "buyer" else seller_virtual
-    raw = np.array([fn(d, v) for v in vals])
+    vals = d.ppf((np.arange(IRON_GRID) + 0.5) / IRON_GRID)
+    raw = (buyer_virtual if side == "buyer" else seller_virtual)(d, vals)
     if np.all(np.diff(raw) >= -1e-9):
         return IronedVirtual(side, d, tuple(vals), tuple(raw), exact=True)
     probs = np.full(IRON_GRID, 1.0 / IRON_GRID)

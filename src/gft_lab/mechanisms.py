@@ -50,8 +50,6 @@ __all__ = [
     "run_sapp",
     "unlikely_trade_rule",
     "reduction_rule",
-    "run_buyer_offering",
-    "run_seller_offering",
     "buyer_grid",
     "seller_grid",
 ]
@@ -120,10 +118,14 @@ class Outcome:
         return frozenset(self.traded)
 
 
+def _gft(b, s, traded: Iterable[int]) -> float:
+    """Realized GFT, summed over the traded items in increasing order."""
+    return float(sum(b[i] - s[i] for i in sorted(traded)))
+
+
 def _outcome(b, s, traded: Iterable[int], buyer_payment: float, seller_payments) -> Outcome:
     traded = tuple(sorted(traded))
-    gft = float(sum(b[i] - s[i] for i in traded))
-    return Outcome(traded, float(buyer_payment), tuple(float(x) for x in seller_payments), gft)
+    return Outcome(traded, float(buyer_payment), tuple(float(x) for x in seller_payments), _gft(b, s, traded))
 
 
 def _no_trade(n: int) -> Outcome:
@@ -383,9 +385,7 @@ class SappPriceMap:
         self._fixed_b = None
         if all(d.kind == "discrete" for d in inst.buyer_dists):
             self._bgrid, self._bprobs = buyer_grid(inst)
-            self._bphi = np.column_stack(
-                [[inst.buyer_ironed[i](v) for v in self._bgrid[:, i]] for i in range(inst.n)]
-            )
+            self._bphi = self._phi_columns(self._bgrid)
         elif rule.q_fn is not None:
             self._bgrid = None
         else:
@@ -393,7 +393,12 @@ class SappPriceMap:
             self.q_is_exact = False
             rng = np.random.default_rng(seed)
             self._fixed_b, _ = inst.sample_profiles(rng, mc_samples)
+            self._bphi = self._phi_columns(self._fixed_b)
             self._bgrid = None
+
+    def _phi_columns(self, B: np.ndarray) -> np.ndarray:
+        """Ironed virtual values of the buyer profiles in B, one call per item."""
+        return np.column_stack([self.inst.buyer_ironed[i](B[:, i]) for i in range(self.inst.n)])
 
     def q(self, s) -> np.ndarray:
         return self._entry(s)[0]
@@ -434,13 +439,11 @@ class SappPriceMap:
             return q
         if self.rule.q_fn is not None:
             return np.clip(self.rule.q_fn(s), 0.0, 1.0)
-        phi = self.inst.buyer_ironed
         q = np.zeros(self.inst.n)
-        for b in self._fixed_b:
+        for m, b in enumerate(self._fixed_b):
             x = self.rule.fn(b, s)
             if x.any():
-                keep = x * np.array([phi[i](b[i]) >= s[i] - TOL for i in range(self.inst.n)])
-                q += keep
+                q += x * (self._bphi[m] >= s - TOL)
         return q / len(self._fixed_b)
 
 
@@ -589,7 +592,7 @@ class Sapp:
         tau = [
             {v: dst.seller_virtual(d, v) for v in d.values} for d in inst.seller_dists
         ]
-        phi = self.pmap._bphi if self.pmap._bgrid is not None else None
+        phi = self.pmap._bphi  # a fully discrete instance has a buyer grid
         gft = buyer_pay = seller_pay = rule_term = 0.0
         xhat = {}
         for kk, s in enumerate(S):
@@ -607,9 +610,7 @@ class Sapp:
                     )
                 x = self.pmap.rule.fn(b, s)
                 if x.any():
-                    pv = phi[mm] if phi is not None else np.array(
-                        [inst.buyer_ironed[i](b[i]) for i in range(inst.n)]
-                    )
+                    pv = phi[mm]
                     keep = x * (pv >= s - TOL)
                     rule_term += w * float(np.dot(keep, pv - s))
             xhat[tuple(s.tolist())] = xh
@@ -707,45 +708,48 @@ class BuyerOffering:
     def __init__(self, inst: MarketInstance):
         self.inst = inst
 
-    def _alloc(self, b, s) -> tuple[tuple[int, ...], np.ndarray]:
-        tau = np.array([self.inst.seller_ironed[i](s[i]) for i in range(self.inst.n)])
+    def _tau(self, s) -> np.ndarray:
+        return np.array([self.inst.seller_ironed[i](s[i]) for i in range(self.inst.n)])
+
+    def _alloc(self, b, tau) -> tuple[int, ...]:
         w = {i: float(b[i] - tau[i]) for i in range(self.inst.n)}
         chosen, _ = fea.max_weight_set(self.inst.constraint, w)
-        return chosen, tau
+        return chosen
 
     def run(self, b, s, rng=None) -> Outcome:
         b = np.asarray(b, dtype=float)
         s = np.asarray(s, dtype=float)
-        traded, tau = self._alloc(b, s)
+        tau = self._tau(s)
+        traded = self._alloc(b, tau)
         pays = [0.0] * self.inst.n
         for i in traded:
-            pays[i] = self._seller_threshold(i, b, s)
+            pays[i] = self._seller_threshold(i, b, s, tau)
         return _outcome(b, s, traded, sum(tau[i] for i in traded), pays)
 
-    def _traded(self, i, b, s) -> bool:
-        return i in self._alloc(b, s)[0]
-
-    def _seller_threshold(self, i, b, s) -> float:
+    def _seller_threshold(self, i, b, s, tau) -> float:
+        """Largest cost report at which seller i still trades. Only tau_i
+        moves with that report, so the other sellers' tau are reused."""
         d = self.inst.seller_dists[i]
+        iv = self.inst.seller_ironed[i]
+        trial = tau.copy()
+
+        def traded(v) -> bool:
+            trial[i] = iv(v)
+            return i in self._alloc(b, trial)
+
         if d.kind == "discrete":
-            best = s[i]
             for v in sorted(d.values, reverse=True):
                 if v < s[i] - TOL:
                     break
-                trial = np.array(s, dtype=float)
-                trial[i] = v
-                if self._traded(i, b, trial):
+                if traded(v):
                     return float(v)
-            return float(best)
+            return float(s[i])
         lo, hi = float(s[i]), d.support()[1]
-        trial = np.array(s, dtype=float)
-        trial[i] = hi
-        if self._traded(i, b, trial):
+        if traded(hi):
             return hi
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            trial[i] = mid
-            if self._traded(i, b, trial):
+            if traded(mid):
                 lo = mid
             else:
                 hi = mid
@@ -753,11 +757,7 @@ class BuyerOffering:
 
     def run_batch(self, B: np.ndarray, S: np.ndarray, rng=None) -> np.ndarray:
         variant = self.inst.constraint.variant
-        TauCols = [
-            np.array([self.inst.seller_ironed[i](v) for v in S[:, i]])
-            for i in range(self.inst.n)
-        ]
-        tau = np.column_stack(TauCols)
+        tau = np.column_stack([self.inst.seller_ironed[i](S[:, i]) for i in range(self.inst.n)])
         w = B - tau
         gain = B - S
         if variant == "additive":
@@ -770,7 +770,10 @@ class BuyerOffering:
         return np.array([self.run(B[t], S[t]).gft for t in range(len(B))])
 
     def expected_gft_given_profile(self, b, s) -> float:
-        return self.run(b, s).gft
+        """GFT of the allocation alone; run's threshold payments are not needed."""
+        b = np.asarray(b, dtype=float)
+        s = np.asarray(s, dtype=float)
+        return _gft(b, s, self._alloc(b, self._tau(s)))
 
 
 class SellerOffering:
@@ -785,11 +788,13 @@ class SellerOffering:
             raise ValueError("seller-offering is a bilateral mechanism")
         self.inst = inst
 
+    def _trades(self, b, s) -> bool:
+        return self.inst.buyer_ironed[0](b[0]) >= s[0] - TOL
+
     def run(self, b, s, rng=None) -> Outcome:
         b = np.asarray(b, dtype=float).reshape(1)
         s = np.asarray(s, dtype=float).reshape(1)
-        phi = self.inst.buyer_ironed[0]
-        if phi(b[0]) < s[0] - TOL:
+        if not self._trades(b, s):
             return _no_trade(1)
         price = self._buyer_threshold(s[0], b[0])
         return _outcome(b, s, (0,), price, [price])
@@ -814,19 +819,11 @@ class SellerOffering:
         return hi
 
     def run_batch(self, B: np.ndarray, S: np.ndarray, rng=None) -> np.ndarray:
-        phi = self.inst.buyer_ironed[0]
-        pv = np.array([phi(v) for v in B[:, 0]])
+        pv = self.inst.buyer_ironed[0](B[:, 0])
         return np.where(pv >= S[:, 0] - TOL, B[:, 0] - S[:, 0], 0.0)
 
     def expected_gft_given_profile(self, b, s) -> float:
-        return self.run(b, s).gft
-
-
-def run_buyer_offering(inst, profile) -> Outcome:
-    b, s = profile
-    return BuyerOffering(inst).run(b, s)
-
-
-def run_seller_offering(inst, profile) -> Outcome:
-    b, s = profile
-    return SellerOffering(inst).run(b, s)
+        """GFT of the allocation alone; run's threshold price is not needed."""
+        b = np.asarray(b, dtype=float).reshape(1)
+        s = np.asarray(s, dtype=float).reshape(1)
+        return _gft(b, s, (0,)) if self._trades(b, s) else 0.0

@@ -128,8 +128,7 @@ def knapsack_ocrs(delta: float, sizes: Sequence[float]) -> GreedyOcrs:
     """
     _check_delta(delta)
     sz = np.asarray(sizes, dtype=float)
-    if np.any(sz < 0) or np.any(sz > 1 + 1e-12):
-        raise ValueError("knapsack sizes must lie in [0, 1]")
+    knap = fea.knapsack(sz)  # validates the sizes: the scheme and its constraints share one bound
     n = len(sz)
     big = tuple(i for i in range(n) if sz[i] > 0.5)
     small = tuple(i for i in range(n) if sz[i] <= 0.5)
@@ -141,7 +140,7 @@ def knapsack_ocrs(delta: float, sizes: Sequence[float]) -> GreedyOcrs:
 
     def _small_only(ground: Sequence[int]) -> Constraint:
         free_small = fea.matroid_oracle(lambda S: len(set(S) & small_set), ground)
-        return fea.intersection(fea.knapsack(sz), free_small)
+        return fea.intersection(knap, free_small)
 
     def _bounds(q_hat: np.ndarray) -> tuple[float, float]:
         q = np.asarray(q_hat, dtype=float)
@@ -186,7 +185,7 @@ def knapsack_ocrs(delta: float, sizes: Sequence[float]) -> GreedyOcrs:
             vals.append((1.0 - rho) * ls)
         return float(min(vals)) if vals else 1.0
 
-    return _greedy_ocrs("knapsack", delta, lambda m: fea.knapsack(sz), branches, claimed)
+    return _greedy_ocrs("knapsack", delta, lambda m: knap, branches, claimed)
 
 
 def compose_ocrs(a: GreedyOcrs, b: GreedyOcrs) -> GreedyOcrs:
@@ -264,6 +263,8 @@ def estimate_selectability(
     exhaustively (every feasible subset of the other active elements still
     admits i) once per distinct (active pattern, branch) key.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     q = _checked_activation(ocrs, q_hat, i)
     n = len(q)
     branches = ocrs.branches(q)

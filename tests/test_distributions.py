@@ -217,3 +217,76 @@ def test_json_round_trip():
         assert back.kind == d.kind
         for q in (0.1, 0.5, 0.9):
             assert math.isclose(dst.quantile(back, q), dst.quantile(d, q), abs_tol=1e-9)
+
+
+# -- the array contract of the closures, ppf and ironed lookups ----------------
+
+_BUILTIN_DISTS = st.one_of(
+    st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 3.0)).map(lambda t: dst.uniform(t[0], t[0] + t[1])),
+    st.floats(0.5, 12.0).map(dst.exponential_truncated),
+    st.floats(0.5, 12.0).map(dst.exponential_truncated_reversed),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 3.0)).map(lambda t: dst.lognormal(*t)),
+)
+_DISCRETE_DISTS = st.lists(st.integers(-40, 40), min_size=1, max_size=8, unique=True).flatmap(
+    lambda vals: st.lists(st.floats(0.05, 1.0), min_size=len(vals), max_size=len(vals)).map(
+        lambda ws: dst.discrete([0.1 * v for v in vals], [w / sum(ws) for w in ws])
+    )
+)
+
+
+def _assert_elementwise(d, got, want):
+    """Exact for uniform and grid lookups; the exp/log families to 4e-16
+    relative, the room allowed for numpy's array and scalar transcendentals."""
+    got, want = np.asarray(got), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    if d.kind == "discrete" or d.name == "uniform":
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=4e-16, atol=0.0)
+
+
+@given(
+    st.one_of(_BUILTIN_DISTS, _DISCRETE_DISTS),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=20),
+    st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=20),
+)
+@settings(max_examples=60)
+def test_array_calls_match_scalar_calls(d, us, xs):
+    u = np.array(us)
+    _assert_elementwise(d, d.ppf(u), [dst.quantile(d, x) for x in us])
+    lo, hi = d.support()
+    v = lo + np.array(xs) * (hi - lo)
+    for side in ("buyer", "seller"):
+        iv = dst.iron(d, side)
+        want = [iv(x) for x in v.tolist()]
+        if iv.exact and d.kind == "continuous":
+            _assert_elementwise(d, iv(v), want)
+        else:
+            assert np.array_equal(iv(v), want)  # grid lookup
+
+
+def test_zero_density_raises_for_arrays_and_scalars():
+    u = dst.uniform(0.0, 1.0)
+    with pytest.raises(ValueError, match="zero density at 2.0"):
+        dst.buyer_virtual(u, np.array([0.5, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="zero density at -1.0"):
+        dst.seller_virtual(u, np.array([-1.0, 0.5]))
+    with pytest.raises(ValueError, match="zero density at 2.0"):
+        dst.buyer_virtual(u, 2.0)
+    assert np.array_equal(dst.seller_virtual(u, np.array([0.25, 0.5])), [0.5, 1.0])
+
+
+def test_scalar_calls_return_python_floats():
+    two = dst.discrete([1.0, 2.0], [0.5, 0.5])
+    for d in (dst.uniform(0.0, 1.0), dst.exponential_truncated(4.0), dst.lognormal(0.0, 2.5), two):
+        lo, hi = d.support()
+        mid = 0.5 * (lo + hi)
+        assert type(d.ppf(0.3)) is float
+        assert type(dst.quantile(d, 0.3)) is float
+        for side in ("buyer", "seller"):
+            assert type(dst.iron(d, side)(mid)) is float
+            assert type(dst.iron(d, side)(np.float64(mid))) is float
+        if d.kind == "continuous":
+            assert type(dst.buyer_virtual(d, mid)) is float
+            assert type(dst.seller_virtual(d, mid)) is float
+    assert not dst.iron(dst.lognormal(0.0, 2.5), "buyer").exact  # the ironed-grid path is covered

@@ -320,6 +320,73 @@ def test_buyer_offering_near_tie_paths_agree(inst):
     assert audits.exact_gft(bo, inst) == run.gft
 
 
+def _bo_pin_markets():
+    u = dst.uniform
+    cont = mech.market(
+        [u(0.2, 1.4), u(0.0, 1.0)], [u(0.0, 1.1), u(0.1, 0.9)], fea.unit_demand(range(2))
+    )
+    disc = mech.market(
+        [d([0.4, 0.9, 1.5], [0.3, 0.3, 0.4]), d([0.5, 1.2], [0.6, 0.4])],
+        [d([0.1, 0.6, 1.0], [0.2, 0.5, 0.3]), d([0.2, 0.7], [0.5, 0.5])],
+        fea.unit_demand(range(2)),
+    )
+    expo = mech.market(
+        [dst.exponential_truncated(4.0), u(0.0, 2.0)],
+        [dst.exponential_truncated_reversed(4.0), u(0.0, 1.0)],
+        fea.unit_demand(range(2)),
+    )
+    return cont, disc, expo
+
+
+# (market, b, s) -> (traded, buyer payment, seller payments, gft), recorded
+# before ironed lookups took arrays and the threshold search reused tau
+_BO_PINS = [
+    (0, [1.3, 0.4], [0.3, 0.5], ((0,), 0.6, (0.65, 0.0), 1.0)),
+    (0, [0.5, 0.95], [0.6, 0.2], ((1,), 0.30000000000000004, (0.0, 0.5249999999999999), 0.75)),
+    (0, [1.1, 0.9], [0.05, 0.15], ((0,), 0.1, (0.2, 0.0), 1.05)),
+    (1, [1.5, 0.5], [0.1, 0.2], ((0,), 0.10000000000000002, (0.6, 0.0), 1.4)),
+    (1, [0.9, 1.2], [0.6, 0.2], ((1,), 0.2, (0.0, 0.2), 1.0)),
+    (1, [1.5, 1.2], [1.0, 0.7], ((), 0.0, (0.0, 0.0), 0.0)),
+    (1, [0.4, 1.2], [0.1, 0.2], ((1,), 0.2, (0.0, 0.2), 1.0)),
+    (2, [3.5, 0.2], [0.5, 0.9], ((0,), 0.8934693402873666, (2.576072213407902, 0.0), 3.0)),
+    (2, [0.3, 1.9], [2.0, 0.3], ((1,), 0.6, (0.0, 0.9499999999999998), 1.5999999999999999)),
+]
+
+
+def test_buyer_offering_threshold_payments_pinned():
+    markets = _bo_pin_markets()
+    for k, b, s, (traded, pay_b, pay_s, gft) in _BO_PINS:
+        o = mech.BuyerOffering(markets[k]).run(b, s)
+        got = (o.buyer_payment, *o.seller_payments, o.gft)
+        want = (pay_b, *pay_s, gft)
+        assert o.traded == traded
+        if k < 2:  # uniform and discrete: the same arithmetic, bit for bit
+            assert got == want
+        else:  # exponential: numpy's exp may differ from libm's in the last ulp
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("constraint", [fea.unit_demand(range(2)), fea.additive(range(2))], ids=["ud", "add"])
+def test_expected_gft_given_profile_equals_run_gft(constraint):
+    bo_market = mech.market(
+        [d([0.4, 0.9, 1.5], [0.3, 0.3, 0.4]), d([0.5, 1.2, 1.6], [0.6, 0.3, 0.1])],
+        [d([0.1, 0.6, 1.0], [0.2, 0.5, 0.3]), d([0.2, 0.7, 1.3], [0.5, 0.3, 0.2])],
+        constraint,
+    )
+    so_market = instances.example_a3(6)
+    for mechanism in (mech.BuyerOffering(bo_market), mech.SellerOffering(so_market)):
+        inst = mechanism.inst
+        B, _ = mech.buyer_grid(inst)
+        S, _ = mech.seller_grid(inst)
+        traded = 0
+        for b in B:
+            for s in S:
+                run = mechanism.run(b, s)
+                assert mechanism.expected_gft_given_profile(b, s) == run.gft
+                traded += bool(run.traded)
+        assert 0 < traded < len(B) * len(S)
+
+
 def test_buyer_offering_expost_buyer_ir():
     inst = ud2a()
     bo = mech.BuyerOffering(inst)

@@ -89,6 +89,29 @@ def test_estimate_rejects_out_of_polytope_targets():
         ocrs.estimate_selectability(scheme, [0.4, 0.4], 0, samples=10, seed=0)
 
 
+def test_knapsack_scheme_that_builds_can_be_evaluated():
+    # the scheme and feasibility.knapsack apply one size bound, [0, 1]
+    scheme = ocrs.knapsack_ocrs(0.25, [1.0, 0.3])
+    q = 0.25 * np.array([0.5, 0.5])
+    for i in range(2):
+        eta, _ = ocrs.estimate_selectability(scheme, q, i, samples=500, seed=1)
+        assert 0.0 < eta <= 1.0
+        assert 0.0 < ocrs.exact_selectability(scheme, q, i) <= 1.0
+    with pytest.raises(ValueError, match="knapsack sizes"):
+        ocrs.knapsack_ocrs(0.25, [1.0 + 5e-13, 0.3])
+    with pytest.raises(ValueError, match="knapsack sizes"):
+        ocrs.knapsack_ocrs(0.25, [-1e-13, 0.3])
+
+
+def test_estimate_rejects_fewer_than_one_sample():
+    scheme = ocrs.unit_demand_ocrs(0.5)
+    q = np.array([0.2, 0.2])
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            ocrs.estimate_selectability(scheme, q, 0, samples=samples)
+    assert ocrs.estimate_selectability(scheme, q, 0, samples=1)[0] in (0.0, 1.0)
+
+
 def test_compose_with_trivial_is_identity():
     base = ocrs.unit_demand_ocrs(0.5)
     trivial = ocrs.GreedyOcrs(
