@@ -12,7 +12,8 @@ buyer to afford item i with probability exactly q_i(s)/2. On discrete buyer
 grids that quantile generally lands on an atom, so the mechanism accepts the
 boundary value b_i = theta_i(s) with a calibrated coin; strictly higher values
 always afford, strictly lower never do. All exact audits integrate the coin
-analytically (see Sapp.beta), so no sampling enters exact computations.
+analytically: Sapp._beta_rows is the closed form, and the exact audits reduce
+one table of it over the seller x buyer grid, so no sampling enters them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -275,7 +276,10 @@ class Cfpp(Fpp):
 @dataclass(frozen=True)
 class AllocationRule:
     """A (b, s) -> x in {0,1}^n rule obeying the seller-adjusted construction
-    hypotheses: sum x_i <= 1, x_i nonincreasing in s_i, nondecreasing in s_j."""
+    hypotheses: sum x_i <= 1, x_i nonincreasing in s_i, nondecreasing in s_j.
+    `fn` takes b and s with items on the last axis and any leading shapes that
+    broadcast (one profile is the one-row case); calling the rule broadcasts the
+    result to that shape, so a constant `fn` works too. `q_fn` maps one s to q(s)."""
 
     name: str
     n: int
@@ -283,7 +287,9 @@ class AllocationRule:
     q_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, b, s) -> np.ndarray:
-        return self.fn(np.asarray(b, dtype=float), np.asarray(s, dtype=float))
+        b = np.asarray(b, dtype=float)
+        s = np.asarray(s, dtype=float)
+        return np.broadcast_to(self.fn(b, s), np.broadcast_shapes(b.shape, s.shape))
 
 
 def unlikely_trade_rule(inst: MarketInstance, L: Iterable[int]) -> AllocationRule:
@@ -295,13 +301,11 @@ def unlikely_trade_rule(inst: MarketInstance, L: Iterable[int]) -> AllocationRul
     phi = inst.buyer_ironed
 
     def fn(b: np.ndarray, s: np.ndarray) -> np.ndarray:
-        x = np.zeros(inst.n)
-        meets = [i for i in L if b[i] >= s[i] - TOL]
-        if len(meets) != 1:
-            return x
-        i = meets[0]
-        if phi[i](b[i]) >= s[i] - TOL:
-            x[i] = 1.0
+        x = np.zeros(np.broadcast_shapes(b.shape, s.shape))
+        meets = b[..., list(L)] >= s[..., list(L)] - TOL
+        alone = meets.sum(axis=-1) == 1
+        for k, i in enumerate(L):
+            x[..., i] = alone & meets[..., k] & (phi[i](b[..., i]) >= s[..., i] - TOL)
         return x
 
     def q_fn(s: np.ndarray) -> np.ndarray:
@@ -356,17 +360,24 @@ def reduction_rule(inst: MarketInstance) -> AllocationRule:
     phi = inst.buyer_ironed
 
     def fn(b: np.ndarray, s: np.ndarray) -> np.ndarray:
-        x = np.zeros(inst.n)
-        d = np.array([phi[i](b[i]) - s[i] for i in range(inst.n)])
-        i = int(np.argmax(d))
-        if d[i] >= -TOL:
-            x[i] = 1.0
-        return x
+        d = np.stack([phi[i](b[..., i]) for i in range(inst.n)], axis=-1) - s
+        best = np.argmax(d, axis=-1)[..., None]
+        serve = (np.arange(inst.n) == best) & (np.take_along_axis(d, best, axis=-1) >= -TOL)
+        return serve.astype(float)
 
     return AllocationRule("reduction", inst.n, fn)
 
 
 # -- seller-adjusted posted prices ---------------------------------------------
+
+SAPP_CACHE_CAP = 1024  # price-map entries kept for off-grid seller profiles
+SAPP_TABLE_BYTES = 2**26  # largest (|S|, |B|, n) float table; an audit peaks near 6x it (470 MB at 63 MB)
+
+
+def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along `axis` in index order, bit for bit a running `total += t`
+    from 0.0 (np.sum adds pairwise, in a different order)."""
+    return np.cumsum(a, axis=axis).take(-1, axis=axis) + 0.0
 
 
 class SappPriceMap:
@@ -375,30 +386,32 @@ class SappPriceMap:
     q_i(s) = E_b[x_i(b,s) * 1[phi_i(b_i) >= s_i]], theta_i(s) the buyer
     quantile at 1 - q_i(s)/2, and alpha_i(s) the boundary-coin probability
     calibrated so Pr[afford i] = q_i(s)/2 exactly on discrete grids.
+
+    `rows` computes all three for an array of seller profiles. Entries for the
+    seller grid are filled by Sapp's exact table; other profiles are cached up
+    to SAPP_CACHE_CAP entries, oldest evicted first.
     """
 
     def __init__(self, inst: MarketInstance, rule: AllocationRule, mc_samples: int = 4096, seed: int = 0):
         self.inst = inst
         self.rule = rule
+        self._grid: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self.q_is_exact = True
-        self._fixed_b = None
+        self._bgrid = self._bprobs = None  # the buyer rows q averages over, and their weights
         if all(d.kind == "discrete" for d in inst.buyer_dists):
             self._bgrid, self._bprobs = buyer_grid(inst)
-            self._bphi = self._phi_columns(self._bgrid)
-        elif rule.q_fn is not None:
-            self._bgrid = None
-        else:
-            # fall back to a fixed-seed sample so the map stays deterministic
-            self.q_is_exact = False
-            rng = np.random.default_rng(seed)
-            self._fixed_b, _ = inst.sample_profiles(rng, mc_samples)
-            self._bphi = self._phi_columns(self._fixed_b)
-            self._bgrid = None
-
-    def _phi_columns(self, B: np.ndarray) -> np.ndarray:
-        """Ironed virtual values of the buyer profiles in B, one call per item."""
-        return np.column_stack([self.inst.buyer_ironed[i](B[:, i]) for i in range(self.inst.n)])
+        elif rule.q_fn is None:
+            # a fixed-seed sample, equally weighted, keeps the map deterministic
+            self._bgrid, _ = inst.sample_profiles(np.random.default_rng(seed), mc_samples)
+        self.q_is_exact = self._bgrid is None or self._bprobs is not None
+        if self._bgrid is not None:
+            self._bphi = np.column_stack([inst.buyer_ironed[i](self._bgrid[:, i]) for i in range(inst.n)])
+        self._atoms = {}  # per discrete buyer item: atoms, cdf, Pr[b > atom], (positive) mass at atom
+        for i, d in enumerate(inst.buyer_dists):
+            if d.kind == "discrete":
+                mass = np.array([d.mass(v) for v in d.values])
+                above = np.array([d.tail(v) for v in d.values]) - mass
+                self._atoms[i] = (np.asarray(d.values), np.cumsum(d.probs), above, mass)
 
     def q(self, s) -> np.ndarray:
         return self._entry(s)[0]
@@ -410,61 +423,62 @@ class SappPriceMap:
         return self._entry(s)[2]
 
     def _entry(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        s = np.asarray(s, dtype=float)
-        key = tuple(s.tolist())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        q = self._q_raw(s)
-        theta = np.empty(self.inst.n)
-        alpha = np.zeros(self.inst.n)
-        for i, d in enumerate(self.inst.buyer_dists):
-            theta[i] = dst.quantile(d, 1.0 - q[i] / 2.0)
-            if d.kind == "discrete":
-                above = d.tail(theta[i]) - d.mass(theta[i])  # Pr[b > theta]
-                m = d.mass(theta[i])
-                alpha[i] = 0.0 if m <= 0 else min(1.0, max(0.0, (q[i] / 2.0 - above) / m))
-        entry = (q, theta, alpha)
-        self._cache[key] = entry
-        return entry
+        key = tuple(np.asarray(s, dtype=float).tolist())
+        hit = self._grid.get(key) or self._cache.get(key)
+        if hit is None:
+            q, theta, alpha = self.rows(np.array([key]))
+            hit = (q[0], theta[0], alpha[0])
+            if len(self._cache) >= SAPP_CACHE_CAP:
+                del self._cache[next(iter(self._cache))]
+            self._cache[key] = hit
+        return hit
 
-    def _q_raw(self, s: np.ndarray) -> np.ndarray:
-        if self._bgrid is not None:
-            q = np.zeros(self.inst.n)
-            for m in range(len(self._bgrid)):
-                x = self.rule.fn(self._bgrid[m], s)
-                if x.any():
-                    keep = x * (self._bphi[m] >= s - TOL)
-                    q += self._bprobs[m] * keep
-            return q
-        if self.rule.q_fn is not None:
-            return np.clip(self.rule.q_fn(s), 0.0, 1.0)
-        q = np.zeros(self.inst.n)
-        for m, b in enumerate(self._fixed_b):
-            x = self.rule.fn(b, s)
-            if x.any():
-                q += x * (self._bphi[m] >= s - TOL)
-        return q / len(self._fixed_b)
+    def _kept(self, S: np.ndarray) -> np.ndarray:
+        """x_i(b, s) * 1[phi_i(b_i) >= s_i] over seller rows S x buyer rows b."""
+        s = S[:, None, :]
+        return self.rule(self._bgrid, s) * (self._bphi >= s - TOL)
+
+    def rows(self, S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(q, theta, alpha) for a (k, n) array of seller profiles, each (k, n)."""
+        S = np.asarray(S, dtype=float)
+        if self._bgrid is None:
+            q = np.array([np.clip(self.rule.q_fn(s), 0.0, 1.0) for s in S]).reshape(S.shape)
+        elif self._bprobs is None:
+            q = _ordered_sum(self._kept(S), axis=1) / len(self._bgrid)
+        else:
+            q = _ordered_sum(self._kept(S) * self._bprobs[:, None], axis=1)
+        theta = np.empty_like(q)
+        alpha = np.zeros_like(q)
+        for i, d in enumerate(self.inst.buyer_dists):
+            u = 1.0 - q[:, i] / 2.0
+            if d.kind != "discrete":
+                theta[:, i] = d.ppf(u)
+                continue
+            values, cdf, above, mass = self._atoms[i]
+            k = np.minimum(np.searchsorted(cdf, u - dst.ATOL, side="left"), len(values) - 1)
+            theta[:, i] = values[k]
+            alpha[:, i] = np.clip((q[:, i] / 2.0 - above[k]) / mass[k], 0.0, 1.0)
+        return q, theta, alpha
 
 
 def _validate_rule(inst: MarketInstance, rule: AllocationRule, probes: int = 48, seed: int = 7) -> None:
     rng = np.random.default_rng(seed)
     B, S = inst.sample_profiles(rng, probes)
-    for t in range(probes):
-        b, s = B[t], S[t]
-        x = rule.fn(b, s)
-        if x.sum() > 1.0 + TOL:
-            raise ValueError("allocation rule serves more than one item")
-        for i in range(inst.n):
-            lo, hi = inst.seller_dists[i].support()
-            bumped = s.copy()
-            bumped[i] = min(hi, s[i] + 0.25 * (hi - s[i]) + 1e-6)
-            x2 = rule.fn(b, bumped)
-            if x2[i] > x[i] + TOL:
-                raise ValueError(f"rule not nonincreasing in the cost of item {i}")
-            for j in range(inst.n):
-                if j != i and x2[j] < x[j] - TOL:
-                    raise ValueError(f"rule not nondecreasing in item {i}'s cost for item {j}")
+    X = rule(B, S)
+    if np.any(X.sum(axis=-1) > 1.0 + TOL):
+        raise ValueError("allocation rule serves more than one item")
+    for i in range(inst.n):
+        lo, hi = inst.seller_dists[i].support()
+        bumped = S.copy()
+        bumped[:, i] = np.minimum(hi, S[:, i] + 0.25 * (hi - S[:, i]) + 1e-6)
+        X2 = rule(B, bumped)
+        if np.any(X2[:, i] > X[:, i] + TOL):
+            raise ValueError(f"rule not nonincreasing in the cost of item {i}")
+        fell = X2 < X - TOL
+        fell[:, i] = False
+        if fell.any():
+            j = np.argwhere(fell)[0][1]
+            raise ValueError(f"rule not nondecreasing in item {i}'s cost for item {j}")
 
 
 def sapp_build(inst: MarketInstance, rule: AllocationRule, mc_samples: int = 4096, seed: int = 0) -> SappPriceMap:
@@ -483,6 +497,19 @@ def _hash_coins(b: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
         dig = hashlib.blake2b(payload + i.to_bytes(4, "little"), digest_size=8).digest()
         out[i] = int.from_bytes(dig, "little") / 2.0**64
     return out
+
+
+class _SappTable(NamedTuple):
+    """Exact SAPP quantities over the seller grid S x buyer grid B."""
+
+    S: np.ndarray  # (|S|, n) seller profiles, row-major over the item atoms
+    pS: np.ndarray
+    B: np.ndarray  # (|B|, n) buyer profiles
+    pB: np.ndarray
+    q: np.ndarray  # (|S|, n) price-map rows of S
+    theta: np.ndarray
+    beta: np.ndarray  # (|S|, |B|, n) coin-integrated purchase probabilities
+    xhat: np.ndarray  # (|S|, n) interim allocation E_b[beta]
 
 
 class Sapp:
@@ -508,8 +535,7 @@ class Sapp:
         return int(np.argmax(surplus))
 
     def _trades(self, i, b, s, coins) -> bool:
-        theta = self.pmap.theta(s)
-        alpha = self.pmap.alpha(s)
+        _, theta, alpha = self.pmap._entry(s)
         return self._winner(b, theta, self._afford(b, theta, alpha, coins)) == i
 
     def run(self, b, s, rng: np.random.Generator | None = None, coins: np.ndarray | None = None) -> Outcome:
@@ -518,8 +544,7 @@ class Sapp:
         n = self.inst.n
         if coins is None:
             coins = rng.random(n) if rng is not None else _hash_coins(b, s, n)
-        theta = self.pmap.theta(s)
-        alpha = self.pmap.alpha(s)
+        _, theta, alpha = self.pmap._entry(s)
         win = self._winner(b, theta, self._afford(b, theta, alpha, coins))
         if win is None:
             return _no_trade(n)
@@ -554,28 +579,45 @@ class Sapp:
 
     # -- exact coin-integrated machinery (discrete paths) --
 
+    @staticmethod
+    def _beta_rows(B, theta, alpha) -> np.ndarray:
+        """Purchase probabilities over rows (items last; B, theta, alpha broadcast),
+        coins integrated: the sure-afford item of largest surplus (lowest index
+        on ties), else boundary item i with alpha_i times Pr[no earlier coin sold]."""
+        sure = B > theta + TOL
+        best = np.argmax(np.where(sure, B - theta, -np.inf), axis=-1)[..., None]
+        coin = np.where(np.abs(B - theta) <= TOL, alpha, 0.0)
+        live = np.cumprod(1.0 - coin, axis=-1)
+        live = np.concatenate((np.ones_like(live[..., :1]), live[..., :-1]), axis=-1)
+        won = (np.arange(B.shape[-1]) == best).astype(float)
+        return np.where(sure.any(axis=-1, keepdims=True), won, coin * live)
+
     def beta(self, b, s) -> np.ndarray:
         """Per-item purchase probability given the profile, integrating only
-        over the boundary coins (closed form)."""
-        b = np.asarray(b, dtype=float)
-        s = np.asarray(s, dtype=float)
-        theta = self.pmap.theta(s)
-        alpha = self.pmap.alpha(s)
-        beta = np.zeros(self.inst.n)
-        sure = b > theta + TOL
-        if sure.any():
-            surplus = np.where(sure, b - theta, -np.inf)
-            beta[int(np.argmax(surplus))] = 1.0
-            return beta
-        boundary = np.nonzero(np.abs(b - theta) <= TOL)[0]
-        live = 1.0
-        for i in boundary:
-            beta[i] = alpha[i] * live
-            live *= 1.0 - alpha[i]
-        return beta
+        over the boundary coins (closed form); one row of `_beta_rows`."""
+        _, theta, alpha = self.pmap._entry(s)
+        return self._beta_rows(np.asarray(b, dtype=float), theta, alpha)
 
     def expected_gft_given_profile(self, b, s) -> float:
         return float(np.dot(self.beta(b, s), np.asarray(b, float) - np.asarray(s, float)))
+
+    @cached_property
+    def _table(self) -> _SappTable:
+        """Beta over the full seller x buyer grid, built once; it also fills
+        the price map's entries for the seller grid."""
+        inst = self.inst
+        if not inst.is_discrete:
+            raise ValueError("exact SAPP accounting needs a fully discrete instance")
+        nbytes = math.prod(len(d.values) for d in inst.seller_dists + inst.buyer_dists) * inst.n * 8
+        if nbytes > SAPP_TABLE_BYTES:
+            raise fea.CapacityError(f"SAPP table needs {nbytes} bytes, over {SAPP_TABLE_BYTES}")
+        S, pS = seller_grid(inst)
+        B, pB = self.pmap._bgrid, self.pmap._bprobs
+        q, theta, alpha = self.pmap.rows(S)
+        self.pmap._grid.update(zip(map(tuple, S.tolist()), zip(q, theta, alpha)))
+        beta = self._beta_rows(B, theta[:, None, :], alpha[:, None, :])
+        xhat = _ordered_sum(pB[:, None] * beta, axis=1)
+        return _SappTable(S, pS, B, pB, q, theta, beta, xhat)
 
     def exact_report(self):
         """Single-pass exact expectations over a fully discrete instance.
@@ -584,99 +626,57 @@ class Sapp:
         payment equals the expected (purchase probability x discrete virtual
         cost), which telescopes exactly on the grid.
         """
-        inst = self.inst
-        if not inst.is_discrete:
-            raise ValueError("exact SAPP accounting needs a fully discrete instance")
-        B, pB = buyer_grid(inst)
-        S, pS = seller_grid(inst)
-        tau = [
-            {v: dst.seller_virtual(d, v) for v in d.values} for d in inst.seller_dists
-        ]
-        phi = self.pmap._bphi  # a fully discrete instance has a buyer grid
-        gft = buyer_pay = seller_pay = rule_term = 0.0
-        xhat = {}
-        for kk, s in enumerate(S):
-            theta = self.pmap.theta(s)
-            xh = np.zeros(inst.n)
-            for mm, b in enumerate(B):
-                w = pS[kk] * pB[mm]
-                bt = self.beta(b, s)
-                xh += pB[mm] * bt
-                if bt.any():
-                    gft += w * float(np.dot(bt, b - s))
-                    buyer_pay += w * float(np.dot(bt, theta))
-                    seller_pay += w * float(
-                        sum(bt[i] * tau[i][s[i]] for i in range(inst.n) if bt[i] > 0)
-                    )
-                x = self.pmap.rule.fn(b, s)
-                if x.any():
-                    pv = phi[mm]
-                    keep = x * (pv >= s - TOL)
-                    rule_term += w * float(np.dot(keep, pv - s))
-            xhat[tuple(s.tolist())] = xh
+        t = self._table
+        S = t.S[:, None, :]
+        tau = np.column_stack([
+            np.array([dst.seller_virtual(d, v) for v in d.values])[np.searchsorted(d.values, t.S[:, i])]
+            for i, d in enumerate(self.inst.seller_dists)
+        ])[:, None, :]
+        w = np.outer(t.pS, t.pB)
+
+        def total(per_profile) -> float:  # weighted, summed over (s, b) in row-major order
+            return float(_ordered_sum((w * per_profile).ravel(), axis=0))
+
+        gft = total(np.vecdot(t.beta, t.B - S))
+        buyer_pay = total(np.vecdot(t.beta, t.theta[:, None, :]))
+        seller_pay = total(_ordered_sum(t.beta * tau, axis=-1))
+        rule_term = total(np.vecdot(self.pmap._kept(t.S), self.pmap._bphi - S))
         return {
             "gft": gft,
             "buyer_payment": buyer_pay,
             "seller_payments": seller_pay,
             "wbb_slack": buyer_pay - seller_pay,
             "rule_virtual_surplus": rule_term,
-            "xhat": xhat,
+            "xhat": dict(zip(map(tuple, t.S.tolist()), t.xhat)),
         }
 
     def sandwich_violation(self) -> float:
         """Largest violation of (q+q^2)/4 <= xhat_i(s) <= q/2 over the full
         seller grid (exact); <= 0 means the sandwich holds everywhere."""
-        S, _ = seller_grid(self.inst)
-        B, pB = buyer_grid(self.inst)
-        worst = -np.inf
-        for s in S:
-            q = self.pmap.q(s)
-            xh = np.zeros(self.inst.n)
-            for mm, b in enumerate(B):
-                xh += pB[mm] * self.beta(b, s)
-            low = (q + q * q) / 4.0
-            high = q / 2.0
-            worst = max(worst, float(np.max(low - xh)), float(np.max(xh - high)))
-        return worst
+        q, xhat = self._table.q, self._table.xhat
+        return float(max(np.max((q + q * q) / 4.0 - xhat), np.max(xhat - q / 2.0)))
 
     def exact_dsic_gain(self) -> float:
         """Largest expected gain any seller can get from any grid misreport,
         exact over coins via the threshold-payment structure."""
         inst = self.inst
-        if not inst.is_discrete:
-            raise ValueError("exact deviation scan needs a fully discrete instance")
-        B, pB = buyer_grid(inst)
+        t = self._table
+        shape = tuple(len(d.values) for d in inst.seller_dists) + (len(t.B),)
         worst = -np.inf
-        for i in range(inst.n):
-            atoms = inst.seller_dists[i].values
+        for i, d in enumerate(inst.seller_dists):
+            atoms = np.asarray(d.values, dtype=float)
             others = [inst.seller_dists[j] for j in range(inst.n) if j != i]
-            OG, opr = _product_grid(others) if others else (np.zeros((1, 0)), np.ones(1))
-            K = len(atoms)
-            # utility[a][z]: truthful cost atoms[a], reported atoms[z]
-            util = np.zeros((K, K))
-            for gg in range(len(OG)):
-                for mm in range(len(B)):
-                    w = opr[gg] * pB[mm]
-                    if w == 0.0:
-                        continue
-                    bvec = B[mm]
-                    betas = np.empty(K)
-                    for z in range(K):
-                        s = np.empty(inst.n)
-                        pos = 0
-                        for j in range(inst.n):
-                            if j == i:
-                                s[j] = atoms[z]
-                            else:
-                                s[j] = OG[gg][pos]
-                                pos += 1
-                        betas[z] = self.beta(bvec, s)[i]
-                    diffs = betas - np.append(betas[1:], 0.0)  # Pr[threshold index = z]
-                    pay_tail = np.cumsum((diffs * np.asarray(atoms))[::-1])[::-1]
-                    for a in range(K):
-                        util[a] += w * (pay_tail - atoms[a] * betas)
-            gain = (util - np.diag(util)[:, None]).max()
-            worst = max(worst, float(gain))
+            opr = _product_grid(others)[1] if others else np.ones(1)
+            # betas[r, z]: seller i's purchase probability at report atoms[z],
+            # rows r over (other sellers' profile, buyer profile), row-major
+            betas = np.moveaxis(t.beta[..., i].reshape(shape), i, -1).reshape(-1, len(atoms))
+            w = np.outer(opr, t.pB).ravel()
+            diffs = betas - np.concatenate((betas[:, 1:], np.zeros((len(betas), 1))), axis=1)  # Pr[threshold = z]
+            pay_tail = np.cumsum((diffs * atoms)[:, ::-1], axis=1)[:, ::-1]
+            # util[a, z]: truthful cost atoms[a], reported atoms[z]; one
+            # truthful atom at a time keeps the block at the table's size
+            util = np.array([_ordered_sum(w[:, None] * (pay_tail - a * betas), axis=0) for a in atoms])
+            worst = max(worst, float((util - np.diag(util)[:, None]).max()))
         return worst
 
 
