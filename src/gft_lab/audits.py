@@ -3,21 +3,22 @@ balance, individual rationality, and seller incentive audits.
 
 Monte Carlo checks quote mean and standard error so callers can apply
 three-sigma bands; `with_rerun` implements the one-retry-at-4x policy used by
-the statistical test suite. Exact paths enumerate discrete profile grids and
-defer to a mechanism's own coin-integrated accounting when it provides one.
+the statistical test suite. Every audit is an array reduction of a
+mechanism's kernels: Monte Carlo paths call `run_batch` or `outcome_batch`
+once on all samples (with one coin per sample and item), and exact paths
+evaluate `expected_gft_rows`, which integrates coins, on the profile grid.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import feasibility as fea
-from .mechanisms import MarketInstance, Outcome, buyer_grid, seller_grid
+from .mechanisms import MarketInstance, _ordered_sum, buyer_grid, seller_grid
 
 __all__ = [
     "estimate_gft",
@@ -42,68 +43,45 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
     return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
 
 
-def _accepts_rng(mechanism) -> bool:
-    try:
-        return "rng" in inspect.signature(mechanism.run).parameters
-    except (TypeError, ValueError):
-        return False
+def _sample(inst: MarketInstance, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Profiles, then one coin per (sample, item): the stream a per-sample
+    `run(b, s, rng=rng)` loop draws, so coin-flipping mechanisms keep it."""
+    rng = np.random.default_rng(seed)
+    B, S = inst.sample_profiles(rng, samples)
+    return B, S, rng.random((samples, inst.n))
+
+
+def _first_min(x: np.ndarray) -> float:
+    """The minimum, taken as a running `min` would (first of equal values)."""
+    x = np.ravel(x)
+    return float(x[np.argmin(x)]) if x.size else math.inf
 
 
 def estimate_gft(mechanism, inst: MarketInstance, samples: int = 10**4, seed: int = 0) -> tuple[float, float]:
     """Sample-mean GFT of a mechanism and its standard error."""
-    rng = np.random.default_rng(seed)
-    B, S = inst.sample_profiles(rng, samples)
-    batch = getattr(mechanism, "run_batch", None)
-    if callable(batch):
-        vals = batch(B, S, rng=rng)
-        if vals is not None:
-            return _mean_stderr(np.asarray(vals, dtype=float))
-    use_rng = _accepts_rng(mechanism)
-    vals = np.empty(samples)
-    for t in range(samples):
-        out = mechanism.run(B[t], S[t], rng=rng) if use_rng else mechanism.run(B[t], S[t])
-        vals[t] = out.gft
-    return _mean_stderr(vals)
+    B, S, coins = _sample(inst, samples, seed)
+    return _mean_stderr(mechanism.run_batch(B, S, coins=coins))
+
+
+EXACT_CHUNK = 2**16  # profiles per kernel call in exact_gft
 
 
 def exact_gft(mechanism, inst: MarketInstance) -> float:
-    """Exact expected GFT on a fully discrete instance. Uses the mechanism's
-    per-profile expectation (which integrates internal randomness)."""
+    """Exact expected GFT on a fully discrete instance: the mechanism's
+    per-profile expectation (which integrates internal randomness) over the
+    product grid, summed seller-major in index order."""
     B, pB = buyer_grid(inst)
     S, pS = seller_grid(inst)
     if len(B) * len(S) > GRID_CAP:
         raise fea.CapacityError("profile grid too large for exact evaluation")
-    fn = getattr(mechanism, "expected_gft_given_profile", None)
-    if fn is None:
-        fn = lambda b, s: mechanism.run(b, s).gft
     total = 0.0
-    for kk in range(len(S)):
-        for mm in range(len(B)):
-            w = pS[kk] * pB[mm]
-            if w > 0.0:
-                total += w * fn(B[mm], S[kk])
+    step = max(1, EXACT_CHUNK // len(B))
+    for k in range(0, len(S), step):
+        Sk = S[k : k + step]
+        w = np.repeat(pS[k : k + step], len(B)) * np.tile(pB, len(Sk))
+        g = mechanism.expected_gft_rows(np.tile(B, (len(Sk), 1)), np.repeat(Sk, len(B), axis=0))
+        total = float(_ordered_sum(np.concatenate(([total], np.where(w > 0.0, w * g, 0.0))), axis=0))
     return total
-
-
-def _fb_values(inst: MarketInstance, B: np.ndarray, S: np.ndarray) -> np.ndarray:
-    gain = np.maximum(B - S, 0.0)
-    variant = inst.constraint.variant
-    if variant == "additive":
-        return gain.sum(axis=1)
-    if variant == "unit_demand":
-        return gain.max(axis=1)
-    if variant == "k_uniform":
-        k = inst.constraint.k
-        if k >= inst.n:
-            return gain.sum(axis=1)
-        part = np.partition(gain, inst.n - k, axis=1)
-        return part[:, inst.n - k:].sum(axis=1)
-    out = np.empty(len(B))
-    for t in range(len(B)):
-        w = {i: gain[t, i] for i in range(inst.n) if gain[t, i] > 0}
-        _, val = fea.max_weight_set(inst.constraint, w)
-        out[t] = val
-    return out
 
 
 def first_best_gft(inst: MarketInstance, mode: str = "exact", samples: int = 10**5, seed: int = 0):
@@ -117,14 +95,14 @@ def first_best_gft(inst: MarketInstance, mode: str = "exact", samples: int = 10*
         S, pS = seller_grid(inst)
         if len(B) * len(S) > GRID_CAP:
             raise fea.CapacityError("profile grid too large for exact evaluation")
-        vals = _fb_values(inst, np.repeat(B, len(S), axis=0), np.tile(S, (len(B), 1)))
+        vals, _ = fea.max_weight_values(inst.constraint, np.repeat(B, len(S), axis=0) - np.tile(S, (len(B), 1)))
         w = np.outer(pB, pS).reshape(-1)
         return float(np.dot(w, vals))
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
     rng = np.random.default_rng(seed)
     B, S = inst.sample_profiles(rng, samples)
-    return _mean_stderr(_fb_values(inst, B, S))
+    return _mean_stderr(fea.max_weight_values(inst.constraint, B - S)[0])
 
 
 @dataclass(frozen=True)
@@ -140,30 +118,19 @@ class BudgetReport:
 
 def budget_audit(mechanism, inst: MarketInstance, samples: int = 10**4, seed: int = 0) -> BudgetReport:
     """Buyer payment minus total seller payments, ex post (min) and ex ante."""
-    rng = np.random.default_rng(seed)
-    B, S = inst.sample_profiles(rng, samples)
-    use_rng = _accepts_rng(mechanism)
-    slack = np.empty(samples)
-    for t in range(samples):
-        out = mechanism.run(B[t], S[t], rng=rng) if use_rng else mechanism.run(B[t], S[t])
-        slack[t] = out.buyer_payment - sum(out.seller_payments)
+    B, S, coins = _sample(inst, samples, seed)
+    _, pay_b, pay_S = mechanism.outcome_batch(B, S, coins)
+    slack = pay_b - _ordered_sum(pay_S, axis=1)
     mean, err = _mean_stderr(slack)
     return BudgetReport(float(slack.min()), mean, err)
 
 
 def ir_audit(mechanism, inst: MarketInstance, samples: int = 4096, seed: int = 0) -> tuple[float, float]:
     """Minimum ex-post utility slack over samples: (buyer, worst seller)."""
-    rng = np.random.default_rng(seed)
-    B, S = inst.sample_profiles(rng, samples)
-    use_rng = _accepts_rng(mechanism)
-    buyer_min, seller_min = np.inf, np.inf
-    for t in range(samples):
-        out = mechanism.run(B[t], S[t], rng=rng) if use_rng else mechanism.run(B[t], S[t])
-        buyer_min = min(buyer_min, sum(B[t][i] for i in out.traded) - out.buyer_payment)
-        for i in range(inst.n):
-            got = out.seller_payments[i]
-            seller_min = min(seller_min, got - S[t][i] if i in out.traded else got)
-    return float(buyer_min), float(seller_min)
+    B, S, coins = _sample(inst, samples, seed)
+    X, pay_b, pay_S = mechanism.outcome_batch(B, S, coins)
+    buyer = _ordered_sum(np.where(X, B, 0.0), axis=1) - pay_b
+    return _first_min(buyer), _first_min(np.where(X, pay_S - S, pay_S))
 
 
 def _deviation_grid(inst: MarketInstance, i: int, points: int = 33) -> np.ndarray:
@@ -191,34 +158,20 @@ def dsic_audit_sellers(
     """
     if prefer_exact and inst.is_discrete and hasattr(mechanism, "exact_dsic_gain"):
         return float(mechanism.exact_dsic_gain())
-    rng = np.random.default_rng(seed)
-    B, S = inst.sample_profiles(rng, samples)
-    takes_coins = False
-    try:
-        takes_coins = "coins" in inspect.signature(mechanism.run).parameters
-    except (TypeError, ValueError):
-        pass
-    coins = rng.random((samples, inst.n)) if takes_coins else None
+    B, S, coins = _sample(inst, samples, seed)
 
-    def util(i: int, t: int, s_vec: np.ndarray) -> float:
-        if takes_coins:
-            out = mechanism.run(B[t], s_vec, coins=coins[t])
-        else:
-            out = mechanism.run(B[t], s_vec)
-        pay = out.seller_payments[i]
-        return pay - S[t][i] if i in out.traded else pay
+    def util(i: int, reports: np.ndarray) -> np.ndarray:
+        X, _, pay = mechanism.outcome_batch(B, reports, coins)
+        return np.where(X[:, i], pay[:, i] - S[:, i], pay[:, i])
 
     worst = -np.inf
     for i in range(inst.n):
         grid = deviations[i] if deviations is not None else _deviation_grid(inst, i)
-        truth = np.array([util(i, t, S[t]) for t in range(samples)])
+        truth = util(i, S)
         for z in grid:
-            dev = np.empty(samples)
-            for t in range(samples):
-                s_vec = S[t].copy()
-                s_vec[i] = z
-                dev[t] = util(i, t, s_vec)
-            worst = max(worst, float((dev - truth).mean()))
+            reports = S.copy()
+            reports[:, i] = z
+            worst = max(worst, float((util(i, reports) - truth).mean()))
     return worst
 
 

@@ -10,7 +10,7 @@ additionally reported via their worst sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,7 +18,9 @@ import numpy as np
 from . import distributions as dst
 from . import feasibility as fea
 from .distributions import Dist
-from .mechanisms import Fpp, MarketInstance, buyer_grid, seller_grid
+from . import audits
+from .audits import _mean_stderr
+from .mechanisms import Fpp, MarketInstance, _ordered_sum, buyer_grid, seller_grid
 
 __all__ = [
     "BenchmarkReport",
@@ -38,42 +40,6 @@ __all__ = [
     "bilateral_fpp_gft_quad",
     "best_fpp_bilateral",
 ]
-
-
-def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
-    if len(x) < 2:
-        return (float(x.mean()) if len(x) else 0.0), 0.0
-    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
-
-
-def _constrained_value(inst: MarketInstance, W: np.ndarray) -> np.ndarray:
-    """Row-wise max feasible total of the positive parts of W."""
-    pos = np.maximum(W, 0.0)
-    variant = inst.constraint.variant
-    if variant == "additive":
-        return pos.sum(axis=1)
-    if variant == "unit_demand":
-        return pos.max(axis=1)
-    if variant == "k_uniform":
-        k = inst.constraint.k
-        if k >= inst.n:
-            return pos.sum(axis=1)
-        part = np.partition(pos, inst.n - k, axis=1)
-        return part[:, inst.n - k:].sum(axis=1)
-    out = np.empty(len(W))
-    for t in range(len(W)):
-        w = {i: W[t, i] for i in range(inst.n) if W[t, i] > 0}
-        _, out[t] = fea.max_weight_set(inst.constraint, w)
-    return out
-
-
-def _argmax_sets(inst: MarketInstance, W: np.ndarray) -> list[tuple[int, ...]]:
-    sets = []
-    for t in range(len(W)):
-        w = {i: W[t, i] for i in range(inst.n) if W[t, i] > 0}
-        S, _ = fea.max_weight_set(inst.constraint, w)
-        sets.append(S)
-    return sets
 
 
 @dataclass(frozen=True)
@@ -132,28 +98,17 @@ def benchmark_decomposition(inst: MarketInstance, samples: int = 10**4, seed: in
     rng = np.random.default_rng(seed)
     B, S = inst.sample_profiles(rng, samples)
     diff = B - S
-    fb_vals = _constrained_value(inst, diff)
-    star = _argmax_sets(inst, diff)
-
-    t1 = np.zeros(samples)
-    t2 = np.zeros(samples)
-    for t in range(samples):
-        for i in star[t]:
-            gain = diff[t, i]
-            if gain < 0:
-                continue
-            if S[t, i] < x[i]:
-                t1[t] += gain
-            if S[t, i] >= y[i]:
-                t2[t] += gain
+    fb_vals, star = fea.max_weight_values(inst.constraint, diff)
+    t1 = _ordered_sum(np.where(star & (S < np.asarray(x)), diff, 0.0), axis=1)
+    t2 = _ordered_sum(np.where(star & (S >= np.asarray(y)), diff, 0.0), axis=1)
 
     def ladder_terms(prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo = np.empty((depth, samples))
         hi = np.empty((depth, samples))
         for j in range(depth):
             p = prices[j]
-            lo[j] = _constrained_value(inst, np.where(S <= p, B - p, 0.0))
-            hi[j] = _constrained_value(inst, np.where(B >= p, p - S, 0.0))
+            lo[j] = fea.max_weight_values(inst.constraint, np.where(S <= p, B - p, 0.0))[0]
+            hi[j] = fea.max_weight_values(inst.constraint, np.where(B >= p, p - S, 0.0))[0]
         return lo, hi
 
     t3, t4 = ladder_terms(theta_b)
@@ -248,14 +203,14 @@ def opt_b(inst: MarketInstance, mode: str = "exact", samples: int = 10**5, seed:
         total = 0.0
         for kk in range(len(S)):
             W = B - tau[kk]
-            vals = _constrained_value(inst, W)
+            vals = fea.max_weight_values(inst.constraint, W)[0]
             total += pS[kk] * float(np.dot(pB, vals))
         return total
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
     rng = np.random.default_rng(seed)
     B, S = inst.sample_profiles(rng, samples)
-    vals = _constrained_value(inst, B - _tau_matrix(inst, S))
+    vals = fea.max_weight_values(inst.constraint, B - _tau_matrix(inst, S))[0]
     return _mean_stderr(vals)
 
 
@@ -307,8 +262,6 @@ def separate_sale_bound(
 def sb_gft_upper(inst: MarketInstance, samples: int = 10**5, seed: int = 0) -> float:
     """Upper bound on second-best GFT: buyer-offering value plus separate
     sales over the thin items plus first best over the thick items."""
-    from . import audits
-
     H, L = hl_split(inst)
     if inst.is_discrete:
         ob = opt_b(inst, "exact")
@@ -375,24 +328,7 @@ def z_concentration_check(
             raise ValueError("weights must be supported on [0, 1]")
     rng = np.random.default_rng(seed)
     T = np.column_stack([d.sample(rng, samples) for d in t_dists])
-    variant = constraint.variant
-    if variant == "unit_demand":
-        Z = np.maximum(T, 0.0).max(axis=1)
-    elif variant == "k_uniform":
-        k = constraint.k
-        n = T.shape[1]
-        if k >= n:
-            Z = np.maximum(T, 0.0).sum(axis=1)
-        else:
-            part = np.partition(np.maximum(T, 0.0), n - k, axis=1)
-            Z = part[:, n - k:].sum(axis=1)
-    elif variant == "additive":
-        Z = np.maximum(T, 0.0).sum(axis=1)
-    else:
-        Z = np.empty(samples)
-        for t in range(samples):
-            w = {i: T[t, i] for i in range(T.shape[1]) if T[t, i] > 0}
-            _, Z[t] = fea.max_weight_set(constraint, w)
+    Z = fea.max_weight_values(constraint, T)[0]
     ez = float(Z.mean())
     if ez <= 0.0:
         return ZReport(1.0, 0.0, 0.0, 0.0)

@@ -3,9 +3,6 @@ emit versioned CSV or JSON tables.
 
 Output contract: identical configuration produces byte-identical files. CSV
 files start with the schema line ``#gft-lab-v1``; JSON mirrors the same rows.
-``GFT_LAB_THREADS`` caps the worker pool used for (mechanism x instance)
-cells; results are written in submission order so the cap never changes the
-output bytes.
 """
 from __future__ import annotations
 
@@ -13,9 +10,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import acceptance, audits, bounds, instances, oracle
@@ -152,14 +147,6 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GFT_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"GFT_LAB_THREADS must be an integer, got {raw!r}") from None
-
-
 def _config(args) -> RunConfig:
     return RunConfig(
         samples=args.samples,
@@ -174,19 +161,8 @@ def cmd_simulate(args) -> int:
     cfg = _config(args)
     inst = _load_instance(args)
     seed = cfg.require_seed()
-    mechs = [(name, _build_mechanism(name, inst, args)) for name in args.mechanism]
-
-    def run_cell(item):
-        _, mm = item
-        return audits.audit_report(mm, inst, cfg.samples, seed, cfg.exact)
-
-    workers = _thread_count()
-    if workers > 1 and len(mechs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_cell, mechs))
-    else:
-        reports = [run_cell(item) for item in mechs]
-    rows = [rep.as_dict() for rep in reports]
+    mechs = [_build_mechanism(name, inst, args) for name in args.mechanism]
+    rows = [audits.audit_report(mm, inst, cfg.samples, seed, cfg.exact).as_dict() for mm in mechs]
     _emit(rows, audits.AuditReport.CSV_FIELDS, cfg)
     return 0
 

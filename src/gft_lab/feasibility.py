@@ -34,6 +34,8 @@ __all__ = [
     "size_floor",
     "is_feasible",
     "max_weight_set",
+    "max_weight_values",
+    "top_positive",
     "restrict",
     "reindex_restrict",
     "in_scaled_polytope",
@@ -211,6 +213,46 @@ def max_weight_set(c: Constraint, w) -> tuple[tuple[int, ...], float]:
         raise ValueError(f"unknown variant {c.variant}")
     total = sum(wd[i] for i in chosen)
     return chosen, total
+
+
+def max_weight_values(c: Constraint, W) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise max_weight_set over the positive parts of W, whose columns
+    follow c.ground: (values, argmax mask). Additive, unit-demand and
+    k-uniform rows are closed forms with the same tie rule; other variants
+    fall back to one search per row."""
+    W = np.asarray(W, dtype=float)
+    m, n = W.shape
+    k = {"additive": n, "unit_demand": 1, "k_uniform": c.k}.get(c.variant)
+    if k is None:
+        values = np.empty(m)
+        mask = np.zeros((m, n), dtype=bool)
+        col = {item: j for j, item in enumerate(c.ground)}
+        for t in range(m):
+            chosen, values[t] = max_weight_set(c, {item: w for item, w in zip(c.ground, W[t]) if w > 0})
+            mask[t, [col[i] for i in chosen]] = True
+        return values, mask
+    pos = np.maximum(W, 0.0)
+    if k >= n:
+        values = pos.sum(axis=1)
+    elif k == 1:
+        values = pos.max(axis=1)
+    else:
+        values = np.partition(pos, n - k, axis=1)[:, n - k:].sum(axis=1)
+    return values, top_positive(W, k)
+
+
+def top_positive(W: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k largest positive entries of each row, ties to the lowest
+    index: max_weight_set's choice under a k-uniform constraint."""
+    if k >= W.shape[1]:
+        return W > 0
+    if k == 1:
+        top = np.argmax(W, axis=1)[:, None]
+    else:
+        top = np.argsort(-W, axis=1, kind="stable")[:, :k]
+    mask = np.zeros(W.shape, dtype=bool)
+    np.put_along_axis(mask, top, True, axis=1)
+    return mask & (W > 0)
 
 
 def _greedy_matroid(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:

@@ -3,8 +3,10 @@ posted prices, buyer-offering, and seller-offering.
 
 Every mechanism maps a realized profile (b, s) to an Outcome (traded set,
 buyer payment, per-seller payments, realized GFT). Mechanism objects are bound
-to a MarketInstance at construction; module-level run_* helpers mirror them
-functionally.
+to a MarketInstance at construction. Each evaluates arrays of profiles with
+one allocation kernel and one outcome kernel (allocation plus payments);
+`run`, `run_batch` and `expected_gft_given_profile` are views of them, and the
+audits reduce them.
 
 Seller-adjusted posted prices (SAPP) deserve a note. The construction posts
 theta_i(s) at the buyer quantile 1 - q_i(s)/2, and its guarantees need the
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -45,10 +47,7 @@ __all__ = [
     "BuyerOffering",
     "SellerOffering",
     "market",
-    "run_fpp",
-    "run_cfpp",
     "sapp_build",
-    "run_sapp",
     "unlikely_trade_rule",
     "reduction_rule",
     "buyer_grid",
@@ -119,18 +118,89 @@ class Outcome:
         return frozenset(self.traded)
 
 
-def _gft(b, s, traded: Iterable[int]) -> float:
-    """Realized GFT, summed over the traded items in increasing order."""
-    return float(sum(b[i] - s[i] for i in sorted(traded)))
+# -- batch kernels and their views ---------------------------------------------
+#
+# Every mechanism has two array kernels over rows of profiles (B, S), items on
+# the last axis: `allocation(B, S)`, the deterministic 0/1 allocation (for Sapp
+# the coin-integrated purchase probabilities), and `outcome_batch(B, S, coins)`
+# -> (X, buyer payments, seller payments) with X the realized allocation. The
+# per-profile methods below are views of them; each class binds them in its own
+# namespace, where perfbench/tracing.py wraps them.
 
 
-def _outcome(b, s, traded: Iterable[int], buyer_payment: float, seller_payments) -> Outcome:
-    traded = tuple(sorted(traded))
-    return Outcome(traded, float(buyer_payment), tuple(float(x) for x in seller_payments), _gft(b, s, traded))
+def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along `axis` in index order, bit for bit a running `total += t`
+    from 0.0 (np.sum adds pairwise, in a different order)."""
+    return np.cumsum(a, axis=axis).take(-1, axis=axis) + 0.0
 
 
-def _no_trade(n: int) -> Outcome:
-    return Outcome((), 0.0, (0.0,) * n, 0.0)
+def _gft_rows(X: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Realized GFT per row, summed over the traded items in increasing order."""
+    return _ordered_sum(np.where(X, B - S, 0.0), axis=-1)
+
+
+def _one_row(v) -> np.ndarray:
+    return np.asarray(v, dtype=float).reshape(1, -1)
+
+
+def _run(self, b, s, rng=None, coins=None) -> Outcome:
+    """One profile through `outcome_batch`."""
+    B, S = _one_row(b), _one_row(s)
+    X, pay_b, pay_S = self.outcome_batch(B, S, None if coins is None else _one_row(coins))
+    traded = tuple(np.flatnonzero(X[0]).tolist())
+    return Outcome(traded, float(pay_b[0]), tuple(pay_S[0].tolist()), float(_gft_rows(X, B, S)[0]))
+
+
+def _realized_gft(self, B: np.ndarray, S: np.ndarray, rng=None, coins=None) -> np.ndarray:
+    """Per-row GFT of a deterministic allocation; no payments are computed."""
+    return _gft_rows(self.allocation(B, S), B, S)
+
+
+def _expected_gft(self, b, s) -> float:
+    return float(self.expected_gft_rows(_one_row(b), _one_row(s))[0])
+
+
+def _threshold_search(trades, t: np.ndarray, far: float | None = None, atoms=None, floor=None) -> np.ndarray:
+    """Per row, the report nearest `far` at which the row still trades,
+    searched from its own trading report t (Myerson's threshold payment).
+
+    `trades(idx, v)` says whether rows idx trade at reports v. Discrete atoms
+    come far end first, restricted to those >= floor when given: the first
+    trading atom wins, else t. On a continuous support, far itself when it
+    trades, else 60 bisection steps between t and far, one array call each.
+    """
+    t = np.asarray(t, dtype=float)
+    if atoms is not None:
+        atoms = np.asarray(atoms, dtype=float)
+        ok = np.ones((len(t), len(atoms)), dtype=bool) if floor is None else atoms >= floor[:, None]
+        r, a = np.nonzero(ok)
+        ok[r, a] = trades(r, atoms[a])
+        return np.where(ok.any(axis=1), atoms[ok.argmax(axis=1)], t)
+    out = np.full(len(t), far, dtype=float)
+    idx = np.flatnonzero(~trades(np.arange(len(t)), out))
+    near, away = t[idx], out[idx]
+    for _ in range(60 if idx.size else 0):
+        mid = 0.5 * (near + away)
+        ok = trades(idx, mid)
+        near, away = np.where(ok, mid, near), np.where(ok, away, mid)
+    out[idx] = near
+    return out
+
+
+def _seller_thresholds(inst: MarketInstance, X: np.ndarray, S: np.ndarray, trades_for) -> np.ndarray:
+    """Seller payments: each traded seller's largest still-trading cost report.
+    `trades_for(i, rows)` gives the `trades(idx, v)` of seller i on those rows."""
+    pay = np.zeros(X.shape)
+    for i, d in enumerate(inst.seller_dists):
+        rows = np.flatnonzero(X[:, i])
+        if not rows.size:
+            continue
+        s = S[rows, i]
+        if d.kind == "discrete":
+            pay[rows, i] = _threshold_search(trades_for(i, rows), s, atoms=np.asarray(d.values)[::-1], floor=s - TOL)
+        else:
+            pay[rows, i] = _threshold_search(trades_for(i, rows), s, far=d.support()[1])
+    return pay
 
 
 # -- profile grids (exact enumeration helpers) --------------------------------
@@ -164,7 +234,7 @@ def seller_grid(inst: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
 # -- fixed posted prices -------------------------------------------------------
 
 
-def _posted_purchase(inst, b, theta_b, available, sub: Constraint) -> tuple[int, ...]:
+def _posted_purchase(b, theta_b, available, sub: Constraint) -> tuple[int, ...]:
     """Utility-maximizing purchase from `available` at prices theta_b under sub,
     buying at equality: zero-surplus items join the chosen set when feasible."""
     if not available:
@@ -180,6 +250,29 @@ def _posted_purchase(inst, b, theta_b, available, sub: Constraint) -> tuple[int,
     return tuple(sorted(taken))
 
 
+def _posted_allocation(c: Constraint, B, S, theta_b, theta_s) -> np.ndarray:
+    """`_posted_purchase` per row, over the items of c.ground whose seller
+    accepts theta_s and whose buyer affords theta_b. Additive, unit-demand and
+    k-uniform rows are closed forms: the positive-surplus items by max-weight,
+    then zero-surplus ones in index order while there is room."""
+    B = np.asarray(B, dtype=float)
+    S = np.asarray(S, dtype=float)
+    m, n = B.shape
+    avail = np.isin(np.arange(n), c.ground) & (S <= theta_s + TOL) & (B >= theta_b - TOL)
+    room = {"additive": n, "unit_demand": 1, "k_uniform": c.k}.get(c.variant)
+    X = np.zeros((m, n), dtype=bool)
+    if room is None:
+        for t in range(m):
+            X[t, list(_posted_purchase(B[t], theta_b, np.flatnonzero(avail[t]).tolist(), c))] = True
+        return X
+    w = B - theta_b
+    X = fea.top_positive(np.where(avail, w, -np.inf), room)
+    zero = avail & (np.abs(w) <= TOL) & ~X
+    if zero.any():
+        X |= zero & (np.cumsum(zero, axis=1) <= room - X.sum(axis=1, keepdims=True))
+    return X
+
+
 class Fpp:
     """Fixed posted prices: sellers at theta_s, buyer at theta_b (>= theta_s)."""
 
@@ -193,40 +286,16 @@ class Fpp:
         if np.any(self.theta_b < self.theta_s - TOL):
             raise ValueError("buyer price below seller price breaks ex-post WBB")
 
-    def run(self, b, s, rng=None) -> Outcome:
-        b = np.asarray(b, dtype=float)
-        s = np.asarray(s, dtype=float)
-        willing = [i for i in range(self.inst.n) if s[i] <= self.theta_s[i] + TOL]
-        afford = [i for i in willing if b[i] >= self.theta_b[i] - TOL]
-        traded = _posted_purchase(self.inst, b, self.theta_b, afford, self.inst.constraint)
-        pays = [self.theta_s[i] if i in traded else 0.0 for i in range(self.inst.n)]
-        return _outcome(b, s, traded, sum(self.theta_b[i] for i in traded), pays)
+    def allocation(self, B, S) -> np.ndarray:
+        return _posted_allocation(self.inst.constraint, B, S, self.theta_b, self.theta_s)
 
-    def run_batch(self, B: np.ndarray, S: np.ndarray, rng=None) -> np.ndarray:
-        """Vectorized per-sample GFT for the simple constraint families."""
-        variant = self.inst.constraint.variant
-        active = (S <= self.theta_s + TOL) & (B >= self.theta_b - TOL)
-        gain = np.where(active, B - S, 0.0)
-        surplus = np.where(active, B - self.theta_b, -np.inf)
-        if variant == "additive":
-            return np.where(surplus >= -TOL, gain, 0.0).sum(axis=1)
-        if variant == "unit_demand":
-            best = np.argmax(surplus, axis=1)
-            rows = np.arange(len(B))
-            ok = surplus[rows, best] >= -TOL
-            return np.where(ok, gain[rows, best], 0.0)
-        if variant == "k_uniform":
-            k = self.inst.constraint.k
-            picked = np.where(surplus >= -TOL, gain, 0.0)
-            order = np.argsort(-np.where(surplus >= -TOL, surplus, -np.inf), axis=1)
-            rows = np.arange(len(B))[:, None]
-            take = np.zeros_like(picked, dtype=bool)
-            take[rows, order[:, :k]] = True
-            return np.where(take, picked, 0.0).sum(axis=1)
-        return np.array([self.run(B[t], S[t]).gft for t in range(len(B))])
+    def outcome_batch(self, B, S, coins=None):
+        X = self.allocation(B, S)
+        return X, _ordered_sum(np.where(X, self.theta_b, 0.0), axis=1), np.where(X, self.theta_s, 0.0)
 
-    def expected_gft_given_profile(self, b, s) -> float:
-        return self.run(b, s).gft
+    run = _run
+    run_batch = expected_gft_rows = _realized_gft
+    expected_gft_given_profile = _expected_gft
 
 
 class Cfpp(Fpp):
@@ -242,32 +311,30 @@ class Cfpp(Fpp):
             raise ValueError("subconstraint ground exceeds market ground")
         self.sub = sub
 
-    def run(self, b, s, rng=None) -> Outcome:
-        b = np.asarray(b, dtype=float)
-        s = np.asarray(s, dtype=float)
-        n = self.inst.n
-        willing = [i for i in self.sub.ground if s[i] <= self.theta_s[i] + TOL]
-        if self.sub.variant == "size_floor":
-            if not willing:
-                return _no_trade(n)
-            w = {i: float(b[i] - self.theta_b[i]) for i in willing}
-            c_eff = fea.restrict(self.sub, willing)
-            chosen, total = fea.max_weight_set(c_eff, w)
-            if not chosen and self.sub.h >= 1:
-                # a zero-utility floor-meeting set still trades (ties favor purchase)
-                zero = [i for i in willing if abs(w[i]) <= TOL]
-                if zero:
-                    cand, card = fea.max_weight_set(fea.restrict(self.sub, zero), {i: 1.0 for i in zero})
-                    if len(cand) >= self.sub.h:
-                        chosen = cand
-            traded = chosen
-        else:
-            afford = [i for i in willing if b[i] >= self.theta_b[i] - TOL]
-            traded = _posted_purchase(self.inst, b, self.theta_b, afford, self.sub)
-        pays = [self.theta_s[i] if i in traded else 0.0 for i in range(n)]
-        return _outcome(b, s, traded, sum(self.theta_b[i] for i in traded), pays)
+    def allocation(self, B, S) -> np.ndarray:
+        if self.sub.variant != "size_floor":
+            return _posted_allocation(self.sub, B, S, self.theta_b, self.theta_s)
+        X = np.zeros(np.shape(B), dtype=bool)
+        for t, (b, s) in enumerate(zip(np.asarray(B, dtype=float), np.asarray(S, dtype=float))):
+            X[t, list(self._floor_purchase(b, s))] = True
+        return X
 
-    run_batch = None  # the generic loop is used; sub families vary too much
+    def _floor_purchase(self, b, s) -> tuple[int, ...]:
+        willing = [i for i in self.sub.ground if s[i] <= self.theta_s[i] + TOL]
+        if not willing:
+            return ()
+        w = {i: float(b[i] - self.theta_b[i]) for i in willing}
+        chosen, _ = fea.max_weight_set(fea.restrict(self.sub, willing), w)
+        if not chosen and self.sub.h >= 1:
+            # a zero-utility floor-meeting set still trades (ties favor purchase)
+            zero = [i for i in willing if abs(w[i]) <= TOL]
+            if zero:
+                cand, _ = fea.max_weight_set(fea.restrict(self.sub, zero), {i: 1.0 for i in zero})
+                if len(cand) >= self.sub.h:
+                    chosen = cand
+        return chosen
+
+    run = _run
 
 
 # -- allocation rules ----------------------------------------------------------
@@ -279,7 +346,8 @@ class AllocationRule:
     hypotheses: sum x_i <= 1, x_i nonincreasing in s_i, nondecreasing in s_j.
     `fn` takes b and s with items on the last axis and any leading shapes that
     broadcast (one profile is the one-row case); calling the rule broadcasts the
-    result to that shape, so a constant `fn` works too. `q_fn` maps one s to q(s)."""
+    result to that shape, so a constant `fn` works too. `q_fn` maps seller rows
+    to q(s) the same way."""
 
     name: str
     n: int
@@ -308,50 +376,53 @@ def unlikely_trade_rule(inst: MarketInstance, L: Iterable[int]) -> AllocationRul
             x[..., i] = alone & meets[..., k] & (phi[i](b[..., i]) >= s[..., i] - TOL)
         return x
 
-    def q_fn(s: np.ndarray) -> np.ndarray:
+    def q_fn(S: np.ndarray) -> np.ndarray:
         # per-item product form: the rule factorizes across items
-        q = np.zeros(inst.n)
-        below = [_prob_below(inst.buyer_dists[j], s[j]) for j in range(inst.n)]
+        q = np.zeros(S.shape)
+        below = {j: _prob_below(inst.buyer_dists[j], S[..., j]) for j in L}
         for i in L:
             others = 1.0
             for j in L:
                 if j != i:
-                    others *= below[j]
-            q[i] = _prob_trade_willing(inst.buyer_dists[i], phi[i], s[i]) * others
+                    others = others * below[j]
+            q[..., i] = _prob_trade_willing(inst.buyer_dists[i], phi[i], S[..., i]) * others
         return q
 
     return AllocationRule(f"unlikely_trade({list(L)})", inst.n, fn, q_fn)
 
 
-def _prob_below(d: Dist, v: float) -> float:
-    """Pr[X < v]."""
-    if d.kind == "discrete":
-        return float(sum(p for val, p in zip(d.values, d.probs) if val < v - dst.ATOL))
-    return d.cdf(v)
+def _cdf(d: Dist, v: np.ndarray) -> np.ndarray:
+    """Dist.cdf of a continuous d, elementwise, with its clamping to [0, 1]."""
+    x = d.cdf_fn(v)
+    x = np.where(x > 0.0, x, 0.0)
+    return np.where(x < 1.0, x, 1.0)
 
 
-def _prob_trade_willing(d: Dist, phi: IronedVirtual, s: float) -> float:
-    """Pr[b >= s and phi(b) >= s] for one item."""
+def _prob_below(d: Dist, v):
+    """Pr[X < v]; elementwise for an array v."""
     if d.kind == "discrete":
-        return float(
-            sum(p for v, p in zip(d.values, d.probs) if v >= s - TOL and phi(v) >= s - TOL)
-        )
-    lo, hi = d.support()
-    if phi(hi) < s - TOL:
-        return 0.0
-    # phi nondecreasing: find the lowest value clearing s, then take the tail
-    a, b = lo, hi
-    if phi(a) >= s - TOL:
-        cut = a
+        below = np.asarray(d.values) < np.asarray(v, dtype=float)[..., None] - dst.ATOL
+        out = _ordered_sum(np.where(below, d.probs, 0.0), axis=-1)
     else:
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if phi(mid) >= s - TOL:
-                b = mid
-            else:
-                a = mid
-        cut = b
-    return d.tail(max(s, cut))
+        out = _cdf(d, np.asarray(v, dtype=float))
+    return out if np.ndim(v) else float(out)
+
+
+def _prob_trade_willing(d: Dist, phi: IronedVirtual, s: np.ndarray) -> np.ndarray:
+    """Pr[b >= s and phi(b) >= s] for one item, elementwise over costs s."""
+    if d.kind == "discrete":
+        v = np.asarray(d.values)
+        keep = (v >= s[..., None] - TOL) & (phi(v) >= s[..., None] - TOL)
+        return _ordered_sum(np.where(keep, d.probs, 0.0), axis=-1)
+    lo, hi = d.support()
+    # phi nondecreasing: bisect for the lowest value clearing s, then take the tail
+    a, b = np.full(s.shape, lo), np.full(s.shape, hi)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        up = phi(mid) >= s - TOL
+        a, b = np.where(up, a, mid), np.where(up, mid, b)
+    cut = np.where(phi(lo) >= s - TOL, lo, b)
+    return np.where(phi(hi) < s - TOL, 0.0, 1.0 - _cdf(d, np.maximum(s, cut)))
 
 
 def reduction_rule(inst: MarketInstance) -> AllocationRule:
@@ -372,12 +443,6 @@ def reduction_rule(inst: MarketInstance) -> AllocationRule:
 
 SAPP_CACHE_CAP = 1024  # price-map entries kept for off-grid seller profiles
 SAPP_TABLE_BYTES = 2**26  # largest (|S|, |B|, n) float table; an audit peaks near 6x it (470 MB at 63 MB)
-
-
-def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sum along `axis` in index order, bit for bit a running `total += t`
-    from 0.0 (np.sum adds pairwise, in a different order)."""
-    return np.cumsum(a, axis=axis).take(-1, axis=axis) + 0.0
 
 
 class SappPriceMap:
@@ -423,15 +488,28 @@ class SappPriceMap:
         return self._entry(s)[2]
 
     def _entry(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        key = tuple(np.asarray(s, dtype=float).tolist())
-        hit = self._grid.get(key) or self._cache.get(key)
-        if hit is None:
-            q, theta, alpha = self.rows(np.array([key]))
-            hit = (q[0], theta[0], alpha[0])
-            if len(self._cache) >= SAPP_CACHE_CAP:
-                del self._cache[next(iter(self._cache))]
-            self._cache[key] = hit
-        return hit
+        q, theta, alpha = self._entries(np.asarray(s, dtype=float).reshape(1, -1))
+        return q[0], theta[0], alpha[0]
+
+    def _entries(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(q, theta, alpha) rows for a (k, n) array of seller profiles: grid and
+        cached entries are read, the other distinct profiles priced by one
+        `rows` call and cached."""
+        if not len(S):
+            return np.empty(S.shape), np.empty(S.shape), np.empty(S.shape)
+        uniq, inverse = np.unique(S, axis=0, return_inverse=True)
+        keys = list(map(tuple, uniq.tolist()))
+        hits = [self._grid.get(key) or self._cache.get(key) for key in keys]
+        missing = [key for key, hit in zip(keys, hits) if hit is None]
+        if missing:
+            priced = dict(zip(missing, zip(*self.rows(np.array(missing)))))
+            for key, entry in priced.items():
+                if len(self._cache) >= SAPP_CACHE_CAP:
+                    del self._cache[next(iter(self._cache))]
+                self._cache[key] = entry
+            hits = [hit or priced[key] for key, hit in zip(keys, hits)]
+        q, theta, alpha = (np.array(col)[inverse.ravel()] for col in zip(*hits))
+        return q, theta, alpha
 
     def _kept(self, S: np.ndarray) -> np.ndarray:
         """x_i(b, s) * 1[phi_i(b_i) >= s_i] over seller rows S x buyer rows b."""
@@ -442,7 +520,7 @@ class SappPriceMap:
         """(q, theta, alpha) for a (k, n) array of seller profiles, each (k, n)."""
         S = np.asarray(S, dtype=float)
         if self._bgrid is None:
-            q = np.array([np.clip(self.rule.q_fn(s), 0.0, 1.0) for s in S]).reshape(S.shape)
+            q = np.clip(np.broadcast_to(self.rule.q_fn(S), S.shape), 0.0, 1.0)
         elif self._bprobs is None:
             q = _ordered_sum(self._kept(S), axis=1) / len(self._bgrid)
         else:
@@ -523,59 +601,46 @@ class Sapp:
 
     # -- realized execution --
 
-    def _afford(self, b, theta, alpha, coins) -> np.ndarray:
-        sure = b > theta + TOL
-        boundary = np.abs(b - theta) <= TOL
-        return sure | (boundary & (coins < alpha))
+    def _coins(self, B, S, coins, rng=None) -> np.ndarray:
+        """The given coins, else one rng draw per (row, item), else hash coins."""
+        if coins is not None:
+            return np.asarray(coins, dtype=float)
+        if rng is not None:
+            return rng.random(B.shape)
+        return np.array([_hash_coins(b, s, self.inst.n) for b, s in zip(B, S)]).reshape(B.shape)
 
-    def _winner(self, b, theta, afford) -> int | None:
-        if not afford.any():
-            return None
-        surplus = np.where(afford, b - theta, -np.inf)
-        return int(np.argmax(surplus))
+    def _realized(self, B, S, coins) -> tuple[np.ndarray, np.ndarray]:
+        """(X, theta): the buyer buys the affordable item of largest surplus
+        (lowest index on ties); boundary items afford when coin < alpha."""
+        _, theta, alpha = self.pmap._entries(S)
+        afford = (B > theta + TOL) | ((np.abs(B - theta) <= TOL) & (coins < alpha))
+        best = np.argmax(np.where(afford, B - theta, -np.inf), axis=1)[:, None]
+        return (np.arange(self.inst.n) == best) & afford.any(axis=1, keepdims=True), theta
 
-    def _trades(self, i, b, s, coins) -> bool:
-        _, theta, alpha = self.pmap._entry(s)
-        return self._winner(b, theta, self._afford(b, theta, alpha, coins)) == i
+    def outcome_batch(self, B, S, coins=None):
+        coins = self._coins(B, S, coins)
+        X, theta = self._realized(B, S, coins)
+
+        def trades_for(i, rows):
+            def trades(idx, v):
+                r = rows[idx]
+                trial = S[r].copy()
+                trial[:, i] = v
+                return self._realized(B[r], trial, coins[r])[0][:, i]
+
+            return trades
+
+        return X, _ordered_sum(np.where(X, theta, 0.0), axis=1), _seller_thresholds(self.inst, X, S, trades_for)
 
     def run(self, b, s, rng: np.random.Generator | None = None, coins: np.ndarray | None = None) -> Outcome:
-        b = np.asarray(b, dtype=float)
-        s = np.asarray(s, dtype=float)
-        n = self.inst.n
-        if coins is None:
-            coins = rng.random(n) if rng is not None else _hash_coins(b, s, n)
-        _, theta, alpha = self.pmap._entry(s)
-        win = self._winner(b, theta, self._afford(b, theta, alpha, coins))
-        if win is None:
-            return _no_trade(n)
-        pays = [0.0] * n
-        pays[win] = self._threshold_payment(win, b, s, coins)
-        return _outcome(b, s, (win,), theta[win], pays)
+        if coins is None and rng is not None:
+            coins = rng.random(self.inst.n)
+        return _run(self, b, s, coins=coins)
 
-    def _threshold_payment(self, i, b, s, coins) -> float:
-        d = self.inst.seller_dists[i]
-        if d.kind == "discrete":
-            for v in sorted(d.values, reverse=True):
-                if v < s[i] - TOL:
-                    break
-                trial = s.copy()
-                trial[i] = v
-                if self._trades(i, b, trial, coins):
-                    return float(v)
-            return float(s[i])
-        lo, hi = float(s[i]), d.support()[1]
-        trial = s.copy()
-        trial[i] = hi
-        if self._trades(i, b, trial, coins):
-            return hi
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            trial[i] = mid
-            if self._trades(i, b, trial, coins):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    def run_batch(self, B, S, rng: np.random.Generator | None = None, coins: np.ndarray | None = None) -> np.ndarray:
+        """Per-row realized GFT under the given coins (else drawn from rng, else
+        hash coins); no payments are computed."""
+        return _gft_rows(self._realized(B, S, self._coins(B, S, coins, rng))[0], B, S)
 
     # -- exact coin-integrated machinery (discrete paths) --
 
@@ -592,14 +657,21 @@ class Sapp:
         won = (np.arange(B.shape[-1]) == best).astype(float)
         return np.where(sure.any(axis=-1, keepdims=True), won, coin * live)
 
+    def allocation(self, B, S) -> np.ndarray:
+        """Purchase probabilities per row, integrating only over the boundary
+        coins (closed form)."""
+        _, theta, alpha = self.pmap._entries(S)
+        return self._beta_rows(B, theta, alpha)
+
     def beta(self, b, s) -> np.ndarray:
-        """Per-item purchase probability given the profile, integrating only
-        over the boundary coins (closed form); one row of `_beta_rows`."""
-        _, theta, alpha = self.pmap._entry(s)
-        return self._beta_rows(np.asarray(b, dtype=float), theta, alpha)
+        return self.allocation(_one_row(b), _one_row(s))[0]
+
+    def expected_gft_rows(self, B, S) -> np.ndarray:
+        return np.vecdot(self.allocation(B, S), B - S)
 
     def expected_gft_given_profile(self, b, s) -> float:
-        return float(np.dot(self.beta(b, s), np.asarray(b, float) - np.asarray(s, float)))
+        # np.dot, as a row of np.vecdot, but with np.dot's sign on a zero GFT
+        return float(np.dot(self.beta(b, s), np.asarray(b, dtype=float) - np.asarray(s, dtype=float)))
 
     @cached_property
     def _table(self) -> _SappTable:
@@ -680,100 +752,46 @@ class Sapp:
         return worst
 
 
-def run_fpp(inst, theta_b, theta_s, profile) -> Outcome:
-    b, s = profile
-    return Fpp(inst, theta_b, theta_s).run(b, s)
-
-
-def run_cfpp(inst, theta_b, theta_s, sub: Constraint, profile) -> Outcome:
-    b, s = profile
-    return Cfpp(inst, theta_b, theta_s, sub).run(b, s)
-
-
-def run_sapp(pmap: SappPriceMap, inst: MarketInstance, profile, rng=None, coins=None) -> Outcome:
-    b, s = profile
-    return Sapp(inst, pmap).run(b, s, rng=rng, coins=coins)
-
-
 # -- offering mechanisms ---------------------------------------------------------
 
 
 class BuyerOffering:
     """The buyer procures a max-weight feasible set at ironed virtual costs and
     pays those costs; traded sellers get threshold payments. An item trades
-    only when b - tau(s) > 0, with no tolerance, in run and run_batch alike."""
+    only when b - tau(s) > 0, with no tolerance."""
 
     name = "buyer_offering"
 
     def __init__(self, inst: MarketInstance):
         self.inst = inst
 
-    def _tau(self, s) -> np.ndarray:
-        return np.array([self.inst.seller_ironed[i](s[i]) for i in range(self.inst.n)])
+    def _tau(self, S) -> np.ndarray:
+        return np.column_stack([self.inst.seller_ironed[i](S[:, i]) for i in range(self.inst.n)])
 
-    def _alloc(self, b, tau) -> tuple[int, ...]:
-        w = {i: float(b[i] - tau[i]) for i in range(self.inst.n)}
-        chosen, _ = fea.max_weight_set(self.inst.constraint, w)
-        return chosen
+    def allocation(self, B, S) -> np.ndarray:
+        return fea.max_weight_values(self.inst.constraint, B - self._tau(S))[1]
 
-    def run(self, b, s, rng=None) -> Outcome:
-        b = np.asarray(b, dtype=float)
-        s = np.asarray(s, dtype=float)
-        tau = self._tau(s)
-        traded = self._alloc(b, tau)
-        pays = [0.0] * self.inst.n
-        for i in traded:
-            pays[i] = self._seller_threshold(i, b, s, tau)
-        return _outcome(b, s, traded, sum(tau[i] for i in traded), pays)
+    def outcome_batch(self, B, S, coins=None):
+        tau = self._tau(S)
+        W = B - tau
+        X = fea.max_weight_values(self.inst.constraint, W)[1]
 
-    def _seller_threshold(self, i, b, s, tau) -> float:
-        """Largest cost report at which seller i still trades. Only tau_i
-        moves with that report, so the other sellers' tau are reused."""
-        d = self.inst.seller_dists[i]
-        iv = self.inst.seller_ironed[i]
-        trial = tau.copy()
+        def trades_for(i, rows):
+            iv = self.inst.seller_ironed[i]
 
-        def traded(v) -> bool:
-            trial[i] = iv(v)
-            return i in self._alloc(b, trial)
+            def trades(idx, v):  # only tau_i moves with seller i's report
+                r = rows[idx]
+                trial = W[r].copy()
+                trial[:, i] = B[r, i] - iv(v)
+                return fea.max_weight_values(self.inst.constraint, trial)[1][:, i]
 
-        if d.kind == "discrete":
-            for v in sorted(d.values, reverse=True):
-                if v < s[i] - TOL:
-                    break
-                if traded(v):
-                    return float(v)
-            return float(s[i])
-        lo, hi = float(s[i]), d.support()[1]
-        if traded(hi):
-            return hi
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if traded(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+            return trades
 
-    def run_batch(self, B: np.ndarray, S: np.ndarray, rng=None) -> np.ndarray:
-        variant = self.inst.constraint.variant
-        tau = np.column_stack([self.inst.seller_ironed[i](S[:, i]) for i in range(self.inst.n)])
-        w = B - tau
-        gain = B - S
-        if variant == "additive":
-            return np.where(w > 0.0, gain, 0.0).sum(axis=1)
-        if variant == "unit_demand":
-            best = np.argmax(w, axis=1)
-            rows = np.arange(len(B))
-            ok = w[rows, best] > 0.0
-            return np.where(ok, gain[rows, best], 0.0)
-        return np.array([self.run(B[t], S[t]).gft for t in range(len(B))])
+        return X, _ordered_sum(np.where(X, tau, 0.0), axis=1), _seller_thresholds(self.inst, X, S, trades_for)
 
-    def expected_gft_given_profile(self, b, s) -> float:
-        """GFT of the allocation alone; run's threshold payments are not needed."""
-        b = np.asarray(b, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return _gft(b, s, self._alloc(b, self._tau(s)))
+    run = _run
+    run_batch = expected_gft_rows = _realized_gft
+    expected_gft_given_profile = _expected_gft
 
 
 class SellerOffering:
@@ -788,42 +806,25 @@ class SellerOffering:
             raise ValueError("seller-offering is a bilateral mechanism")
         self.inst = inst
 
-    def _trades(self, b, s) -> bool:
-        return self.inst.buyer_ironed[0](b[0]) >= s[0] - TOL
+    def allocation(self, B, S) -> np.ndarray:
+        return (self.inst.buyer_ironed[0](B[:, 0]) >= S[:, 0] - TOL)[:, None]
 
-    def run(self, b, s, rng=None) -> Outcome:
-        b = np.asarray(b, dtype=float).reshape(1)
-        s = np.asarray(s, dtype=float).reshape(1)
-        if not self._trades(b, s):
-            return _no_trade(1)
-        price = self._buyer_threshold(s[0], b[0])
-        return _outcome(b, s, (0,), price, [price])
+    def outcome_batch(self, B, S, coins=None):
+        X = self.allocation(B, S)
+        d, phi = self.inst.buyer_dists[0], self.inst.buyer_ironed[0]
+        rows = np.flatnonzero(X[:, 0])
+        s = S[rows, 0]
 
-    def _buyer_threshold(self, s, b) -> float:
-        d = self.inst.buyer_dists[0]
-        phi = self.inst.buyer_ironed[0]
+        def trades(idx, v):
+            return phi(v) >= s[idx] - TOL
+
+        price = np.zeros(len(X))
         if d.kind == "discrete":
-            for v in d.values:  # ascending
-                if phi(v) >= s - TOL:
-                    return float(v)
-            return float(b)
-        lo, hi = d.support()[0], float(b)
-        if phi(lo) >= s - TOL:
-            return lo
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if phi(mid) >= s - TOL:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+            price[rows] = _threshold_search(trades, B[rows, 0], atoms=d.values)
+        else:
+            price[rows] = _threshold_search(trades, B[rows, 0], far=d.support()[0])
+        return X, price, price[:, None]
 
-    def run_batch(self, B: np.ndarray, S: np.ndarray, rng=None) -> np.ndarray:
-        pv = self.inst.buyer_ironed[0](B[:, 0])
-        return np.where(pv >= S[:, 0] - TOL, B[:, 0] - S[:, 0], 0.0)
-
-    def expected_gft_given_profile(self, b, s) -> float:
-        """GFT of the allocation alone; run's threshold price is not needed."""
-        b = np.asarray(b, dtype=float).reshape(1)
-        s = np.asarray(s, dtype=float).reshape(1)
-        return _gft(b, s, (0,)) if self._trades(b, s) else 0.0
+    run = _run
+    run_batch = expected_gft_rows = _realized_gft
+    expected_gft_given_profile = _expected_gft

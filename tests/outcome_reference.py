@@ -1,0 +1,140 @@
+"""Per-profile reference implementations of every mechanism's outcome, kept
+as plain loops (one max-weight call per trial report, one price lookup per
+SAPP trial profile, Python sums in item order) so the array kernels in
+`mechanisms` can be checked against them bit for bit.
+
+Each function takes a mechanism object and one profile and returns
+(traded, buyer payment, seller payments, GFT) as Python values.
+"""
+import numpy as np
+
+from gft_lab import feasibility as fea
+from gft_lab import mechanisms as mech
+
+TOL = mech.TOL
+
+
+def _result(b, s, traded, buyer_payment, pays):
+    traded = tuple(sorted(int(i) for i in traded))
+    gft = float(sum(b[i] - s[i] for i in traded))
+    return traded, float(buyer_payment), tuple(float(p) for p in pays), gft
+
+
+def _posted_purchase(b, theta_b, available, sub):
+    if not available:
+        return ()
+    w = {i: float(b[i] - theta_b[i]) for i in available}
+    c_eff = fea.restrict(sub, available)
+    chosen, _ = fea.max_weight_set(c_eff, w)
+    taken = list(chosen)
+    for i in sorted(available):
+        if i not in taken and abs(w[i]) <= TOL and fea.is_feasible(c_eff, taken + [i]):
+            taken.append(i)
+    return tuple(sorted(taken))
+
+
+def posted(m, b, s):
+    """Fpp, or Cfpp when m has a subconstraint."""
+    sub = getattr(m, "sub", m.inst.constraint)
+    willing = [i for i in sub.ground if s[i] <= m.theta_s[i] + TOL]
+    if sub.variant == "size_floor":
+        traded = ()
+        if willing:
+            w = {i: float(b[i] - m.theta_b[i]) for i in willing}
+            traded, _ = fea.max_weight_set(fea.restrict(sub, willing), w)
+            zero = [i for i in willing if abs(w[i]) <= TOL]
+            if not traded and zero:
+                cand, _ = fea.max_weight_set(fea.restrict(sub, zero), {i: 1.0 for i in zero})
+                if len(cand) >= sub.h:
+                    traded = cand
+    else:
+        afford = [i for i in willing if b[i] >= m.theta_b[i] - TOL]
+        traded = _posted_purchase(b, m.theta_b, afford, sub)
+    pays = [m.theta_s[i] if i in traded else 0.0 for i in range(m.inst.n)]
+    return _result(b, s, traded, sum(m.theta_b[i] for i in traded), pays)
+
+
+def _search(trades, t, far, atoms=None, floor=None):
+    """Scalar threshold search: atoms far end first, else bisection."""
+    if atoms is not None:
+        for v in atoms:
+            if floor is not None and v < floor:
+                break
+            if trades(v):
+                return float(v)
+        return float(t)
+    if trades(far):
+        return far
+    near = t
+    for _ in range(60):
+        mid = 0.5 * (near + far)
+        if trades(mid):
+            near = mid
+        else:
+            far = mid
+    return near
+
+
+def buyer_offering(m, b, s):
+    inst = m.inst
+    tau = np.array([inst.seller_ironed[i](float(s[i])) for i in range(inst.n)])
+
+    def alloc(tv):
+        return fea.max_weight_set(inst.constraint, {i: float(b[i] - tv[i]) for i in range(inst.n)})[0]
+
+    traded = alloc(tau)
+    pays = [0.0] * inst.n
+    for i in traded:
+        d, trial = inst.seller_dists[i], tau.copy()
+
+        def trades(v, i=i, trial=trial):
+            trial[i] = inst.seller_ironed[i](float(v))
+            return i in alloc(trial)
+
+        if d.kind == "discrete":
+            pays[i] = _search(trades, s[i], None, sorted(d.values, reverse=True), s[i] - TOL)
+        else:
+            pays[i] = _search(trades, float(s[i]), d.support()[1])
+    return _result(b, s, traded, sum(tau[i] for i in traded), pays)
+
+
+def seller_offering(m, b, s):
+    d, phi = m.inst.buyer_dists[0], m.inst.buyer_ironed[0]
+    if not phi(float(b[0])) >= s[0] - TOL:
+        return _result(b, s, (), 0.0, [0.0])
+
+    def trades(v):
+        return phi(float(v)) >= s[0] - TOL
+
+    if d.kind == "discrete":
+        price = _search(trades, b[0], None, list(d.values))
+    else:
+        price = _search(trades, float(b[0]), d.support()[0])
+    return _result(b, s, (0,), price, [price])
+
+
+def sapp(m, b, s, coins):
+    n = m.inst.n
+
+    def winner(sv):
+        _, theta, alpha = m.pmap._entry(sv)
+        afford = (b > theta + TOL) | ((np.abs(b - theta) <= TOL) & (coins < alpha))
+        return int(np.argmax(np.where(afford, b - theta, -np.inf))) if afford.any() else None, theta
+
+    win, theta = winner(s)
+    if win is None:
+        return _result(b, s, (), 0.0, [0.0] * n)
+    d = m.inst.seller_dists[win]
+
+    def trades(v):
+        trial = np.array(s, dtype=float)
+        trial[win] = v
+        return winner(trial)[0] == win
+
+    if d.kind == "discrete":
+        pay = _search(trades, s[win], None, sorted(d.values, reverse=True), s[win] - TOL)
+    else:
+        pay = _search(trades, float(s[win]), d.support()[1])
+    pays = [0.0] * n
+    pays[win] = pay
+    return _result(b, s, (win,), theta[win], pays)

@@ -135,12 +135,10 @@ class FirstPricePayments:
 
     def __init__(self, inst, theta_b, theta_s):
         self.inner = mech.Fpp(inst, theta_b, theta_s)
-        self.n = inst.n
 
-    def run(self, b, s, rng=None):
-        o = self.inner.run(b, s)
-        pays = tuple(float(s[i]) if i in o.traded else 0.0 for i in range(self.n))
-        return mech.Outcome(o.traded, o.buyer_payment, pays, o.gft)
+    def outcome_batch(self, B, S, coins=None):
+        X, pay_b, _ = self.inner.outcome_batch(B, S)
+        return X, pay_b, np.where(X, S, 0.0)
 
 
 def test_dsic_audit_detects_first_price_payments():

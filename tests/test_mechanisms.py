@@ -450,14 +450,12 @@ def test_market_guards():
         inst.trade_probs
 
 
-def test_run_wrappers():
+def test_class_run_on_one_profile():
     inst = ud2a()
-    o = mech.run_fpp(inst, [1.0, 1.0], [0.5, 0.5], ([2.0, 0.5], [0.0, 1.0]))
+    o = mech.Fpp(inst, [1.0, 1.0], [0.5, 0.5]).run([2.0, 0.5], [0.0, 1.0])
     assert o.traded == (0,)
-    o = mech.run_cfpp(
-        inst, [1.0, 1.0], [0.5, 0.5], fea.unit_demand(range(2)), ([2.0, 0.5], [0.0, 1.0])
-    )
+    o = mech.Cfpp(inst, [1.0, 1.0], [0.5, 0.5], fea.unit_demand(range(2))).run([2.0, 0.5], [0.0, 1.0])
     assert o.traded == (0,)
     pm = mech.sapp_build(inst, mech.reduction_rule(inst))
-    o = mech.run_sapp(pm, inst, ([2.0, 0.5], [0.0, 1.0]), coins=np.array([0.0, 0.0]))
+    o = mech.Sapp(inst, pm).run([2.0, 0.5], [0.0, 1.0], coins=np.array([0.0, 0.0]))
     assert isinstance(o, mech.Outcome)

@@ -1,0 +1,228 @@
+"""
+Tests for the batch kernels: every mechanism's `outcome_batch` and `run`
+against per-profile reference loops bit for bit, the posted-price near-tie
+rule, the constrained posted-price kernel, the row-wise max-weight kernel,
+and audit and decomposition outputs pinned to values recorded with the
+per-sample loops.
+"""
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import outcome_reference as ref
+from gft_lab import audits, bounds
+from gft_lab import distributions as dst
+from gft_lab import feasibility as fea
+from gft_lab import instances
+from gft_lab import mechanisms as mech
+
+LATTICE = [j / 4 for j in range(9)]  # quarter steps on [0, 2]: ties everywhere
+
+
+def _bits(traded, buyer_payment, seller_payments, gft):
+    return tuple(int(i) for i in traded), float(buyer_payment).hex(), tuple(float(p).hex() for p in seller_payments), float(gft).hex()
+
+
+def assert_rows_match(m, B, S, reference, coins=None):
+    """outcome_batch rows, run_batch and run() all equal the reference."""
+    X, pay_b, pay_S = m.outcome_batch(B, S, coins)
+    gft = m.run_batch(B, S, coins=coins)
+    for r in range(len(B)):
+        c = None if coins is None else coins[r]
+        want = _bits(*reference(m, B[r], S[r]) if c is None else reference(m, B[r], S[r], c))
+        o = m.run(B[r], S[r], coins=c)
+        assert _bits(o.traded, o.buyer_payment, o.seller_payments, o.gft) == want, (B[r], S[r])
+        assert _bits(np.flatnonzero(X[r]), pay_b[r], pay_S[r], gft[r]) == want, (B[r], S[r])
+
+
+def _constraint(kind: str, n: int) -> fea.Constraint:
+    g = range(n)
+    return {
+        "additive": lambda: fea.additive(g),
+        "unit_demand": lambda: fea.unit_demand(g),
+        "k_uniform": lambda: fea.k_uniform(2, g),
+        "matroid": lambda: fea.matroid_oracle(lambda T: min(len(T), 2), g),
+        "knapsack": lambda: fea.knapsack([0.5, 0.75, 0.25][:n]),
+        "matching": lambda: fea.matching([(0, 1), (1, 2), (0, 2)][:n]),
+        "intersection": lambda: fea.intersection(fea.k_uniform(2, g), fea.knapsack([0.5, 0.75, 0.25][:n])),
+    }[kind]()
+
+
+@st.composite
+def lattice_markets(draw):
+    n = draw(st.integers(1, 3))
+
+    def dist():
+        vals = sorted(draw(st.lists(st.sampled_from(LATTICE), min_size=1, max_size=3, unique=True)))
+        w = draw(st.lists(st.integers(1, 3), min_size=len(vals), max_size=len(vals)))
+        return dst.discrete(vals, [x / sum(w) for x in w])
+
+    kind = draw(st.sampled_from(["additive", "unit_demand", "k_uniform", "matroid", "knapsack", "matching", "intersection"]))
+    inst = mech.market([dist() for _ in range(n)], [dist() for _ in range(n)], _constraint(kind, n))
+    prices = [sorted(draw(st.lists(st.sampled_from(LATTICE), min_size=2, max_size=2))) for _ in range(n)]
+    theta_s, theta_b = zip(*prices)
+    sub = draw(
+        st.sampled_from(
+            [fea.size_floor(fea.additive(range(n)), draw(st.integers(1, n))), fea.unit_demand(range(0, n, 2)), _constraint("matroid", n)]
+        )
+    )
+    coins = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.999]), min_size=n, max_size=n))
+    return inst, list(theta_b), list(theta_s), sub, np.array(coins)
+
+
+def _grid_rows(inst, limit=48):
+    B, _ = mech.buyer_grid(inst)
+    S, _ = mech.seller_grid(inst)
+    rows = list(product(range(len(B)), range(len(S))))[:: max(1, len(B) * len(S) // limit)]
+    return B[[a for a, _ in rows]], S[[k for _, k in rows]]
+
+
+@settings(max_examples=40)
+@given(lattice_markets())
+def test_kernels_match_reference_on_lattice_markets(case):
+    inst, theta_b, theta_s, sub, coin = case
+    B, S = _grid_rows(inst)
+    assert_rows_match(mech.Fpp(inst, theta_b, theta_s), B, S, ref.posted)
+    assert_rows_match(mech.Cfpp(inst, theta_b, theta_s, sub), B, S, ref.posted)
+    assert_rows_match(mech.BuyerOffering(inst), B, S, ref.buyer_offering)
+    if inst.n == 1:
+        assert_rows_match(mech.SellerOffering(inst), B, S, ref.seller_offering)
+    sp = mech.Sapp(inst, mech.sapp_build(inst, mech.reduction_rule(inst)))
+    assert_rows_match(sp, B, S, ref.sapp, coins=np.tile(coin, (len(B), 1)))
+
+
+@pytest.mark.parametrize("constraint", ["unit_demand", "additive", "k_uniform"])
+def test_kernels_match_reference_on_continuous_samples(constraint):
+    inst = instances.random_instance(3, "uniform", seed=31, constraint=constraint)
+    B, S = inst.sample_profiles(np.random.default_rng(4), 40)
+    p = [0.5 * sum(d.support()) for d in inst.buyer_dists]
+    assert_rows_match(mech.Fpp(inst, p, [0.9 * v for v in p]), B, S, ref.posted)
+    assert_rows_match(mech.BuyerOffering(inst), B, S, ref.buyer_offering)
+
+
+def test_kernels_match_reference_on_exponential_pair():
+    inst = instances.example_a1(4.0)
+    B, S = inst.sample_profiles(np.random.default_rng(5), 60)
+    assert_rows_match(mech.Fpp(inst, [1.5], [1.5]), B, S, ref.posted)
+    assert_rows_match(mech.BuyerOffering(inst), B, S, ref.buyer_offering)
+    assert_rows_match(mech.SellerOffering(inst), B, S, ref.seller_offering)
+
+
+def test_sapp_kernel_matches_reference_on_continuous_market():
+    inst = instances.example_a2(4, 6.0)
+    _, L = bounds.hl_split(inst)
+    sp = mech.Sapp(inst, mech.sapp_build(inst, mech.unlikely_trade_rule(inst, L)))
+    rng = np.random.default_rng(6)
+    B, S = inst.sample_profiles(rng, 400)
+    coins = rng.random((400, inst.n))
+    X, _, _ = sp.outcome_batch(B, S, coins)
+    rows = np.concatenate((np.flatnonzero(X.any(axis=1))[:4], np.flatnonzero(~X.any(axis=1))[:2]))
+    assert X[rows].any()
+    assert_rows_match(sp, B[rows], S[rows], ref.sapp, coins=coins[rows])
+
+
+def _near_tie_market(n, constraint):
+    return mech.market([dst.uniform(0.0, 2.0)] * n, [dst.uniform(0.0, 1.0)] * n, constraint)
+
+
+def test_fpp_zero_surplus_items_join_in_index_order_unit_demand():
+    inst = _near_tie_market(2, fea.unit_demand(range(2)))
+    fpp = mech.Fpp(inst, [1.0, 1.0], [0.5, 0.5])
+    b, s = [1 - 1e-10, 1 - 5e-11], [0.0, 0.5]
+    assert fpp.run(b, s).traded == (0,)
+    assert fpp.run_batch(np.array([b]), np.array([s]))[0] == fpp.run(b, s).gft == 1 - 1e-10
+
+
+def test_fpp_zero_surplus_items_join_in_index_order_k_uniform():
+    inst = _near_tie_market(3, fea.k_uniform(2, range(3)))
+    fpp = mech.Fpp(inst, [1.0] * 3, [0.5] * 3)
+    b, s = [1 - 1e-10, 1 - 5e-11, 1 - 2e-11], [0.0, 0.5, 0.1]
+    assert fpp.run(b, s).traded == (0, 1)
+    assert fpp.run_batch(np.array([b]), np.array([s]))[0] == fpp.run(b, s).gft
+    assert abs(fpp.run(b, s).gft - 1.5) < 1e-9
+
+
+@pytest.mark.parametrize("closed, searched", [
+    (fea.k_uniform(2, range(4)), fea.matroid_oracle(lambda T: min(len(T), 2), range(4))),
+    (fea.unit_demand([0, 2, 3]), fea.matroid_oracle(lambda T: min(len(T), 1), [0, 2, 3])),
+])
+def test_cfpp_closed_form_matches_per_row_search(closed, searched):
+    # the same family as a closed form and as a rank oracle (per-row search)
+    inst = mech.market([dst.discrete(LATTICE[2:], [1 / 7] * 7)] * 4, [dst.discrete(LATTICE[:5], [0.2] * 5)] * 4, fea.additive(range(4)))
+    B, S = inst.sample_profiles(np.random.default_rng(7), 400)
+    theta_b, theta_s = [1.0, 0.75, 1.25, 1.0], [0.5, 0.75, 0.5, 0.25]
+    a = mech.Cfpp(inst, theta_b, theta_s, closed)
+    b = mech.Cfpp(inst, theta_b, theta_s, searched)
+    for one, other in zip(a.outcome_batch(B, S), b.outcome_batch(B, S)):
+        assert np.array_equal(one, other)
+    assert_rows_match(a, B[:60], S[:60], ref.posted)
+    assert_rows_match(b, B[:60], S[:60], ref.posted)
+
+
+def test_cfpp_size_floor_kernel_matches_reference():
+    u = dst.uniform(0.0, 1.0)
+    inst = mech.market([u] * 3, [u] * 3, fea.additive(range(3)))
+    B, S = inst.sample_profiles(np.random.default_rng(8), 200)
+    for h in (1, 2, 3):
+        cf = mech.Cfpp(inst, [0.5, 0.6, 0.4], [0.4, 0.5, 0.3], fea.size_floor(fea.additive(range(3)), h))
+        assert_rows_match(cf, B, S, ref.posted)
+
+
+WEIGHTS = [j / 4 for j in range(-4, 9)]
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(["additive", "unit_demand", "k_uniform", "matroid", "knapsack", "matching", "intersection"]),
+    st.integers(1, 3).flatmap(lambda n: st.lists(st.lists(st.sampled_from(WEIGHTS), min_size=n, max_size=n), min_size=1, max_size=12)),
+)
+def test_max_weight_values_match_max_weight_set(kind, rows):
+    W = np.array(rows)
+    c = _constraint(kind, W.shape[1])
+    values, mask = fea.max_weight_values(c, W)
+    for t, w in enumerate(W):
+        chosen, total = fea.max_weight_set(c, {i: x for i, x in enumerate(w) if x > 0})
+        assert values[t] == total
+        assert tuple(np.flatnonzero(mask[t])) == chosen
+
+
+# audit and decomposition outputs of three benchmark task shapes, recorded
+# with the per-sample loops (seed 11 audits, seed 12 decompositions)
+AUDIT_PINS = {
+    "u5-fpp": (0.5544810785348694, 0.010347749207273146, 0.0, 0.2826088018724864, 0.007136262575301679, 0.0, 0.0),
+    "a1-bo": (0.02769672694264342, 0.004604061708679923, -2.0483024315158005, 0.0025447788303844766, 0.002243218057206082, 0.0, 0.0),
+    "a2-sapp": (0.00339578317409269, 0.0025241416049848102, -0.9264315250138964, 0.0019342582870128975, 0.0014950623318976915, 0.0, 0.0),
+}
+DECOMPOSITION_PINS = {
+    "u5-fpp": (0.9571653153129556, 0.0031892442934768573, 0.9571653153129556, 0.29300387635571484, 46.13757449765971),
+    "a1-bo": (0.042151483575954295, 0.003669689726920532, 0.04052958861360207, 0.024886674833659205, 9.414000054686198),
+    "a2-sapp": (0.01028331078667776, 0.0018201555393832336, 0.00999738067700396, 0.00757120474056285, 4.574516109353667),
+}
+
+
+def _task(name):
+    if name == "u5-fpp":
+        inst = instances.random_instance(5, "uniform", seed=2024, constraint="unit_demand")
+        p = [0.5 * sum(d.support()) for d in inst.buyer_dists]
+        ts = [min(pi, 0.5 * sum(d.support())) for pi, d in zip(p, inst.seller_dists)]
+        return inst, mech.Fpp(inst, p, ts), 2000
+    if name == "a1-bo":
+        inst = instances.example_a1(4.0)
+        return inst, mech.BuyerOffering(inst), 2000
+    inst = instances.example_a2(4, 6.0)
+    _, L = bounds.hl_split(inst)
+    return inst, mech.Sapp(inst, mech.sapp_build(inst, mech.unlikely_trade_rule(inst, L))), 1500
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_PINS))
+def test_audit_and_decomposition_outputs_pinned(name):
+    inst, m, samples = _task(name)
+    row = audits.audit_report(m, inst, samples=samples, seed=11).as_dict()
+    got = tuple(row[f] for f in audits.AuditReport.CSV_FIELDS[1:-1])
+    assert [v.hex() for v in got] == [float(v).hex() for v in AUDIT_PINS[name]]
+    rep = bounds.benchmark_decomposition(inst, samples=4000, seed=12)
+    got = (rep.fb, rep.fb_stderr, rep.term1, rep.term2, rep.checks["fb_le_term1_plus_term2"][1])
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in DECOMPOSITION_PINS[name]]
