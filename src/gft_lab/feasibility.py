@@ -34,6 +34,7 @@ __all__ = [
     "size_floor",
     "is_feasible",
     "max_weight_set",
+    "size_cap",
     "max_weight_values",
     "top_positive",
     "restrict",
@@ -215,6 +216,12 @@ def max_weight_set(c: Constraint, w) -> tuple[tuple[int, ...], float]:
     return chosen, total
 
 
+def size_cap(c: Constraint) -> int | None:
+    """The largest feasible set size when that size is c's only limit
+    (additive, unit-demand, k-uniform), else None: the variant needs a search."""
+    return {"additive": len(c.ground), "unit_demand": 1, "k_uniform": c.k}.get(c.variant)
+
+
 def max_weight_values(c: Constraint, W) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise max_weight_set over the positive parts of W, whose columns
     follow c.ground: (values, argmax mask). Additive, unit-demand and
@@ -222,7 +229,7 @@ def max_weight_values(c: Constraint, W) -> tuple[np.ndarray, np.ndarray]:
     fall back to one search per row."""
     W = np.asarray(W, dtype=float)
     m, n = W.shape
-    k = {"additive": n, "unit_demand": 1, "k_uniform": c.k}.get(c.variant)
+    k = size_cap(c)
     if k is None:
         values = np.empty(m)
         mask = np.zeros((m, n), dtype=bool)

@@ -166,16 +166,19 @@ def _threshold_search(trades, t: np.ndarray, far: float | None = None, atoms=Non
 
     `trades(idx, v)` says whether rows idx trade at reports v. Discrete atoms
     come far end first, restricted to those >= floor when given: the first
-    trading atom wins, else t. On a continuous support, far itself when it
-    trades, else 60 bisection steps between t and far, one array call each.
+    trading atom wins, else t; one array call per atom over the rows still
+    open. On a continuous support, far itself when it trades, else 60
+    bisection steps between t and far, one array call each.
     """
     t = np.asarray(t, dtype=float)
     if atoms is not None:
-        atoms = np.asarray(atoms, dtype=float)
-        ok = np.ones((len(t), len(atoms)), dtype=bool) if floor is None else atoms >= floor[:, None]
-        r, a = np.nonzero(ok)
-        ok[r, a] = trades(r, atoms[a])
-        return np.where(ok.any(axis=1), atoms[ok.argmax(axis=1)], t)
+        out, open_ = t.copy(), np.ones(len(t), dtype=bool)
+        for a in np.asarray(atoms, dtype=float):
+            idx = np.flatnonzero(open_ if floor is None else open_ & (a >= floor))
+            if idx.size:
+                hit = idx[trades(idx, np.full(idx.size, a))]
+                out[hit], open_[hit] = a, False
+        return out
     out = np.full(len(t), far, dtype=float)
     idx = np.flatnonzero(~trades(np.arange(len(t)), out))
     near, away = t[idx], out[idx]
@@ -259,7 +262,7 @@ def _posted_allocation(c: Constraint, B, S, theta_b, theta_s) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     m, n = B.shape
     avail = np.isin(np.arange(n), c.ground) & (S <= theta_s + TOL) & (B >= theta_b - TOL)
-    room = {"additive": n, "unit_demand": 1, "k_uniform": c.k}.get(c.variant)
+    room = fea.size_cap(c)
     X = np.zeros((m, n), dtype=bool)
     if room is None:
         for t in range(m):
@@ -443,6 +446,7 @@ def reduction_rule(inst: MarketInstance) -> AllocationRule:
 
 SAPP_CACHE_CAP = 1024  # price-map entries kept for off-grid seller profiles
 SAPP_TABLE_BYTES = 2**26  # largest (|S|, |B|, n) float table; an audit peaks near 6x it (470 MB at 63 MB)
+SAPP_ROWS_BYTES = 2**23  # largest (k, |B|, n) block `SappPriceMap.rows` averages q over at once
 
 
 class SappPriceMap:
@@ -516,15 +520,21 @@ class SappPriceMap:
         s = S[:, None, :]
         return self.rule(self._bgrid, s) * (self._bphi >= s - TOL)
 
+    def _q_rows(self, S: np.ndarray) -> np.ndarray:
+        """q over the buyer rows: probability-weighted on a grid, else the
+        equally weighted mean of the fixed sample."""
+        if self._bprobs is None:
+            return _ordered_sum(self._kept(S), axis=1) / len(self._bgrid)
+        return _ordered_sum(self._kept(S) * self._bprobs[:, None], axis=1)
+
     def rows(self, S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(q, theta, alpha) for a (k, n) array of seller profiles, each (k, n)."""
         S = np.asarray(S, dtype=float)
         if self._bgrid is None:
             q = np.clip(np.broadcast_to(self.rule.q_fn(S), S.shape), 0.0, 1.0)
-        elif self._bprobs is None:
-            q = _ordered_sum(self._kept(S), axis=1) / len(self._bgrid)
-        else:
-            q = _ordered_sum(self._kept(S) * self._bprobs[:, None], axis=1)
+        else:  # seller rows in blocks of at most SAPP_ROWS_BYTES per intermediate
+            step = max(1, SAPP_ROWS_BYTES // (self._bgrid.size * 8))
+            q = np.concatenate([self._q_rows(S[k:k + step]) for k in range(0, len(S) or 1, step)])
         theta = np.empty_like(q)
         alpha = np.zeros_like(q)
         for i, d in enumerate(self.inst.buyer_dists):
@@ -669,9 +679,7 @@ class Sapp:
     def expected_gft_rows(self, B, S) -> np.ndarray:
         return np.vecdot(self.allocation(B, S), B - S)
 
-    def expected_gft_given_profile(self, b, s) -> float:
-        # np.dot, as a row of np.vecdot, but with np.dot's sign on a zero GFT
-        return float(np.dot(self.beta(b, s), np.asarray(b, dtype=float) - np.asarray(s, dtype=float)))
+    expected_gft_given_profile = _expected_gft
 
     @cached_property
     def _table(self) -> _SappTable:

@@ -135,6 +135,26 @@ def test_fixed_sample_fallback_pinned(name):
         assert alpha[k].tolist() == [0.0] * inst.n
 
 
+@pytest.mark.parametrize("name", ["a1", "a2"])
+def test_fixed_sample_fallback_prices_rows_in_bounded_blocks(name, monkeypatch):
+    inst = instances.example_a1(4.0) if name == "a1" else instances.example_a2(4, 6.0)
+    pm = mech.sapp_build(inst, mech.reduction_rule(inst))
+    S = inst.sample_profiles(np.random.default_rng(3), 600)[1]
+    blocks = []
+    kept = pm._kept
+    monkeypatch.setattr(pm, "_kept", lambda rows: blocks.append(len(rows)) or kept(rows))
+    chunked = pm.rows(S)
+    step = mech.SAPP_ROWS_BYTES // (len(pm._bgrid) * inst.n * 8)
+    assert sum(blocks) == len(S) and max(blocks) == min(step, len(S)) and len(blocks) > 1
+    monkeypatch.setattr(mech, "SAPP_ROWS_BYTES", 2**40)
+    whole = pm.rows(S)
+    monkeypatch.setattr(mech, "SAPP_ROWS_BYTES", 1)
+    single = pm.rows(S)
+    assert blocks[-2:] == [1, 1] and blocks[-len(S) - 1] == len(S)
+    for got, want, one in zip(chunked, whole, single):
+        assert got.tobytes() == want.tobytes() == one.tobytes()
+
+
 def test_price_cache_is_bounded_with_unchanged_results():
     a2c = instances.example_a2(4, 6.0)
     _, L = bounds.hl_split(a2c)
