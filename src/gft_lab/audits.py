@@ -7,12 +7,14 @@ the statistical test suite. Every audit is an array reduction of a
 mechanism's kernels: Monte Carlo paths call `run_batch` or `outcome_batch`
 once on all samples (with one coin per sample and item), and exact paths
 evaluate `expected_gft_rows`, which integrates coins, on the profile grid.
+`_grid_expectation` is the one reducer over that grid; the exact first best
+and `bounds.opt_b` / `bounds.brustle_sd_upper` use it too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,25 +65,34 @@ def estimate_gft(mechanism, inst: MarketInstance, samples: int = 10**4, seed: in
     return _mean_stderr(mechanism.run_batch(B, S, coins=coins))
 
 
-EXACT_CHUNK = 2**16  # profiles per kernel call in exact_gft
+EXACT_CHUNK = 2**16  # profiles per row-function call in _grid_expectation
+
+
+def _grid_expectation(inst: MarketInstance, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
+    """E[f(b, s)] over the discrete profile grid of inst, for a row function
+    f(B, S) -> one value per row. The profile count is checked against
+    GRID_CAP before either grid is built; rows go to f seller-major in blocks
+    of EXACT_CHUNK profiles and are summed in index order."""
+    if not inst.is_discrete:
+        raise ValueError("exact enumeration needs discrete distributions")
+    if math.prod(len(d.values) for d in inst.buyer_dists + inst.seller_dists) > GRID_CAP:
+        raise fea.CapacityError("profile grid too large for exact evaluation")
+    B, pB = buyer_grid(inst)
+    S, pS = seller_grid(inst)
+    total = 0.0
+    for k in range(0, len(S) * len(B), EXACT_CHUNK):
+        s, b = np.divmod(np.arange(k, min(k + EXACT_CHUNK, len(S) * len(B))), len(B))
+        w = pS[s] * pB[b]
+        g = f(B[b], S[s])
+        total = float(_ordered_sum(np.concatenate(([total], np.where(w > 0.0, w * g, 0.0))), axis=0))
+    return total
 
 
 def exact_gft(mechanism, inst: MarketInstance) -> float:
     """Exact expected GFT on a fully discrete instance: the mechanism's
     per-profile expectation (which integrates internal randomness) over the
-    product grid, summed seller-major in index order."""
-    B, pB = buyer_grid(inst)
-    S, pS = seller_grid(inst)
-    if len(B) * len(S) > GRID_CAP:
-        raise fea.CapacityError("profile grid too large for exact evaluation")
-    total = 0.0
-    step = max(1, EXACT_CHUNK // len(B))
-    for k in range(0, len(S), step):
-        Sk = S[k : k + step]
-        w = np.repeat(pS[k : k + step], len(B)) * np.tile(pB, len(Sk))
-        g = mechanism.expected_gft_rows(np.tile(B, (len(Sk), 1)), np.repeat(Sk, len(B), axis=0))
-        total = float(_ordered_sum(np.concatenate(([total], np.where(w > 0.0, w * g, 0.0))), axis=0))
-    return total
+    product grid."""
+    return _grid_expectation(inst, mechanism.expected_gft_rows)
 
 
 def first_best_gft(inst: MarketInstance, mode: str = "exact", samples: int = 10**5, seed: int = 0):
@@ -91,13 +102,7 @@ def first_best_gft(inst: MarketInstance, mode: str = "exact", samples: int = 10*
     returns (mean, stderr).
     """
     if mode == "exact":
-        B, pB = buyer_grid(inst)
-        S, pS = seller_grid(inst)
-        if len(B) * len(S) > GRID_CAP:
-            raise fea.CapacityError("profile grid too large for exact evaluation")
-        vals, _ = fea.max_weight_values(inst.constraint, np.repeat(B, len(S), axis=0) - np.tile(S, (len(B), 1)))
-        w = np.outer(pB, pS).reshape(-1)
-        return float(np.dot(w, vals))
+        return _grid_expectation(inst, lambda B, S: fea.max_weight_values(inst.constraint, B - S)[0])
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
     rng = np.random.default_rng(seed)
@@ -188,29 +193,10 @@ class AuditReport:
     exact: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "mechanism": self.mechanism,
-            "gft": self.gft,
-            "gft_stderr": self.gft_stderr,
-            "expost_budget_min": self.expost_budget_min,
-            "exante_budget": self.exante_budget,
-            "exante_budget_stderr": self.exante_budget_stderr,
-            "buyer_ir_min": self.buyer_ir_min,
-            "seller_ir_min": self.seller_ir_min,
-            "exact": self.exact,
-        }
+        return asdict(self)
 
-    CSV_FIELDS = (
-        "mechanism",
-        "gft",
-        "gft_stderr",
-        "expost_budget_min",
-        "exante_budget",
-        "exante_budget_stderr",
-        "buyer_ir_min",
-        "seller_ir_min",
-        "exact",
-    )
+
+AuditReport.CSV_FIELDS = tuple(f.name for f in fields(AuditReport))
 
 
 def audit_report(mechanism, inst: MarketInstance, samples: int = 10**4, seed: int = 0, exact: bool = False) -> AuditReport:

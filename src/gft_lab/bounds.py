@@ -20,7 +20,7 @@ from . import feasibility as fea
 from .distributions import Dist
 from . import audits
 from .audits import _mean_stderr
-from .mechanisms import Fpp, MarketInstance, _ordered_sum, buyer_grid, seller_grid
+from .mechanisms import Fpp, MarketInstance, _ordered_sum
 
 __all__ = [
     "BenchmarkReport",
@@ -189,29 +189,19 @@ def sub_instance(inst: MarketInstance, items: Iterable[int]) -> MarketInstance:
     )
 
 
-def _tau_matrix(inst: MarketInstance, S: np.ndarray) -> np.ndarray:
-    return np.column_stack([inst.seller_ironed[i](S[:, i]) for i in range(inst.n)])
-
-
 def opt_b(inst: MarketInstance, mode: str = "exact", samples: int = 10**5, seed: int = 0):
     """E[max over feasible sets of (b_i - ironed-virtual-cost_i)^+] — the GFT
     of the buyer-offering mechanism and a second-best component bound."""
+
+    def vals(B: np.ndarray, S: np.ndarray) -> np.ndarray:
+        return fea.max_weight_values(inst.constraint, B - inst.virtuals(S, "seller"))[0]
+
     if mode == "exact":
-        B, pB = buyer_grid(inst)
-        S, pS = seller_grid(inst)
-        tau = _tau_matrix(inst, S)
-        total = 0.0
-        for kk in range(len(S)):
-            W = B - tau[kk]
-            vals = fea.max_weight_values(inst.constraint, W)[0]
-            total += pS[kk] * float(np.dot(pB, vals))
-        return total
+        return audits._grid_expectation(inst, vals)
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
     rng = np.random.default_rng(seed)
-    B, S = inst.sample_profiles(rng, samples)
-    vals = fea.max_weight_values(inst.constraint, B - _tau_matrix(inst, S))[0]
-    return _mean_stderr(vals)
+    return _mean_stderr(vals(*inst.sample_profiles(rng, samples)))
 
 
 def expected_positive_margin(inst: MarketInstance, i: int, samples: int = 10**5, seed: int = 0) -> float:
@@ -284,19 +274,13 @@ def brustle_sd_upper(inst: MarketInstance) -> float:
     E[max_i (b_i - tau_i(s_i))^+]. Discrete instances only."""
     if inst.constraint.variant != "unit_demand" and inst.n != 1:
         raise ValueError("this bound applies to unit-demand markets")
-    if not inst.is_discrete:
-        raise ValueError("exact evaluation needs a discrete instance")
-    B, pB = buyer_grid(inst)
-    S, pS = seller_grid(inst)
-    phiB = np.column_stack([inst.buyer_ironed[i](B[:, i]) for i in range(inst.n)])
-    tauS = _tau_matrix(inst, S)
-    x_term = y_term = 0.0
-    for kk in range(len(S)):
-        xv = np.maximum(phiB - S[kk], 0.0).max(axis=1)
-        yv = np.maximum(B - tauS[kk], 0.0).max(axis=1)
-        x_term += pS[kk] * float(np.dot(pB, xv))
-        y_term += pS[kk] * float(np.dot(pB, yv))
-    return float(x_term + y_term)
+
+    def relaxation(B: np.ndarray, S: np.ndarray) -> np.ndarray:
+        x = np.maximum(inst.virtuals(B, "buyer") - S, 0.0).max(axis=1)
+        y = np.maximum(B - inst.virtuals(S, "seller"), 0.0).max(axis=1)
+        return x + y
+
+    return audits._grid_expectation(inst, relaxation)
 
 
 @dataclass(frozen=True)

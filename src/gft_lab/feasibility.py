@@ -13,7 +13,7 @@ then lexicographically smallest index tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -392,59 +392,38 @@ def _size_floor_best(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
 
 
 def restrict(c: Constraint, T: Iterable[int]) -> Constraint:
-    t = tuple(sorted(set(int(i) for i in T)))
-    if not set(t) <= set(c.ground):
-        raise ValueError(f"restriction {t} not within ground {c.ground}")
-    if not t:
-        # empty markets come up when no seller is willing; keep a sentinel item-free family
-        t = ()
-    if c.variant in ("additive", "unit_demand"):
-        return Constraint(c.variant, t)
-    if c.variant == "k_uniform":
-        return Constraint("k_uniform", t, k=c.k)
-    if c.variant == "matroid":
-        return Constraint("matroid", t, rank_fn=c.rank_fn)
-    if c.variant == "matching":
-        ends = tuple(c.edge_ends[c.index_of(i)] for i in t)
-        return Constraint("matching", t, edge_ends=ends)
-    if c.variant == "knapsack":
-        sz = tuple(c.sizes[c.index_of(i)] for i in t)
-        return Constraint("knapsack", t, sizes=sz)
-    if c.variant == "intersection":
-        return Constraint("intersection", t, members=tuple(restrict(m, t) for m in c.members))
-    if c.variant == "size_floor":
-        return Constraint("size_floor", t, base=restrict(c.base, t), h=c.h)
-    raise ValueError(f"unknown variant {c.variant}")
+    return _restricted(c, T, relabel=False)
 
 
 def reindex_restrict(c: Constraint, T: Iterable[int]) -> Constraint:
     """Restrict to T and relabel its items as 0..len(T)-1 (sorted order), so
     the result can ground a standalone sub-market."""
+    return _restricted(c, T, relabel=True)
+
+
+def _restricted(c: Constraint, T: Iterable[int], relabel: bool) -> Constraint:
+    """c on the items T, relabeled 0..len(T)-1 when asked: the fields aligned
+    with the ground are subset, members and base restricted alike."""
     t = tuple(sorted(set(int(i) for i in T)))
-    sub = restrict(c, t)
-    pos = {i: j for j, i in enumerate(t)}
-    back = {j: i for i, j in pos.items()}
-    new_ground = tuple(range(len(t)))
-    if sub.variant in ("additive", "unit_demand"):
-        return Constraint(sub.variant, new_ground)
-    if sub.variant == "k_uniform":
-        return Constraint("k_uniform", new_ground, k=sub.k)
-    if sub.variant == "knapsack":
-        return Constraint("knapsack", new_ground, sizes=sub.sizes)
-    if sub.variant == "matching":
-        return Constraint("matching", new_ground, edge_ends=sub.edge_ends)
-    if sub.variant == "matroid":
-        rank = sub.rank_fn
-
-        def relabeled(S: frozenset[int]) -> int:
-            return rank(frozenset(back[j] for j in S))
-
-        return Constraint("matroid", new_ground, rank_fn=relabeled)
-    if sub.variant == "intersection":
-        return Constraint(
-            "intersection", new_ground, members=tuple(reindex_restrict(m, t) for m in sub.members)
-        )
-    raise ValueError(f"cannot reindex variant {sub.variant}")
+    if not set(t) <= set(c.ground):
+        raise ValueError(f"restriction {t} not within ground {c.ground}")
+    if relabel and c.variant == "size_floor":
+        raise ValueError(f"cannot reindex variant {c.variant}")
+    pick = [c.index_of(i) for i in t]
+    ground, rank = t, c.rank_fn
+    if relabel:
+        ground = tuple(range(len(t)))
+        if rank is not None:
+            rank = lambda S: c.rank_fn(frozenset(t[j] for j in S))
+    return replace(
+        c,
+        ground=ground,
+        rank_fn=rank,
+        edge_ends=tuple(c.edge_ends[j] for j in pick) if c.edge_ends else (),
+        sizes=tuple(c.sizes[j] for j in pick) if c.sizes else (),
+        members=tuple(_restricted(m, t, relabel) for m in c.members),
+        base=None if c.base is None else _restricted(c.base, t, relabel),
+    )
 
 
 # -- scaled polytope membership ----------------------------------------------

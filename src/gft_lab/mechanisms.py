@@ -24,7 +24,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -95,6 +94,13 @@ class MarketInstance:
     @property
     def is_discrete(self) -> bool:
         return all(d.kind == "discrete" for d in self.buyer_dists + self.seller_dists)
+
+    def virtuals(self, V, side: str) -> np.ndarray:
+        """The ironed virtual value (side "buyer") or cost ("seller") of every
+        entry of V, items on the last axis."""
+        ironed = getattr(self, f"{side}_ironed")
+        V = np.asarray(V, dtype=float)
+        return np.stack([ironed[i](V[..., i]) for i in range(self.n)], axis=-1)
 
     def sample_profiles(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
         b = np.column_stack([d.sample(rng, m) for d in self.buyer_dists])
@@ -210,20 +216,20 @@ def _seller_thresholds(inst: MarketInstance, X: np.ndarray, S: np.ndarray, trade
 
 
 def _product_grid(dists: Sequence[Dist], cap: int = 10**7) -> tuple[np.ndarray, np.ndarray]:
-    """All value tuples over the given discrete dists and their probabilities."""
-    size = 1
-    for d in dists:
-        if d.kind != "discrete":
-            raise ValueError("exact enumeration needs discrete distributions")
-        size *= len(d.values)
-        if size > cap:
-            raise fea.CapacityError(f"profile grid exceeds {cap} points")
-    grids = np.array(list(product(*(d.values for d in dists))), dtype=float)
-    probs = np.ones(len(grids))
-    for j, d in enumerate(dists):
-        lookup = dict(zip(d.values, d.probs))
-        probs *= np.array([lookup[v] for v in grids[:, j]])
-    return grids, probs
+    """All value tuples over the given discrete dists, row-major over their
+    atoms (the `itertools.product` order), and their probabilities."""
+    if any(d.kind != "discrete" for d in dists):
+        raise ValueError("exact enumeration needs discrete distributions")
+    shape = [len(d.values) for d in dists]
+    size = math.prod(shape)
+    if size > cap:
+        raise fea.CapacityError(f"profile grid exceeds {cap} points")
+    grids = np.empty(shape + [len(dists)])
+    probs = np.ones(shape)
+    for j, (d, idx) in enumerate(zip(dists, np.indices(shape, sparse=True))):
+        grids[..., j] = np.asarray(d.values, dtype=float)[idx]
+        probs *= np.asarray(d.probs, dtype=float)[idx]
+    return grids.reshape(size, len(dists)), probs.reshape(size)
 
 
 def buyer_grid(inst: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -431,10 +437,8 @@ def _prob_trade_willing(d: Dist, phi: IronedVirtual, s: np.ndarray) -> np.ndarra
 def reduction_rule(inst: MarketInstance) -> AllocationRule:
     """Serve the item with the highest ironed-virtual-value surplus when that
     surplus is nonnegative (ties to the lowest index)."""
-    phi = inst.buyer_ironed
-
     def fn(b: np.ndarray, s: np.ndarray) -> np.ndarray:
-        d = np.stack([phi[i](b[..., i]) for i in range(inst.n)], axis=-1) - s
+        d = inst.virtuals(b, "buyer") - s
         best = np.argmax(d, axis=-1)[..., None]
         serve = (np.arange(inst.n) == best) & (np.take_along_axis(d, best, axis=-1) >= -TOL)
         return serve.astype(float)
@@ -474,7 +478,7 @@ class SappPriceMap:
             self._bgrid, _ = inst.sample_profiles(np.random.default_rng(seed), mc_samples)
         self.q_is_exact = self._bgrid is None or self._bprobs is not None
         if self._bgrid is not None:
-            self._bphi = np.column_stack([inst.buyer_ironed[i](self._bgrid[:, i]) for i in range(inst.n)])
+            self._bphi = inst.virtuals(self._bgrid, "buyer")
         self._atoms = {}  # per discrete buyer item: atoms, cdf, Pr[b > atom], (positive) mass at atom
         for i, d in enumerate(inst.buyer_dists):
             if d.kind == "discrete":
@@ -773,14 +777,11 @@ class BuyerOffering:
     def __init__(self, inst: MarketInstance):
         self.inst = inst
 
-    def _tau(self, S) -> np.ndarray:
-        return np.column_stack([self.inst.seller_ironed[i](S[:, i]) for i in range(self.inst.n)])
-
     def allocation(self, B, S) -> np.ndarray:
-        return fea.max_weight_values(self.inst.constraint, B - self._tau(S))[1]
+        return fea.max_weight_values(self.inst.constraint, B - self.inst.virtuals(S, "seller"))[1]
 
     def outcome_batch(self, B, S, coins=None):
-        tau = self._tau(S)
+        tau = self.inst.virtuals(S, "seller")
         W = B - tau
         X = fea.max_weight_values(self.inst.constraint, W)[1]
 
