@@ -68,22 +68,29 @@ def estimate_gft(mechanism, inst: MarketInstance, samples: int = 10**4, seed: in
 EXACT_CHUNK = 2**16  # profiles per row-function call in _grid_expectation
 
 
-def _grid_expectation(inst: MarketInstance, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-    """E[f(b, s)] over the discrete profile grid of inst, for a row function
-    f(B, S) -> one value per row. The profile count is checked against
-    GRID_CAP before either grid is built; rows go to f seller-major in blocks
-    of EXACT_CHUNK profiles and are summed in index order."""
+def _grid_expectation(
+    inst: MarketInstance,
+    rows: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]],
+) -> float:
+    """E[f(b, s)] over the discrete profile grid of inst. rows(B, S) is
+    called once with the buyer and seller grids, so per-side work such as the
+    ironed virtuals is done once per side, and returns the row function
+    f(b, s) -> one value per profile, for arrays of buyer and seller grid
+    indices. The profile count is checked against GRID_CAP before either grid
+    is built; profiles go to f seller-major in blocks of EXACT_CHUNK and are
+    summed in index order."""
     if not inst.is_discrete:
         raise ValueError("exact enumeration needs discrete distributions")
     if math.prod(len(d.values) for d in inst.buyer_dists + inst.seller_dists) > GRID_CAP:
         raise fea.CapacityError("profile grid too large for exact evaluation")
     B, pB = buyer_grid(inst)
     S, pS = seller_grid(inst)
+    f = rows(B, S)
     total = 0.0
     for k in range(0, len(S) * len(B), EXACT_CHUNK):
         s, b = np.divmod(np.arange(k, min(k + EXACT_CHUNK, len(S) * len(B))), len(B))
         w = pS[s] * pB[b]
-        g = f(B[b], S[s])
+        g = f(b, s)
         total = float(_ordered_sum(np.concatenate(([total], np.where(w > 0.0, w * g, 0.0))), axis=0))
     return total
 
@@ -92,7 +99,7 @@ def exact_gft(mechanism, inst: MarketInstance) -> float:
     """Exact expected GFT on a fully discrete instance: the mechanism's
     per-profile expectation (which integrates internal randomness) over the
     product grid."""
-    return _grid_expectation(inst, mechanism.expected_gft_rows)
+    return _grid_expectation(inst, lambda B, S: lambda b, s: mechanism.expected_gft_rows(B[b], S[s]))
 
 
 def first_best_gft(inst: MarketInstance, mode: str = "exact", samples: int = 10**5, seed: int = 0):
@@ -102,7 +109,8 @@ def first_best_gft(inst: MarketInstance, mode: str = "exact", samples: int = 10*
     returns (mean, stderr).
     """
     if mode == "exact":
-        return _grid_expectation(inst, lambda B, S: fea.max_weight_values(inst.constraint, B - S)[0])
+        c = inst.constraint
+        return _grid_expectation(inst, lambda B, S: lambda b, s: fea.max_weight_values(c, B[b] - S[s])[0])
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
     rng = np.random.default_rng(seed)

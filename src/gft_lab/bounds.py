@@ -193,15 +193,17 @@ def opt_b(inst: MarketInstance, mode: str = "exact", samples: int = 10**5, seed:
     """E[max over feasible sets of (b_i - ironed-virtual-cost_i)^+] — the GFT
     of the buyer-offering mechanism and a second-best component bound."""
 
-    def vals(B: np.ndarray, S: np.ndarray) -> np.ndarray:
-        return fea.max_weight_values(inst.constraint, B - inst.virtuals(S, "seller"))[0]
+    def rows(B: np.ndarray, S: np.ndarray):
+        tau = inst.virtuals(S, "seller")
+        return lambda b, s: fea.max_weight_values(inst.constraint, B[b] - tau[s])[0]
 
     if mode == "exact":
-        return audits._grid_expectation(inst, vals)
+        return audits._grid_expectation(inst, rows)
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
     rng = np.random.default_rng(seed)
-    return _mean_stderr(vals(*inst.sample_profiles(rng, samples)))
+    every = np.arange(samples)
+    return _mean_stderr(rows(*inst.sample_profiles(rng, samples))(every, every))
 
 
 def expected_positive_margin(inst: MarketInstance, i: int, samples: int = 10**5, seed: int = 0) -> float:
@@ -275,12 +277,17 @@ def brustle_sd_upper(inst: MarketInstance) -> float:
     if inst.constraint.variant != "unit_demand" and inst.n != 1:
         raise ValueError("this bound applies to unit-demand markets")
 
-    def relaxation(B: np.ndarray, S: np.ndarray) -> np.ndarray:
-        x = np.maximum(inst.virtuals(B, "buyer") - S, 0.0).max(axis=1)
-        y = np.maximum(B - inst.virtuals(S, "seller"), 0.0).max(axis=1)
-        return x + y
+    def rows(B: np.ndarray, S: np.ndarray):
+        phi, tau = inst.virtuals(B, "buyer"), inst.virtuals(S, "seller")
 
-    return audits._grid_expectation(inst, relaxation)
+        def relaxation(b: np.ndarray, s: np.ndarray) -> np.ndarray:
+            x = np.maximum(phi[b] - S[s], 0.0).max(axis=1)
+            y = np.maximum(B[b] - tau[s], 0.0).max(axis=1)
+            return x + y
+
+        return relaxation
+
+    return audits._grid_expectation(inst, rows)
 
 
 @dataclass(frozen=True)

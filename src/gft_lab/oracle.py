@@ -10,8 +10,15 @@ for intersections the value is a labeled upper bound.
 opt_s_lp drops the seller-side constraints entirely: the designer sees costs,
 pays them at face value, and only the buyer's incentives bind.
 
-Both LPs are assembled as sparse matrices by index arithmetic on the product
-type grids; variable names exist only in lp_text.
+Allocation and payments are variables per profile, where the objective, the
+polytope rows and the budget rows live. Incentives are stated over interim
+variables: each buyer type's expected allocation and payment over the seller
+profiles, and each seller cost type's expected trade and payment given that
+cost. Equality rows tie the interim variables to the profile ones, so an
+agent's IR/BIC rows cost O(types^2) nonzeros rather than O(types^2 *
+profiles). Both LPs are assembled as one sparse matrix with row bounds by
+index arithmetic on the product type grids and solved by one HiGHS call;
+variable names exist only in lp_text.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import linprog  # noqa: F401  (unused; perfbench/tracing.py patches oracle.linprog)
 
 from .feasibility import CapacityError, Constraint
 from .mechanisms import MarketInstance, buyer_grid, seller_grid
@@ -39,10 +47,10 @@ __all__ = [
 ]
 
 # Largest second-best LP admitted, in constraint-matrix nonzeros. A solve
-# peaks at about 190 bytes per nonzero over the interpreter's ~80 MB
-# (measured 173-194 B on two-item and bilateral grids), so an LP at the cap
-# peaks near 1 GB.
-LP_NNZ_CAP = 5_000_000
+# peaks at about 560 bytes per nonzero over the interpreter's ~80 MB
+# (measured 460-590 B on two-item grids up to 12x12 and bilateral grids up
+# to 280x280, 1.1M nonzeros), so an LP at the cap peaks near 1 GB.
+LP_NNZ_CAP = 1_750_000
 
 
 @dataclass(frozen=True)
@@ -66,11 +74,17 @@ class DiscreteMarket:
         n = self.inst.n
         nb = math.prod(len(d.values) for d in self.inst.buyer_dists)
         sizes = [len(d.values) for d in self.inst.seller_dists]
-        profiles = nb * math.prod(sizes)
+        ns = math.prod(sizes)
         feas = sum(len(coefs) for coefs, _ in self._prows)
-        # per profile: buyer IR/BIC (2nb-1)(n+1), seller i's IR/BIC 2(2m_i-1),
-        # budget n+1, feasibility rows
-        return profiles * ((2 * nb - 1) * (n + 1) + 2 * sum(2 * k - 1 for k in sizes) + n + 1 + feas)
+        # per profile: feasibility rows and n+1 budget coefficients; per buyer
+        # type: n+1 interim sums over ns profiles and (2nb-1)(n+1) in IR/BIC;
+        # per seller i: two interim sums over all profiles and, per cost
+        # type, 2(2m_i-1) in IR/BIC
+        return (
+            nb * ns * (feas + n + 1)
+            + nb * (n + 1) * (ns + 2 * nb)
+            + sum(2 * nb * ns + 4 * k * k for k in sizes)
+        )
 
     @cached_property
     def _prows(self):
@@ -137,7 +151,16 @@ def _fmt(vals: Sequence[float]) -> str:
 # Both LPs lay out one block of `stride` variables per profile (a, k), in
 # buyer-major order: variable j of profile (a, k) is (a*ns + k)*stride + j.
 # Second best has stride 2n+1 (x[0..n-1], pB, pS[0..n-1]); OPT-S has n+1
-# (x, pB). Every row block below is (rows, cols, vals, rhs) with local rows.
+# (x, pB). The interim variables follow the profile blocks: buyer type a's
+# block (XB[0..n-1](a), PB(a)), then, second best only, each seller i's
+# pairs (XS[i](t), PS[i](t)) by cost type t. Every row block below is
+# (rows, cols, vals, lo, hi) with local rows, lo <= sum vals*var <= hi; an
+# equality row has lo == hi.
+
+
+def _upper(rhs: np.ndarray):
+    """Row bounds of the rows sum vals*var <= rhs."""
+    return np.full(len(rhs), -np.inf), rhs
 
 
 def _feasibility_rows(m: DiscreteMarket, base: np.ndarray):
@@ -150,14 +173,27 @@ def _feasibility_rows(m: DiscreteMarket, base: np.ndarray):
     rhs = np.array([r for _, r in prows], dtype=float)
     rows = np.arange(base.size).reshape(-1, 1) * len(prows) + ridx
     cols = base.reshape(-1, 1) + items
-    return rows.ravel(), cols.ravel(), np.tile(coef, base.size), np.tile(rhs, base.size)
+    return rows.ravel(), cols.ravel(), np.tile(coef, base.size), *_upper(np.tile(rhs, base.size))
+
+
+def _interim_rows(cols: np.ndarray, members: np.ndarray, w: np.ndarray):
+    """Equality rows sum_q w[j, q] * var[members[j, q]] - var[cols[j]] = 0
+    defining the interim variables cols[j]."""
+    k, width = members.shape
+    return (
+        np.repeat(np.arange(k), width + 1),
+        np.hstack([members, cols.reshape(k, 1)]).ravel(),
+        np.hstack([np.broadcast_to(w, members.shape), -np.ones((k, 1))]).ravel(),
+        np.zeros(k),
+        np.zeros(k),
+    )
 
 
 def _incentive_rows(cols: np.ndarray, vals: np.ndarray, step: int):
     """Interim IR and BIC rows of one agent with m types. Row t*m is the IR row
     of true type t, sum vals[t] * var[cols[t]] <= 0; rows t*m+1 .. t*m+m-1 are
     its misreports r != t in order, which add -vals[t] at the same variables
-    of the profiles reporting r, i.e. at cols[t] + (r - t)*step."""
+    of type r, i.e. at cols[t] + (r - t)*step."""
     m, width = cols.shape
     t = np.arange(m).reshape(-1, 1)
     q = np.arange(m - 1).reshape(1, -1)
@@ -170,26 +206,28 @@ def _incentive_rows(cols: np.ndarray, vals: np.ndarray, step: int):
         np.repeat(rows, width),
         np.concatenate([own_cols.ravel(), dev_cols.ravel()]),
         np.concatenate([own_vals.ravel(), dev_vals.ravel()]),
-        np.zeros(m * m),
+        *_upper(np.zeros(m * m)),
     )
 
 
-def _buyer_rows(m: DiscreteMarket, base: np.ndarray, stride: int):
-    """Buyer interim IR/BIC over (x, pB): type a's value of reporting a2 is
-    sum_k pS[k] * (B[a].x(a2, k) - pB(a2, k))."""
-    B, pS = m.btypes, m.sprobs
+def _buyer_rows(m: DiscreteMarket, base: np.ndarray, first: int):
+    """The buyer's interim variables from column `first`, (XB, PB)(a) =
+    sum_k pS[k] * (x, pB)(a, k), and its IR/BIC rows over them: type a's
+    value of reporting a2 is B[a].XB(a2) - PB(a2)."""
+    B = m.btypes
     nb, ns = base.shape
     n = B.shape[1]
-    util = np.empty((nb, ns, n + 1))
-    util[:, :, :n] = pS[None, :, None] * B[:, None, :]
-    util[:, :, n] = -pS
-    cols = base[:, :, None] + np.arange(n + 1)
-    return _incentive_rows(cols.reshape(nb, -1), -util.reshape(nb, -1), ns * stride)
+    interim = first + np.arange(nb * (n + 1)).reshape(nb, n + 1)
+    members = (base[:, None, :] + np.arange(n + 1)[:, None]).reshape(-1, ns)
+    vals = np.hstack([-B, np.ones((nb, 1))])
+    return [_interim_rows(interim, members, m.sprobs), _incentive_rows(interim, vals, n + 1)]
 
 
-def _seller_rows(m: DiscreteMarket, base: np.ndarray, stride: int, i: int):
-    """Seller i's interim IR/BIC over (x[i], pS[i]): reporting r instead of the
-    true cost t moves profile k to k + (r - t)*stride_i in the seller grid."""
+def _seller_rows(m: DiscreteMarket, base: np.ndarray, first: int, i: int):
+    """Seller i's interim variables from column `first`, (XS, PS)[i](t) =
+    sum over the profiles (b, k) with cost atoms[t] of pB[b]*pS[k]/g[t] *
+    (x[i], pS[i])(b, k), and its IR/BIC rows over them: cost type t's value
+    of reporting r is PS[i](r) - atoms[t]*XS[i](r)."""
     inst = m.inst
     n = inst.n
     atoms = np.array(inst.seller_dists[i].values)
@@ -200,10 +238,12 @@ def _seller_rows(m: DiscreteMarket, base: np.ndarray, stride: int, i: int):
     digit = np.arange(ns) // stride_i % mi
     K = np.argsort(digit, kind="stable").reshape(mi, -1)  # profiles k with cost atoms[t]
     w = m.bprobs[None, :, None] * (m.sprobs[K] / g[:, None])[:, None, :]
-    prof = base[:, K].transpose(1, 0, 2)
-    cols = np.stack([prof + n + 1 + i, prof + i], axis=1)
-    vals = np.stack([-w, w * atoms[:, None, None]], axis=1)
-    return _incentive_rows(cols.reshape(mi, -1), vals.reshape(mi, -1), stride_i * stride)
+    prof = base[:, K].transpose(1, 0, 2).reshape(mi, 1, -1)
+    interim = first + np.arange(2 * mi).reshape(mi, 2)
+    members = (prof + np.array([i, n + 1 + i])[:, None]).reshape(2 * mi, -1)
+    vals = np.column_stack([atoms, -np.ones(mi)])
+    weights = np.repeat(w.reshape(mi, -1), 2, axis=0)
+    return [_interim_rows(interim, members, weights), _incentive_rows(interim, vals, 2)]
 
 
 def _budget_rows(m: DiscreteMarket, base: np.ndarray, budget: str):
@@ -213,57 +253,66 @@ def _budget_rows(m: DiscreteMarket, base: np.ndarray, budget: str):
     cols = (base.reshape(-1, 1) + n + np.arange(n + 1)).ravel()
     if budget == "exante":
         w = np.outer(m.bprobs, m.sprobs).ravel()
-        return np.zeros(cols.size, dtype=int), cols, np.outer(w, sign).ravel(), np.zeros(1)
-    return np.repeat(np.arange(base.size), n + 1), cols, np.tile(sign, base.size), np.zeros(base.size)
+        return np.zeros(cols.size, dtype=int), cols, np.outer(w, sign).ravel(), *_upper(np.zeros(1))
+    return np.repeat(np.arange(base.size), n + 1), cols, np.tile(sign, base.size), *_upper(np.zeros(base.size))
 
 
 def _stack(blocks, nv: int):
     """One canonical CSR matrix (sorted indices, no duplicates or explicit
-    zeros) and the right-hand side from the row blocks, in order."""
-    rows, cols, vals, rhs = [], [], [], []
+    zeros) and its row bounds from the row blocks, in order."""
+    rows, cols, vals, lo, hi = [], [], [], [], []
     nrows = 0
-    for r, c, v, b in blocks:
+    for r, c, v, lo_r, hi_r in blocks:
         rows.append(r + nrows)
         cols.append(c)
         vals.append(v)
-        rhs.append(b)
-        nrows += len(b)
+        lo.append(lo_r)
+        hi.append(hi_r)
+        nrows += len(hi_r)
     coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
     A = sp.csr_array(coo, shape=(nrows, nv))
     A.sum_duplicates()
     A.eliminate_zeros()
-    return A, np.concatenate(rhs)
+    return A, np.concatenate(lo), np.concatenate(hi)
 
 
-def _lp(m: DiscreteMarket, stride: int):
-    """The variable base offsets, shape (nb, ns), the x columns, and the box
-    0 <= x <= 1 with every payment free."""
+def _lp(m: DiscreteMarket, stride: int, interim: int):
+    """The per-profile base offsets, shape (nb, ns), the x columns, and the
+    box of an LP with `interim` interim variables after the profile blocks:
+    0 <= x <= 1, every payment and interim variable free."""
     nb, ns = len(m.btypes), len(m.stypes)
     n = m.inst.n
     base = np.arange(nb * ns).reshape(nb, ns) * stride
     xcols = (base[:, :, None] + np.arange(n)).ravel()
-    bounds = ([(0.0, 1.0)] * n + [(None, None)] * (stride - n)) * (nb * ns)
-    return base, xcols, bounds
+    nv = base.size * stride + interim
+    lb, ub = np.full(nv, -np.inf), np.full(nv, np.inf)
+    lb[xcols], ub[xcols] = 0.0, 1.0
+    return base, xcols, Bounds(lb, ub)
 
 
 def _second_best(m: DiscreteMarket, budget: str):
     if budget not in ("exante", "expost"):
         raise ValueError("budget must be 'exante' or 'expost'")
     n = m.inst.n
+    nb = len(m.btypes)
+    sizes = [len(d.values) for d in m.inst.seller_dists]
     stride = 2 * n + 1
-    base, xcols, bounds = _lp(m, stride)
+    base, xcols, box = _lp(m, stride, nb * (n + 1) + 2 * sum(sizes))
     B, S = m.btypes, m.stypes
-    c = np.zeros(len(bounds))
+    c = np.zeros(len(box.lb))
     c[xcols] = -(np.outer(m.bprobs, m.sprobs)[:, :, None] * (B[:, None, :] - S[None, :, :])).ravel()
-    blocks = [_feasibility_rows(m, base), _buyer_rows(m, base, stride)]
-    blocks += [_seller_rows(m, base, stride, i) for i in range(n)]
+    first = base.size * stride
+    blocks = [_feasibility_rows(m, base), *_buyer_rows(m, base, first)]
+    first += nb * (n + 1)
+    for i, k in enumerate(sizes):
+        blocks += _seller_rows(m, base, first, i)
+        first += 2 * k
     blocks.append(_budget_rows(m, base, budget))
-    A, b = _stack(blocks, len(c))
-    return c, A, b, bounds
+    return c, *_stack(blocks, len(c)), box
 
 
-def _maximize(c: np.ndarray, A, b: np.ndarray, bounds: list) -> float:
-    res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+def _maximize(c: np.ndarray, A, lo: np.ndarray, hi: np.ndarray, box: Bounds) -> float:
+    res = milp(c, constraints=LinearConstraint(A, lo, hi), bounds=box)
     if not res.success:
         raise RuntimeError(f"LP solve failed: {res.message}")
     return float(-res.fun)
@@ -282,17 +331,24 @@ def _ic_names(who: str, sub: str, labels: list[str]) -> list[str]:
 
 
 def lp_text(m: DiscreteMarket, budget: str = "exante") -> str:
-    """The second-best LP in readable form, one named row per line."""
-    c, A, b, _ = _second_best(m, budget)
+    """The second-best LP in readable form, one named row per line; the row
+    defining an interim variable V is named defV."""
+    c, A, lo, hi, _ = _second_best(m, budget)
     inst = m.inst
     n = inst.n
     tags = [f"({_fmt(bt)}|{_fmt(st)})" for bt in m.btypes for st in m.stypes]
     slots = [f"x[{i}]" for i in range(n)] + ["pB"] + [f"pS[{i}]" for i in range(n)]
     vnames = [s + tag for tag in tags for s in slots]
     rnames = [f"feas[{r}]{tag}" for tag in tags for r in range(len(m._prows))]
-    rnames += _ic_names("buyer", "", [_fmt(bt) for bt in m.btypes])
+    blabels = [_fmt(bt) for bt in m.btypes]
+    interim = [v for la in blabels for v in [f"XB[{i}]({la})" for i in range(n)] + [f"PB({la})"]]
+    vnames += interim
+    rnames += ["def" + v for v in interim] + _ic_names("buyer", "", blabels)
     for i, d in enumerate(inst.seller_dists):
-        rnames += _ic_names("seller", f"[{i}]", [f"{v:g}" for v in d.values])
+        slabels = [f"{v:g}" for v in d.values]
+        interim = [v for lt in slabels for v in (f"XS[{i}]({lt})", f"PS[{i}]({lt})")]
+        vnames += interim
+        rnames += ["def" + v for v in interim] + _ic_names("seller", f"[{i}]", slabels)
     rnames += ["budget(exante)"] if budget == "exante" else [f"budget{tag}" for tag in tags]
 
     def expr(cols, vals) -> str:
@@ -301,8 +357,9 @@ def lp_text(m: DiscreteMarket, budget: str = "exante") -> str:
     x = np.flatnonzero([s.startswith("x[") for s in vnames])
     lines = ["maximize", "  " + expr(x, -c[x]), "subject to"]
     for r, name in enumerate(rnames):
-        lo, hi = A.indptr[r], A.indptr[r + 1]
-        lines.append(f"  {name}: {expr(A.indices[lo:hi], A.data[lo:hi])} <= {b[r]:.6g}")
+        start, end = A.indptr[r], A.indptr[r + 1]
+        sense = "=" if lo[r] == hi[r] else "<="
+        lines.append(f"  {name}: {expr(A.indices[start:end], A.data[start:end])} {sense} {hi[r]:.6g}")
     return "\n".join(lines)
 
 
@@ -311,13 +368,13 @@ def opt_s_lp(m: DiscreteMarket) -> float:
     the allocation free to depend on the full cost profile."""
     n = m.inst.n
     stride = n + 1
-    base, xcols, bounds = _lp(m, stride)
+    base, xcols, box = _lp(m, stride, len(m.btypes) * (n + 1))
     w = np.outer(m.bprobs, m.sprobs)
-    c = np.zeros(len(bounds))
+    c = np.zeros(len(box.lb))
     c[base.ravel() + n] = -w.ravel()
     c[xcols] = (w[:, :, None] * m.stypes[None, :, :]).ravel()
-    A, b = _stack([_feasibility_rows(m, base), _buyer_rows(m, base, stride)], len(c))
-    return _maximize(c, A, b, bounds)
+    blocks = [_feasibility_rows(m, base), *_buyer_rows(m, base, base.size * stride)]
+    return _maximize(c, *_stack(blocks, len(c)), box)
 
 
 def opt_s_partition_check(m: DiscreteMarket, tol: float = 1e-6) -> dict:

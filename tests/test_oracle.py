@@ -6,11 +6,14 @@ chain that ties mechanisms, LP values, and benchmarks together.
 import hashlib
 import math
 
+import lp_reference
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import milp
 
-from gft_lab import audits
+from gft_lab import audits, bounds
 from gft_lab import distributions as dst
 from gft_lab import feasibility as fea
 from gft_lab import mechanisms as mech
@@ -113,8 +116,6 @@ def test_verify_ub_chain_two_atom_fixture():
 
 
 def test_verify_ub_chain_matches_components():
-    from gft_lab import bounds
-
     inst = mech.market(
         [d([1.0, 2.0], [0.5, 0.5]), d([0.5, 1.5], [0.5, 0.5])],
         [d([0.0, 0.5], [0.5, 0.5]), d([0.2, 1.0], [0.5, 0.5])],
@@ -128,27 +129,36 @@ def test_verify_ub_chain_matches_components():
     assert math.isclose(chain["opt_s"], oracle.opt_s_lp(m), abs_tol=1e-9)
 
 
-# The LP dumps below were recorded with the dense row-by-row builder that the
-# sparse assembly replaced; the bytes must not change.
+# The interim form of the two-atom market: the buyer's and the seller's
+# interim variables are defined by the `= 0` rows, and their IR/BIC rows read
+# only those.
 TWO_ATOM_EXANTE_LP = "\n".join([
     'maximize',
     '  + 0.25 x[0](1|0) + 0.125 x[0](1|0.5) + 0.5 x[0](2|0) + 0.375 x[0](2|0.5)',
     'subject to',
-    '  buyerIR(1): - 0.5 x[0](1|0) + 0.5 pB(1|0) - 0.5 x[0](1|0.5) + 0.5 pB(1|0.5) <= 0',
-    '  buyerBIC(1->2): - 0.5 x[0](1|0) + 0.5 pB(1|0) - 0.5 x[0](1|0.5) + 0.5 pB(1|0.5) + 0.5 x[0](2|0) - 0.5 pB(2|0) + 0.5 x[0](2|0.5) - 0.5 pB(2|0.5) <= 0',
-    '  buyerIR(2): - 1 x[0](2|0) + 0.5 pB(2|0) - 1 x[0](2|0.5) + 0.5 pB(2|0.5) <= 0',
-    '  buyerBIC(2->1): + 1 x[0](1|0) - 0.5 pB(1|0) + 1 x[0](1|0.5) - 0.5 pB(1|0.5) - 1 x[0](2|0) + 0.5 pB(2|0) - 1 x[0](2|0.5) + 0.5 pB(2|0.5) <= 0',
-    '  sellerIR[0](0): - 0.5 pS[0](1|0) - 0.5 pS[0](2|0) <= 0',
-    '  sellerBIC[0](0->0.5): - 0.5 pS[0](1|0) + 0.5 pS[0](1|0.5) - 0.5 pS[0](2|0) + 0.5 pS[0](2|0.5) <= 0',
-    '  sellerIR[0](0.5): + 0.25 x[0](1|0.5) - 0.5 pS[0](1|0.5) + 0.25 x[0](2|0.5) - 0.5 pS[0](2|0.5) <= 0',
-    '  sellerBIC[0](0.5->0): - 0.25 x[0](1|0) + 0.5 pS[0](1|0) + 0.25 x[0](1|0.5) - 0.5 pS[0](1|0.5) - 0.25 x[0](2|0) + 0.5 pS[0](2|0) + 0.25 x[0](2|0.5) - 0.5 pS[0](2|0.5) <= 0',
+    '  defXB[0](1): + 0.5 x[0](1|0) + 0.5 x[0](1|0.5) - 1 XB[0](1) = 0',
+    '  defPB(1): + 0.5 pB(1|0) + 0.5 pB(1|0.5) - 1 PB(1) = 0',
+    '  defXB[0](2): + 0.5 x[0](2|0) + 0.5 x[0](2|0.5) - 1 XB[0](2) = 0',
+    '  defPB(2): + 0.5 pB(2|0) + 0.5 pB(2|0.5) - 1 PB(2) = 0',
+    '  buyerIR(1): - 1 XB[0](1) + 1 PB(1) <= 0',
+    '  buyerBIC(1->2): - 1 XB[0](1) + 1 PB(1) + 1 XB[0](2) - 1 PB(2) <= 0',
+    '  buyerIR(2): - 2 XB[0](2) + 1 PB(2) <= 0',
+    '  buyerBIC(2->1): + 2 XB[0](1) - 1 PB(1) - 2 XB[0](2) + 1 PB(2) <= 0',
+    '  defXS[0](0): + 0.5 x[0](1|0) + 0.5 x[0](2|0) - 1 XS[0](0) = 0',
+    '  defPS[0](0): + 0.5 pS[0](1|0) + 0.5 pS[0](2|0) - 1 PS[0](0) = 0',
+    '  defXS[0](0.5): + 0.5 x[0](1|0.5) + 0.5 x[0](2|0.5) - 1 XS[0](0.5) = 0',
+    '  defPS[0](0.5): + 0.5 pS[0](1|0.5) + 0.5 pS[0](2|0.5) - 1 PS[0](0.5) = 0',
+    '  sellerIR[0](0): - 1 PS[0](0) <= 0',
+    '  sellerBIC[0](0->0.5): - 1 PS[0](0) + 1 PS[0](0.5) <= 0',
+    '  sellerIR[0](0.5): + 0.5 XS[0](0.5) - 1 PS[0](0.5) <= 0',
+    '  sellerBIC[0](0.5->0): - 0.5 XS[0](0) + 1 PS[0](0) + 0.5 XS[0](0.5) - 1 PS[0](0.5) <= 0',
     '  budget(exante): - 0.25 pB(1|0) + 0.25 pS[0](1|0) - 0.25 pB(1|0.5) + 0.25 pS[0](1|0.5) - 0.25 pB(2|0) + 0.25 pS[0](2|0) - 0.25 pB(2|0.5) + 0.25 pS[0](2|0.5) <= 0',
 ])
 
 LP_TEXT_SHA256 = {
-    ("two-atom", "expost"): "754cde51b5dddf4a29a06686dfe9295c72af3bb424f47244a8a75a8f7f1b8df5",
-    ("ud-2a", "exante"): "3824ec5cbe259183b0d52138ff837a1cde864b821fa8703f100569a70d75836d",
-    ("ud-2a", "expost"): "c4b28e67aaeb96e6709d38ba2d5a10ead238b84af1979084d30c6ed30eb49fa8",
+    ("two-atom", "expost"): "5b92b8f6d77098dc1581d0da3ac7000dd08a2bf8c153ffeb15993a9393e35325",
+    ("ud-2a", "exante"): "f64e48ddbb355faf1fc8e313e720cf263b39ef6a637e3a6d898d5bebe81e7d95",
+    ("ud-2a", "expost"): "271e4484bcd94d6ee7d73f50af57831cf47191abaef1686f156b0d0748f0f65c",
 }
 
 
@@ -202,23 +212,24 @@ def bilateral4():
     return bilateral(atoms, [0.25] * 4, [a - 0.125 for a in atoms], [0.4, 0.3, 0.2, 0.1])
 
 
-# (vars, rows, nnz) and optimum of the ex-ante, ex-post and OPT-S LPs, as
-# recorded with the dense builder
+# (vars, rows, nnz) of the interim form and the optimum of the ex-ante,
+# ex-post and OPT-S LPs; the optima were recorded with the dense per-profile
+# builder
 PINNED_LPS = {
     "ud3": (
         random_ud3,
         [
-            ((405, 181, 6156), 1.081482731988124),
-            ((405, 261, 6156), 1.0814827319881237),
-            ((243, 162, 4293), 0.8431887396350634),
+            ((444, 220, 1530), 1.081482731988124),
+            ((444, 300, 1530), 1.0814827319881237),
+            ((270, 189, 891), 0.8431887396350634),
         ],
     ),
     "bi4": (
         bilateral4,
         [
-            ((48, 33, 480), 0.299264705882353),
-            ((48, 48, 480), 0.299264705882353),
-            ((32, 16, 224), 0.20312500000000006),
+            ((64, 49, 224), 0.299264705882353),
+            ((64, 64, 224), 0.299264705882353),
+            ((40, 24, 96), 0.20312500000000006),
         ],
     ),
 }
@@ -229,13 +240,14 @@ def test_lp_shape_and_optima_pinned(label, monkeypatch):
     make, want = PINNED_LPS[label]
     seen = []
 
-    def spy(c, A_ub=None, **kwargs):
-        seen.append((len(c), A_ub))
-        return linprog(c, A_ub=A_ub, **kwargs)
+    def spy(c, *, constraints, **kwargs):
+        seen.append((len(c), constraints.A))
+        return milp(c, constraints=constraints, **kwargs)
 
-    monkeypatch.setattr(oracle, "linprog", spy)
+    monkeypatch.setattr(oracle, "milp", spy)
     m = oracle.DiscreteMarket(make())
     got = [oracle.second_best_lp(m, "exante"), oracle.second_best_lp(m, "expost"), oracle.opt_s_lp(m)]
+    assert len(seen) == 3
     for (nv, A), value, (shape, pinned) in zip(seen, got, want):
         assert (nv, A.shape[0], A.nnz) == shape
         assert A.has_sorted_indices
@@ -247,9 +259,70 @@ def test_lp_shape_and_optima_pinned(label, monkeypatch):
 def test_lp_nnz_guard_admits_two_item_8x8():
     atoms = d([(j + 1) / 8 for j in range(8)], [1 / 8] * 8)
     inst = mech.market([atoms] * 2, [atoms] * 2, fea.unit_demand(range(2)))
-    assert oracle.DiscreteMarket(inst).lp_nnz == 1826816
+    assert oracle.DiscreteMarket(inst).lp_nnz == 74240
 
 
-def test_lp_nnz_guard_rejects_bilateral_200x200():
-    with pytest.raises(fea.CapacityError):
-        oracle.DiscreteMarket(grid_bilateral(200))
+def test_lp_nnz_guard_admits_and_solves_two_item_10x10():
+    atoms = d([(j + 1) / 10 for j in range(10)], [0.1] * 10)
+    inst = mech.market([atoms] * 2, [atoms] * 2, fea.unit_demand(range(2)))
+    m = oracle.DiscreteMarket(inst)
+    assert m.lp_nnz == 180800
+    sb = oracle.second_best_lp(m)
+    bo = audits.exact_gft(mech.BuyerOffering(inst), inst)
+    assert bo - 1e-9 <= sb <= audits.first_best_gft(inst, "exact") + 1e-9
+
+
+def test_lp_nnz_guard_rejects_bilateral_400x400():
+    with pytest.raises(fea.CapacityError, match="2240000 nonzeros"):
+        oracle.DiscreteMarket(grid_bilateral(400))
+
+
+INTEGRAL = ("additive", "unit_demand", "k_uniform", "matroid")
+
+
+def _constraint(kind: str, n: int, k: int) -> fea.Constraint:
+    g = range(n)
+    return {
+        "additive": lambda: fea.additive(g),
+        "unit_demand": lambda: fea.unit_demand(g),
+        "k_uniform": lambda: fea.k_uniform(k, g),
+        "matroid": lambda: fea.matroid_oracle(lambda T: len(T & {n - 1}), g),  # item 0 a loop when n = 2
+        "knapsack": lambda: fea.knapsack([0.6 + 0.2 * i for i in g]),
+        "intersection": lambda: fea.intersection(fea.k_uniform(k, g), fea.knapsack([0.7] * n)),
+    }[kind]()
+
+
+@st.composite
+def lp_markets(draw):
+    """1-2 items with 2-3 atoms per distribution, buyer values in [0.5, 2] and
+    seller costs in [0, 1.5], so trade is uncertain; the atoms sit on a
+    quarter lattice (ties) or are uniform draws. With this few atoms SB often
+    equals FB, so binding seller rows are left to the fixed fixtures above."""
+    n = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattice = draw(st.booleans())
+
+    def dist(lo, hi):
+        k = draw(st.integers(2, 3))
+        vals = rng.choice(np.arange(lo, hi + 0.125, 0.25), k, replace=False) if lattice else rng.uniform(lo, hi, k)
+        w = rng.integers(1, 4, k)
+        return d(np.sort(vals).tolist(), (w / w.sum()).tolist())
+
+    kind = draw(st.sampled_from(INTEGRAL + ("knapsack", "intersection")))
+    constraint = _constraint(kind, n, draw(st.integers(1, n)))
+    return mech.market([dist(0.5, 2.0) for _ in range(n)], [dist(0.0, 1.5) for _ in range(n)], constraint)
+
+
+@settings(max_examples=30)
+@given(lp_markets())
+def test_interim_lps_match_per_profile_reference(inst):
+    m = oracle.DiscreteMarket(inst)
+    exante, expost = oracle.second_best_lp(m, "exante"), oracle.second_best_lp(m, "expost")
+    opt_s = oracle.opt_s_lp(m)
+    assert math.isclose(exante, lp_reference.second_best(m, "exante"), rel_tol=0.0, abs_tol=1e-9)
+    assert math.isclose(expost, lp_reference.second_best(m, "expost"), rel_tol=0.0, abs_tol=1e-9)
+    assert math.isclose(opt_s, lp_reference.opt_s(m), rel_tol=0.0, abs_tol=1e-9)
+    assert expost <= exante + 1e-9
+    if inst.constraint.variant in INTEGRAL:
+        assert exante <= audits.first_best_gft(inst, "exact") + 1e-9
+        assert exante <= bounds.opt_b(inst, "exact") + opt_s + 1e-9
