@@ -395,6 +395,7 @@ def seller_virtual(d: Dist, s):
 # -- ironing ----------------------------------------------------------------
 
 IRON_GRID = 512  # discretization for continuous dists whose raw virtual is non-monotone
+SECANT_STEPS = 5  # most refinements of the interpolated closed-form inverse
 
 
 @dataclass(frozen=True)
@@ -442,6 +443,60 @@ class IronedVirtual:
 
     def at_atoms(self) -> np.ndarray:
         return np.asarray(self.grid_virtuals)
+
+    def inverse(self, y) -> np.ndarray:
+        """inf{v in the support : phi-tilde(v) >= y} elementwise over an
+        array y; +inf where no support point reaches y.
+
+        Atoms and ironed grids: one searchsorted (a grid step sits 1e-9 off
+        its grid point, as in __call__). Closed form: interpolation on the
+        stored grid and SECANT_STEPS secant steps, which lands within a few
+        ulps of the cut but not always on it; callers needing the exact cut
+        refine it with mechanisms._threshold_search.
+        """
+        y = np.asarray(y, dtype=float)
+        lo, hi = self.dist.support()
+        if self.exact and self.dist.kind == "continuous":
+            shape, y = y.shape, y.ravel()
+            phis, vals = self._knots
+            k = np.clip(np.searchsorted(phis, y), 1, len(vals) - 1)
+            x0, f0 = vals[k - 1], phis[k - 1] - y
+            x1 = np.interp(y, phis, vals)
+            live = np.flatnonzero((y > phis[0]) & (y <= phis[-1]))
+            for _ in range(SECANT_STEPS):  # secant steps on the rows still moving
+                if not live.size:
+                    break
+                a, fa, b = x0[live], f0[live], x1[live]
+                fb = self(b) - y[live]
+                den = np.where(fb != fa, fb - fa, 1.0)
+                nxt = np.clip(b - np.where(fb != fa, fb * (b - a) / den, 0.0), lo, hi)
+                x0[live], f0[live], x1[live] = b, fb, nxt
+                live = live[nxt != b]
+            return np.where(y <= phis[0], lo, np.where(y > phis[-1], np.inf, x1)).reshape(shape)
+        j = np.searchsorted(self._rising, y, side="left")
+        top = len(self._grid) - 1
+        v = self._grid[np.minimum(j, top)]
+        if self.dist.kind == "continuous":
+            if self.side == "buyer":
+                v = np.maximum(v - 1e-9, lo)
+            else:
+                v = np.minimum(self._grid[np.maximum(j - 1, 0)] + 1e-9, hi)
+            v = np.where(j > 0, v, lo)
+        return np.where(j <= top, v, np.inf)
+
+    @cached_property
+    def _rising(self) -> np.ndarray:
+        """Running max of grid_virtuals: its first entry >= y is the first grid
+        point whose virtual reaches y, even where rounding dips."""
+        return np.maximum.accumulate(np.asarray(self.grid_virtuals, dtype=float))
+
+    @cached_property
+    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(phi-tilde, value) at lo, the stored grid and hi, the first kept
+        nondecreasing for np.interp."""
+        lo, hi = self.dist.support()
+        vals = np.concatenate(([lo], self._grid, [hi]))
+        return np.maximum.accumulate(self(vals)), vals
 
 
 def _iron_discrete(values: np.ndarray, probs: np.ndarray, side: str) -> np.ndarray:
@@ -509,8 +564,15 @@ def iron(d: Dist, side: str) -> IronedVirtual:
 
 
 def _is_monotone_match(d: Dist, side: str, ironed: np.ndarray) -> bool:
-    fn = buyer_virtual if side == "buyer" else seller_virtual
-    raw = np.array([fn(d, v) for v in d.values])
+    """Whether ironing left the raw discrete virtuals (the conventions of
+    buyer_virtual / seller_virtual, all atoms at once) unchanged."""
+    v, p = np.asarray(d.values), np.asarray(d.probs)
+    raw = v.copy()
+    if side == "buyer":  # v_k - (v_{k+1} - v_k) Pr[X > v_k] / f(v_k); the top atom keeps v
+        above = np.cumsum(p[::-1])[::-1][1:]
+        raw[:-1] -= np.diff(v) * above / p[:-1]
+    else:  # v_k + (v_k - v_{k-1}) Pr[X < v_k] / g(v_k); the bottom atom keeps v
+        raw[1:] += np.diff(v) * np.cumsum(p)[:-1] / p[1:]
     return bool(np.allclose(raw, ironed, atol=1e-9, rtol=1e-9))
 
 

@@ -166,15 +166,50 @@ def _expected_gft(self, b, s) -> float:
     return float(self.expected_gft_rows(_one_row(b), _one_row(s))[0])
 
 
-def _threshold_search(trades, t: np.ndarray, far: float | None = None, atoms=None, floor=None) -> np.ndarray:
+GUESS_ULPS = 32  # half-width, in floats, of the bracket tried around a guessed cut
+
+
+def _order_key(x: np.ndarray) -> np.ndarray:
+    """int64 keys in the order of the floats x (-0.0 just below 0.0); the map
+    is its own inverse through `_from_key`."""
+    i = np.asarray(x, dtype=np.float64).view(np.int64)
+    return np.where(i < 0, i ^ np.int64(0x7FFFFFFFFFFFFFFF), i)
+
+
+def _from_key(k: np.ndarray) -> np.ndarray:
+    return np.where(k < 0, k ^ np.int64(0x7FFFFFFFFFFFFFFF), k).view(np.float64)
+
+
+def _bisect_floats(trades, idx: np.ndarray, near: np.ndarray, away: np.ndarray) -> np.ndarray:
+    """Per row of idx, where `near` trades and `away` does not, the trading
+    end of the adjacent pair of floats between them at which `trades` flips:
+    bisection of the float order (at most 64 steps), one array call per step
+    over the rows still open."""
+    kn, ka = _order_key(near), _order_key(away)
+    live = np.arange(len(idx))
+    while live.size:
+        a, b = kn[live], ka[live]
+        mid = (a >> 1) + (b >> 1) + (a & b & 1)  # floor of the mean, no overflow
+        keep = (mid != a) & (mid != b)
+        live, mid = live[keep], mid[keep]
+        if live.size:
+            ok = trades(idx[live], _from_key(mid))
+            kn[live[ok]], ka[live[~ok]] = mid[ok], mid[~ok]
+    return _from_key(kn)
+
+
+def _threshold_search(trades, t: np.ndarray, far: float | None = None, atoms=None, floor=None, guess=None) -> np.ndarray:
     """Per row, the report nearest `far` at which the row still trades,
     searched from its own trading report t (Myerson's threshold payment).
 
     `trades(idx, v)` says whether rows idx trade at reports v. Discrete atoms
     come far end first, restricted to those >= floor when given: the first
     trading atom wins, else t; one array call per atom over the rows still
-    open. On a continuous support, far itself when it trades, else 60
-    bisection steps between t and far, one array call each.
+    open. On a continuous support, far itself when it trades, else the last
+    trading float before `trades` flips, found by `_bisect_floats` between t
+    and far. A `guess` of the cut per row only narrows that bracket: when the
+    row trades GUESS_ULPS floats on t's side of the guess and not as many on
+    far's side, the bisection starts from those two floats.
     """
     t = np.asarray(t, dtype=float)
     if atoms is not None:
@@ -188,17 +223,23 @@ def _threshold_search(trades, t: np.ndarray, far: float | None = None, atoms=Non
     out = np.full(len(t), far, dtype=float)
     idx = np.flatnonzero(~trades(np.arange(len(t)), out))
     near, away = t[idx], out[idx]
-    for _ in range(60 if idx.size else 0):
-        mid = 0.5 * (near + away)
-        ok = trades(idx, mid)
-        near, away = np.where(ok, mid, near), np.where(ok, away, mid)
-    out[idx] = near
+    if guess is not None and idx.size:
+        kt, kf = _order_key(near), _order_key(away)
+        low, high = np.minimum(kt, kf), np.maximum(kt, kf)
+        kg = np.clip(_order_key(np.asarray(guess, dtype=float)[idx]), low, high)
+        step = np.where(kf > kt, GUESS_ULPS, -GUESS_ULPS)
+        gn, ga = _from_key(np.clip(kg - step, low, high)), _from_key(np.clip(kg + step, low, high))
+        hit = trades(idx, gn) & ~trades(idx, ga)
+        near, away = np.where(hit, gn, near), np.where(hit, ga, away)
+    out[idx] = _bisect_floats(trades, idx, near, away)
     return out
 
 
-def _seller_thresholds(inst: MarketInstance, X: np.ndarray, S: np.ndarray, trades_for) -> np.ndarray:
+def _seller_thresholds(inst: MarketInstance, X: np.ndarray, S: np.ndarray, trades_for, guess_for=None) -> np.ndarray:
     """Seller payments: each traded seller's largest still-trading cost report.
-    `trades_for(i, rows)` gives the `trades(idx, v)` of seller i on those rows."""
+    `trades_for(i, rows)` gives the `trades(idx, v)` of seller i on those rows,
+    and `guess_for(i, rows)`, when given, a guess of the continuous cut (or
+    None)."""
     pay = np.zeros(X.shape)
     for i, d in enumerate(inst.seller_dists):
         rows = np.flatnonzero(X[:, i])
@@ -208,7 +249,8 @@ def _seller_thresholds(inst: MarketInstance, X: np.ndarray, S: np.ndarray, trade
         if d.kind == "discrete":
             pay[rows, i] = _threshold_search(trades_for(i, rows), s, atoms=np.asarray(d.values)[::-1], floor=s - TOL)
         else:
-            pay[rows, i] = _threshold_search(trades_for(i, rows), s, far=d.support()[1])
+            guess = None if guess_for is None else guess_for(i, rows)
+            pay[rows, i] = _threshold_search(trades_for(i, rows), s, far=d.support()[1], guess=guess)
     return pay
 
 
@@ -423,15 +465,19 @@ def _prob_trade_willing(d: Dist, phi: IronedVirtual, s: np.ndarray) -> np.ndarra
         v = np.asarray(d.values)
         keep = (v >= s[..., None] - TOL) & (phi(v) >= s[..., None] - TOL)
         return _ordered_sum(np.where(keep, d.probs, 0.0), axis=-1)
-    lo, hi = d.support()
-    # phi nondecreasing: bisect for the lowest value clearing s, then take the tail
-    a, b = np.full(s.shape, lo), np.full(s.shape, hi)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        up = phi(mid) >= s - TOL
-        a, b = np.where(up, a, mid), np.where(up, mid, b)
-    cut = np.where(phi(lo) >= s - TOL, lo, b)
-    return np.where(phi(hi) < s - TOL, 0.0, 1.0 - _cdf(d, np.maximum(s, cut)))
+    hi = d.support()[1]
+    y = s - TOL
+    clears = phi(hi) >= y
+    cut = np.full(y.shape, float(hi))
+    cut[clears] = _virtual_cut(phi, y[clears], cut[clears])
+    return np.where(clears, 1.0 - _cdf(d, np.maximum(s, cut)), 0.0)
+
+
+def _virtual_cut(phi: IronedVirtual, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per row, the lowest value of phi's continuous support whose ironed
+    virtual reaches y, searched down from t, which reaches it: the guess
+    phi.inverse(y) made exact by `_threshold_search`."""
+    return _threshold_search(lambda idx, v: phi(v) >= y[idx], t, far=phi.dist.support()[0], guess=phi.inverse(y))
 
 
 def reduction_rule(inst: MarketInstance) -> AllocationRule:
@@ -796,7 +842,17 @@ class BuyerOffering:
 
             return trades
 
-        return X, _ordered_sum(np.where(X, tau, 0.0), axis=1), _seller_thresholds(self.inst, X, S, trades_for)
+        def guess_for(i, rows):
+            # i trades while its weight beats the critical weight c_i, the
+            # k-th largest positive weight among the other items (else 0)
+            k = fea.size_cap(self.inst.constraint)
+            if k is None:
+                return None
+            others = np.maximum(np.delete(W[rows], i, axis=1), 0.0)
+            c = np.sort(others, axis=1)[:, -k] if k <= others.shape[1] else 0.0
+            return self.inst.seller_ironed[i].inverse(B[rows, i] - c)
+
+        return X, _ordered_sum(np.where(X, tau, 0.0), axis=1), _seller_thresholds(self.inst, X, S, trades_for, guess_for)
 
     run = _run
     run_batch = expected_gft_rows = _realized_gft
@@ -822,16 +878,12 @@ class SellerOffering:
         X = self.allocation(B, S)
         d, phi = self.inst.buyer_dists[0], self.inst.buyer_ironed[0]
         rows = np.flatnonzero(X[:, 0])
-        s = S[rows, 0]
-
-        def trades(idx, v):
-            return phi(v) >= s[idx] - TOL
-
+        y = S[rows, 0] - TOL
         price = np.zeros(len(X))
         if d.kind == "discrete":
-            price[rows] = _threshold_search(trades, B[rows, 0], atoms=d.values)
+            price[rows] = _threshold_search(lambda idx, v: phi(v) >= y[idx], B[rows, 0], atoms=d.values)
         else:
-            price[rows] = _threshold_search(trades, B[rows, 0], far=d.support()[0])
+            price[rows] = _virtual_cut(phi, y, B[rows, 0])
         return X, price, price[:, None]
 
     run = _run

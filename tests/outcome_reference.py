@@ -138,3 +138,23 @@ def sapp(m, b, s, coins):
     pays = [0.0] * n
     pays[win] = pay
     return _result(b, s, (win,), theta[win], pays)
+
+
+def trade_willing_cut(d, phi, s):
+    """The lowest value whose ironed virtual clears each cost in s, by 80
+    bisection steps over the support (lo where lo already clears)."""
+    lo, hi = d.support()
+    a, b = np.full(s.shape, lo), np.full(s.shape, hi)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        up = phi(mid) >= s - TOL
+        a, b = np.where(up, a, mid), np.where(up, mid, b)
+    return np.where(phi(lo) >= s - TOL, lo, b)
+
+
+def prob_trade_willing(d, phi, s):
+    """Pr[b >= s and phi(b) >= s] of a continuous buyer d over an array of
+    costs s, from the bisected cut."""
+    lo, hi = d.support()
+    cut = trade_willing_cut(d, phi, s)
+    return np.where(phi(hi) < s - TOL, 0.0, 1.0 - mech._cdf(d, np.maximum(s, cut)))

@@ -226,3 +226,126 @@ def test_audit_and_decomposition_outputs_pinned(name):
     rep = bounds.benchmark_decomposition(inst, samples=4000, seed=12)
     got = (rep.fb, rep.fb_stderr, rep.term1, rep.term2, rep.checks["fb_le_term1_plus_term2"][1])
     assert [float(v).hex() for v in got] == [float(v).hex() for v in DECOMPOSITION_PINS[name]]
+
+
+# -- the inverted ironed-virtual cut -------------------------------------------
+
+CUT_DISTS = {
+    "uniform": lambda: dst.uniform(0, 1),
+    "uniform-shifted": lambda: dst.uniform(0.2, 1.7),
+    "exponential": lambda: dst.exponential_truncated(4.0),
+    "exponential-6": lambda: dst.exponential_truncated(6.0),
+    "exponential-reversed": lambda: dst.exponential_truncated_reversed(4.0),
+    "lognormal": lambda: dst.lognormal(0.0, 0.5),
+    "lognormal-ironed": lambda: dst.lognormal(0.0, 2.5),
+}
+
+
+@st.composite
+def cut_costs(draw, phi):
+    """Costs over phi's range, below phi(lo), above phi(hi), on the stored
+    grid's values and virtuals, and on those virtuals plus TOL (so s - TOL
+    lands on a grid level)."""
+    lo, hi = phi.dist.support()
+    p_lo, p_hi = phi(float(lo)), phi(float(hi))
+    grid = st.integers(0, len(phi.grid_values) - 1)
+    cost = st.one_of(
+        st.floats(max(p_lo, -2.0), p_hi, allow_nan=False),
+        st.floats(0.0, 4.0).map(lambda x: p_lo - x),
+        st.floats(0.0, 4.0).map(lambda x: p_hi + x),
+        grid.map(lambda j: phi.grid_values[j]),
+        grid.map(lambda j: phi.grid_virtuals[j]),
+        grid.map(lambda j: phi.grid_virtuals[j] + mech.TOL),
+    )
+    return np.array(draw(st.lists(cost, min_size=1, max_size=40)))
+
+
+def _flips(phi, y, centers):
+    """Floats within 64 of any center at which `phi(.) >= y` turns on: the
+    float clears y and the one below does not."""
+    keys = mech._order_key(np.asarray(centers, dtype=float))[:, None] + np.arange(-64, 65)
+    vals = np.unique(mech._from_key(keys))
+    up = phi(vals) >= y
+    return vals[1:][up[1:] & ~up[:-1]]
+
+
+@pytest.mark.parametrize("name", sorted(CUT_DISTS))
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_trade_willing_cut_matches_bisection(name, data):
+    # the cut is bit for bit the 80-step bisection's wherever `phi(v) >= s - TOL`
+    # turns on once. Where rounding makes it turn on several times (a few ulps
+    # apart on the closed form, or on a flat ironed level equal to s - TOL
+    # whose grid virtuals dip by an ulp), both cuts are such turns and q is
+    # the reference formula at the one found near phi.inverse
+    d = CUT_DISTS[name]()
+    phi = dst.iron(d, "buyer")
+    s = data.draw(cut_costs(phi))
+    want = ref.prob_trade_willing(d, phi, s)
+    got = mech._prob_trade_willing(d, phi, s)
+    cut = ref.trade_willing_cut(d, phi, s)
+    for r in np.flatnonzero(got != want):
+        y = s[r] - mech.TOL
+        flips = _flips(phi, y, [cut[r], phi.inverse(np.array([y]))[0]])
+        assert len(flips) > 1 and cut[r] in flips, (s[r], cut[r], flips)
+        assert got[r] in 1.0 - mech._cdf(d, np.maximum(s[r], flips)), (s[r], got[r], want[r])
+
+
+@pytest.mark.parametrize("m", [6, 8, 10])
+@pytest.mark.parametrize("side", ["buyer", "seller"])
+def test_inverse_returns_the_atom_where_the_ironed_virtual_reaches_y(m, side):
+    iv = getattr(instances.example_a3(m), f"{side}_ironed")[0]
+    atoms, levels = np.asarray(iv.grid_values), iv.at_atoms()
+
+    def first_atom(ys):  # the lowest atom whose level reaches y, else inf
+        return np.array([atoms[levels >= y][0] if np.any(levels >= y) else np.inf for y in ys])
+
+    for ys in (levels, levels - mech.TOL, levels + 1e-6, levels[:1] - 1.0):
+        assert np.array_equal(iv.inverse(ys), first_atom(ys))
+    assert np.array_equal(iv.inverse(levels), atoms[np.searchsorted(levels, levels)])  # ties: the level's lowest atom
+
+
+def test_inverse_hits_the_tie_of_example_a3():
+    # phi-tilde(48) = 32, the second seller atom: the cut at s = 32 is atom 48
+    inst = instances.example_a3(6)
+    phi = inst.buyer_ironed[0]
+    assert phi.inverse(np.array([32.0, 32.0 - mech.TOL]))[0] == 48.0
+    assert phi.inverse(np.array([32.0 - mech.TOL]))[0] == 48.0
+
+
+def test_seller_offering_sells_at_the_lower_price_on_a_tie():
+    inst = instances.example_a3(6)
+    so, phi = mech.SellerOffering(inst), inst.buyer_ironed[0]
+    B, _ = mech.buyer_grid(inst)
+    S, _ = mech.seller_grid(inst)
+    Bs, Ss = np.repeat(B, len(S), axis=0), np.tile(S, (len(B), 1))
+    X, price, _ = so.outcome_batch(Bs, Ss)
+    assert np.array_equal(price[X[:, 0]], phi.inverse(Ss[X[:, 0], 0] - mech.TOL))
+    tie = (Bs[:, 0] > 48.0) & (Ss[:, 0] == 32.0)
+    assert tie.any() and np.all(price[tie] == 48.0)
+    assert_rows_match(so, Bs, Ss, ref.seller_offering)
+
+
+@pytest.mark.parametrize("n, constraint", [
+    (2, fea.unit_demand(range(2))),
+    (3, fea.k_uniform(2, range(3))),
+    (2, fea.additive(range(2))),
+])
+def test_buyer_offering_near_tie_payments_match_reference(n, constraint):
+    # weights b - tau(s) = b - 2s equal, or 1e-12 apart, across items: the
+    # critical weight of each traded item is another item's weight
+    inst = _near_tie_market(n, constraint)
+    rows = []
+    for gap in (0.0, 1e-12, -1e-12, 5e-10):
+        for base in (0.3, 0.9, 1.6):
+            b = [base + 0.5] + [base + 0.5 + gap * (j + 1) for j in range(1, n)]
+            rows.append((b, [0.25] * n))
+            rows.append((b[::-1], [0.25 - gap] + [0.25] * (n - 1)))
+    B, S = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    assert_rows_match(mech.BuyerOffering(inst), B, S, ref.buyer_offering)
+
+
+def test_buyer_offering_on_example_a3_matches_reference():
+    inst = instances.example_a3(6)
+    B, S = _grid_rows(inst, limit=200)
+    assert_rows_match(mech.BuyerOffering(inst), B, S, ref.buyer_offering)
