@@ -20,7 +20,7 @@ from . import feasibility as fea
 from .distributions import Dist
 from . import audits
 from .audits import _mean_stderr
-from .mechanisms import Fpp, MarketInstance, _ordered_sum
+from .mechanisms import Fpp, MarketInstance, _cdf, _ordered_sum
 
 __all__ = [
     "BenchmarkReport",
@@ -87,13 +87,9 @@ def benchmark_decomposition(inst: MarketInstance, samples: int = 10**4, seed: in
     x = tuple(dst.upper_quantile(inst.buyer_dists[i], r_items[i] / 2.0) for i in range(n))
     y = tuple(dst.quantile(inst.seller_dists[i], r_items[i] / 2.0) for i in range(n))
     pair_ok = all(xi >= yi - 1e-9 for xi, yi in zip(x, y))
-    depth = max(1, math.ceil(math.log2(2.0 / r)))
-    theta_b = np.array(
-        [[dst.upper_quantile(inst.buyer_dists[i], 2.0 ** -(j + 1)) for i in range(n)] for j in range(depth)]
-    )
-    theta_s = np.array(
-        [[dst.quantile(inst.seller_dists[i], 2.0 ** -(j + 1)) for i in range(n)] for j in range(depth)]
-    )
+    theta_b = np.column_stack([dst.quantile_ladder(d, r, "buyer") for d in inst.buyer_dists])
+    theta_s = np.column_stack([dst.quantile_ladder(d, r, "seller") for d in inst.seller_dists])
+    depth = len(theta_b)
 
     rng = np.random.default_rng(seed)
     B, S = inst.sample_profiles(rng, samples)
@@ -216,28 +212,36 @@ def expected_positive_margin(inst: MarketInstance, i: int, samples: int = 10**5,
             total += pmass * _e_pos_vs_cost(ds, phi(v))
         return total
     if ds.kind != "discrete":
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda b: db.pdf(b) * _e_pos_vs_cost(ds, phi(b)), *db.support(), limit=400)
-        return float(val)
+        return _margin_integral(db, phi, ds)
     rng = np.random.default_rng(seed)
     bs = db.sample(rng, samples)
     ss = ds.sample(rng, samples)
     return float(np.maximum(phi(bs) - ss, 0.0).mean())
 
 
+def _margin_integral(db: Dist, phi: dst.IronedVirtual, ds: Dist) -> float:
+    """E[(X - Y)^+] = integral of Pr[X > t] Pr[Y < t] dt for X = phi(b), b ~ db,
+    and Y = s ~ ds, both continuous: Pr[X > t] = 1 - F(phi.inverse(t)), over
+    [min Y, max X] with edges at both supports' ends and, where phi is an
+    ironed step function, at each of its levels (jumps of Pr[X > t])."""
+    lo, hi = ds.support()
+    top = phi(db.support()[1])
+    if top <= lo:
+        return 0.0
+    levels = () if phi.exact else np.unique(phi.grid_virtuals)
+    edges = dst._inside([hi, phi(db.support()[0]), *levels], lo, top)
+    return dst.gauss_legendre(lambda t: (1.0 - _cdf(db, phi.inverse(t))) * _cdf(ds, t), edges)
+
+
 def _e_pos_vs_cost(ds: Dist, v: float) -> float:
-    """E[(v - s)^+] for cost distribution ds."""
+    """E[(v - s)^+] for cost distribution ds: the integral of G up to v."""
     if ds.kind == "discrete":
         return float(sum(p * (v - sv) for sv, p in zip(ds.values, ds.probs) if sv < v))
     lo, hi = ds.support()
     if v <= lo:
         return 0.0
-    from scipy.integrate import quad
-
     upper = min(v, hi)
-    val, _ = quad(ds.cdf, lo, upper, limit=200)
-    return float(val) + max(0.0, v - hi)
+    return dst.gauss_legendre(lambda s: _cdf(ds, s), [lo, upper]) + max(0.0, v - hi)
 
 
 def separate_sale_bound(

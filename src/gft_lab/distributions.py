@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erf, erfinv
 
 ATOL = 1e-12
@@ -40,6 +39,7 @@ __all__ = [
     "quantile",
     "upper_quantile",
     "trade_probability",
+    "gauss_legendre",
     "buyer_virtual",
     "seller_virtual",
     "iron",
@@ -110,6 +110,8 @@ class Dist:
     def mean(self) -> float:
         if self.kind == "discrete":
             return float(np.dot(self.values, self.probs))
+        from scipy import integrate
+
         val, _ = integrate.quad(lambda v: v * self.pdf_fn(v), self.lo, self.hi, limit=200)
         return val
 
@@ -305,12 +307,56 @@ def upper_quantile(d: Dist, q: float) -> float:
 
 # -- trade probability -----------------------------------------------------
 
+GL_NODES = 16  # Gauss-Legendre nodes per panel
+PANELS_PER_DECADE = 2  # geometric panels per decade on segments spanning more than one
+SEGMENT_PANELS = 2  # equal panels on a segment spanning at most a decade
+
+
+@cache
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(GL_NODES)
+
+
+def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], edges) -> float:
+    """The integral of f from min(edges) to max(edges) by composite
+    Gauss-Legendre, GL_NODES nodes a panel.
+
+    Every edge is a panel boundary, so put one at each kink or jump of f.
+    Two edges bound SEGMENT_PANELS equal panels, unless both are positive
+    and more than a decade apart: then the panels are geometric,
+    PANELS_PER_DECADE a decade, so features on a log scale (lognormal
+    densities, tails near zero) are resolved. `f` is called once, on the
+    (panels, GL_NODES) array of all nodes; overflow to inf there (a cdf
+    closure far past its support, clamped by the caller) is not warned.
+    """
+    e = np.unique(np.asarray(edges, dtype=float))
+    cuts = [e[:1]]
+    for a, b in zip(e[:-1], e[1:]):
+        if a > 0.0 and b > 10.0 * a:
+            cuts.append(np.geomspace(a, b, math.ceil(PANELS_PER_DECADE * math.log10(b / a)) + 1)[1:])
+        else:
+            cuts.append(np.linspace(a, b, SEGMENT_PANELS + 1)[1:])
+    p = np.concatenate(cuts)
+    x, w = _gl_rule()
+    half = 0.5 * np.diff(p)[:, None]
+    with np.errstate(over="ignore"):
+        y = f(0.5 * (p[:-1] + p[1:])[:, None] + half * x)
+    return float(np.sum(y * (half * w)))
+
+
+def _inside(points, lo: float, hi: float) -> list[float]:
+    """lo, hi and the points strictly between them: the edges of an integral
+    over [lo, hi] whose integrand kinks at `points`."""
+    return [lo, hi] + [float(v) for v in points if lo < v < hi]
+
 
 def trade_probability(buyer: Dist, seller: Dist) -> float:
     """Pr[b >= s] for independent b ~ buyer, s ~ seller.
 
     Exact double sum for discrete x discrete, single sums when one side is
-    discrete, numeric integration (abs error <= 1e-6) when both continuous.
+    discrete; when both are continuous, the integral of g(s) (1 - F(s)) over
+    the seller's support by `gauss_legendre`, with edges at the buyer's
+    support ends (where F kinks).
     """
     if seller.kind == "discrete":
         svals = np.asarray(seller.values)
@@ -322,13 +368,9 @@ def trade_probability(buyer: Dist, seller: Dist) -> float:
         bp = np.asarray(buyer.probs)
         # continuous seller: Pr[s <= b] = G(b)
         return float(np.dot(bp, [seller.cdf(b) for b in bvals]))
-    lo = max(seller.lo, 0.0)
-    val, _ = integrate.quad(
-        lambda s: seller.pdf_fn(s) * (1.0 - buyer.cdf(s)),
-        seller.lo,
-        seller.hi,
-        limit=200,
-        epsabs=1e-9,
+    val = gauss_legendre(
+        lambda s: seller.pdf_fn(s) * (1.0 - np.clip(buyer.cdf_fn(s), 0.0, 1.0)),
+        _inside(buyer.support(), *seller.support()),
     )
     return float(min(1.0, max(0.0, val)))
 

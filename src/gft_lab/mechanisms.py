@@ -167,6 +167,7 @@ def _expected_gft(self, b, s) -> float:
 
 
 GUESS_ULPS = 32  # half-width, in floats, of the bracket tried around a guessed cut
+TREE_DEPTH = (2 * GUESS_ULPS).bit_length() - 1  # bisection levels a `trades` call decides: a guessed bracket closes in one
 
 
 def _order_key(x: np.ndarray) -> np.ndarray:
@@ -180,77 +181,134 @@ def _from_key(k: np.ndarray) -> np.ndarray:
     return np.where(k < 0, k ^ np.int64(0x7FFFFFFFFFFFFFFF), k).view(np.float64)
 
 
+def _mid_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a >> 1) + (b >> 1) + (a & b & 1)  # floor of the mean, no overflow
+
+
 def _bisect_floats(trades, idx: np.ndarray, near: np.ndarray, away: np.ndarray) -> np.ndarray:
     """Per row of idx, where `near` trades and `away` does not, the trading
     end of the adjacent pair of floats between them at which `trades` flips:
-    bisection of the float order (at most 64 steps), one array call per step
-    over the rows still open."""
+    bisection of the float order, TREE_DEPTH levels per array call.
+
+    Each call evaluates, for every row still open, the 2^TREE_DEPTH - 1
+    midpoints of the next TREE_DEPTH levels (the keys of a full bisection
+    tree between its bracket ends); the walk down that tree then takes the
+    path one call per level would, so the result is the same even where
+    `trades` turns more than once. Once a row's bracket is adjacent floats,
+    its midpoint is the bracket end whose answer is known, so the rest of
+    the walk keeps it. A bracket of 2^TREE_DEPTH floats closes in one call.
+    """
+    width = 1 << TREE_DEPTH
     kn, ka = _order_key(near), _order_key(away)
     live = np.arange(len(idx))
-    while live.size:
+    while True:
         a, b = kn[live], ka[live]
-        mid = (a >> 1) + (b >> 1) + (a & b & 1)  # floor of the mean, no overflow
+        mid = _mid_key(a, b)
         keep = (mid != a) & (mid != b)
-        live, mid = live[keep], mid[keep]
-        if live.size:
-            ok = trades(idx[live], _from_key(mid))
-            kn[live[ok]], ka[live[~ok]] = mid[ok], mid[~ok]
-    return _from_key(kn)
+        live, a, b = live[keep], a[keep], b[keep]
+        if not live.size:
+            return _from_key(kn)
+        # tree[:, j] is the key at position j of width; level l fills every
+        # (width >> l)-th position, halfway between the positions it splits
+        tree = np.empty((live.size, width + 1), dtype=np.int64)
+        tree[:, 0], tree[:, width] = a, b
+        step = width
+        while step > 1:
+            tree[:, step // 2::step] = _mid_key(tree[:, :-1:step], tree[:, step::step])
+            step //= 2
+        ok = trades(np.repeat(idx[live], width - 1), _from_key(tree[:, 1:width].ravel()))
+        ok = ok.reshape(live.size, width - 1)
+        row, node = np.arange(live.size), np.full(live.size, width // 2)
+        for level in range(TREE_DEPTH):
+            at, up = tree[row, node], ok[row, node - 1]
+            a, b = np.where(up, at, a), np.where(up, b, at)
+            node += np.where(up, width >> (level + 2), -(width >> (level + 2)))
+        kn[live], ka[live] = a, b
 
 
-def _threshold_search(trades, t: np.ndarray, far: float | None = None, atoms=None, floor=None, guess=None) -> np.ndarray:
+def _threshold_search(trades, t: np.ndarray, far=None, atoms=None, floor=None, guess=None) -> np.ndarray:
     """Per row, the report nearest `far` at which the row still trades,
     searched from its own trading report t (Myerson's threshold payment).
 
-    `trades(idx, v)` says whether rows idx trade at reports v. Discrete atoms
+    `trades(idx, v)` says whether rows idx trade at reports v. Discrete
+    `atoms` (one list for all rows, or one NaN-padded row of atoms per row)
     come far end first, restricted to those >= floor when given: the first
-    trading atom wins, else t; one array call per atom over the rows still
-    open. On a continuous support, far itself when it trades, else the last
-    trading float before `trades` flips, found by `_bisect_floats` between t
-    and far. A `guess` of the cut per row only narrows that bracket: when the
-    row trades GUESS_ULPS floats on t's side of the guess and not as many on
-    far's side, the bisection starts from those two floats.
+    trading atom wins, else t; one array call per atom rank over the rows
+    still open. On a continuous support (`far` one float or one per row),
+    far itself when it trades, else the last trading float before `trades`
+    flips, found by `_bisect_floats` between t and far. A `guess` of the cut
+    per row (NaN: none) only narrows that bracket: when the row trades
+    GUESS_ULPS floats on t's side of the guess and not as many on far's side
+    (both probes in one call), the bisection starts from those two floats.
     """
     t = np.asarray(t, dtype=float)
     if atoms is not None:
+        atoms = np.asarray(atoms, dtype=float)
+        low = -np.inf if floor is None else floor  # NaN padding never passes
         out, open_ = t.copy(), np.ones(len(t), dtype=bool)
-        for a in np.asarray(atoms, dtype=float):
-            idx = np.flatnonzero(open_ if floor is None else open_ & (a >= floor))
+        for a in np.broadcast_to(atoms, (len(t), atoms.shape[-1])).T:
+            idx = np.flatnonzero(open_ & (a >= low))
             if idx.size:
-                hit = idx[trades(idx, np.full(idx.size, a))]
-                out[hit], open_[hit] = a, False
+                hit = idx[trades(idx, a[idx])]
+                out[hit], open_[hit] = a[hit], False
         return out
-    out = np.full(len(t), far, dtype=float)
+    out = np.array(np.broadcast_to(np.asarray(far, dtype=float), t.shape))
     idx = np.flatnonzero(~trades(np.arange(len(t)), out))
     near, away = t[idx], out[idx]
-    if guess is not None and idx.size:
-        kt, kf = _order_key(near), _order_key(away)
-        low, high = np.minimum(kt, kf), np.maximum(kt, kf)
-        kg = np.clip(_order_key(np.asarray(guess, dtype=float)[idx]), low, high)
-        step = np.where(kf > kt, GUESS_ULPS, -GUESS_ULPS)
-        gn, ga = _from_key(np.clip(kg - step, low, high)), _from_key(np.clip(kg + step, low, high))
-        hit = trades(idx, gn) & ~trades(idx, ga)
-        near, away = np.where(hit, gn, near), np.where(hit, ga, away)
+    if guess is not None:
+        g = np.asarray(guess, dtype=float)[idx]
+        j = np.flatnonzero(~np.isnan(g))
+        if j.size:
+            kt, kf = _order_key(near[j]), _order_key(away[j])
+            low, high = np.minimum(kt, kf), np.maximum(kt, kf)
+            kg = np.clip(_order_key(g[j]), low, high)
+            step = np.where(kf > kt, GUESS_ULPS, -GUESS_ULPS)
+            gn, ga = _from_key(np.clip(kg - step, low, high)), _from_key(np.clip(kg + step, low, high))
+            ok = trades(np.concatenate((idx[j], idx[j])), np.concatenate((gn, ga)))
+            hit = ok[:j.size] & ~ok[j.size:]
+            near[j], away[j] = np.where(hit, gn, near[j]), np.where(hit, ga, away[j])
     out[idx] = _bisect_floats(trades, idx, near, away)
     return out
 
 
-def _seller_thresholds(inst: MarketInstance, X: np.ndarray, S: np.ndarray, trades_for, guess_for=None) -> np.ndarray:
-    """Seller payments: each traded seller's largest still-trading cost report.
-    `trades_for(i, rows)` gives the `trades(idx, v)` of seller i on those rows,
-    and `guess_for(i, rows)`, when given, a guess of the continuous cut (or
-    None)."""
+def _seller_thresholds(inst: MarketInstance, X: np.ndarray, S: np.ndarray, alloc, guess=None) -> np.ndarray:
+    """Seller payments: each traded seller's largest still-trading cost report,
+    every traded (row, seller) pair searched at once.
+
+    `alloc(rows, S_trial)` is the 0/1 allocation of those rows at trial seller
+    profiles; a pair trades at report v when its seller is allocated with v in
+    its own cost. Continuous sellers share one float search, each pair from
+    its cost towards its seller's upper support end; discrete sellers one
+    atom search by rank from the top atom. `guess(rows)`, when given, is a
+    (len(rows), n) guess of the continuous cuts (NaN: none).
+    """
     pay = np.zeros(X.shape)
-    for i, d in enumerate(inst.seller_dists):
-        rows = np.flatnonzero(X[:, i])
-        if not rows.size:
-            continue
-        s = S[rows, i]
-        if d.kind == "discrete":
-            pay[rows, i] = _threshold_search(trades_for(i, rows), s, atoms=np.asarray(d.values)[::-1], floor=s - TOL)
-        else:
-            guess = None if guess_for is None else guess_for(i, rows)
-            pay[rows, i] = _threshold_search(trades_for(i, rows), s, far=d.support()[1], guess=guess)
+    pr, pi = np.nonzero(X)
+    if not pr.size:
+        return pay
+
+    def on(pairs):
+        def trades(idx, v):
+            r, i, k = pr[pairs[idx]], pi[pairs[idx]], np.arange(len(idx))
+            trial = S[r]
+            trial[k, i] = v
+            return alloc(r, trial)[k, i]
+
+        return trades
+
+    s = S[pr, pi]
+    dists = inst.seller_dists
+    discrete = np.array([d.kind == "discrete" for d in dists])[pi]
+    pairs = np.flatnonzero(discrete)
+    if pairs.size:
+        top = max(len(d.values) for d in dists)
+        atoms = np.array([np.pad(np.asarray(d.values, dtype=float)[::-1], (0, top - len(d.values)), constant_values=np.nan) for d in dists])
+        pay[pr[pairs], pi[pairs]] = _threshold_search(on(pairs), s[pairs], atoms=atoms[pi[pairs]], floor=s[pairs] - TOL)
+    pairs = np.flatnonzero(~discrete)
+    if pairs.size:
+        far = np.array([d.support()[1] for d in dists])[pi[pairs]]
+        g = None if guess is None else guess(pr[pairs])[np.arange(pairs.size), pi[pairs]]
+        pay[pr[pairs], pi[pairs]] = _threshold_search(on(pairs), s[pairs], far=far, guess=g)
     return pay
 
 
@@ -398,12 +456,15 @@ class AllocationRule:
     `fn` takes b and s with items on the last axis and any leading shapes that
     broadcast (one profile is the one-row case); calling the rule broadcasts the
     result to that shape, so a constant `fn` works too. `q_fn` maps seller rows
-    to q(s) the same way."""
+    to q(s) the same way, and `q_cut(S, q)`, where q_fn has a closed-form
+    inverse, gives per entry the own cost at which q_i(s) falls to q[..., i],
+    the other costs held (NaN where it has none)."""
 
     name: str
     n: int
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     q_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    q_cut: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, b, s) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -427,19 +488,38 @@ def unlikely_trade_rule(inst: MarketInstance, L: Iterable[int]) -> AllocationRul
             x[..., i] = alone & meets[..., k] & (phi[i](b[..., i]) >= s[..., i] - TOL)
         return x
 
+    def others(S: np.ndarray) -> dict:
+        """Per i in L, the product over the other L-items of Pr[b_j < s_j]."""
+        below = {j: _prob_below(inst.buyer_dists[j], S[..., j]) for j in L}
+        out = {}
+        for i in L:
+            out[i] = 1.0
+            for j in L:
+                if j != i:
+                    out[i] = out[i] * below[j]
+        return out
+
     def q_fn(S: np.ndarray) -> np.ndarray:
         # per-item product form: the rule factorizes across items
         q = np.zeros(S.shape)
-        below = {j: _prob_below(inst.buyer_dists[j], S[..., j]) for j in L}
-        for i in L:
-            others = 1.0
-            for j in L:
-                if j != i:
-                    others = others * below[j]
-            q[..., i] = _prob_trade_willing(inst.buyer_dists[i], phi[i], S[..., i]) * others
+        for i, rest in others(S).items():
+            q[..., i] = _prob_trade_willing(inst.buyer_dists[i], phi[i], S[..., i]) * rest
         return q
 
-    return AllocationRule(f"unlikely_trade({list(L)})", inst.n, fn, q_fn)
+    def q_cut(S: np.ndarray, q: np.ndarray) -> np.ndarray:
+        # only the willing factor moves with s_i: it falls to p = q_i / rest
+        # where max(s_i, lowest value whose ironed virtual clears s_i - TOL)
+        # reaches w = F_i^-1(1 - p), so at s_i = min(w, phi_i(w) + TOL)
+        cut = np.full(S.shape, np.nan)
+        for i, rest in others(S).items():
+            d = inst.buyer_dists[i]
+            if d.kind != "discrete":
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    w = d.ppf(1.0 - q[..., i] / rest)
+                cut[..., i] = np.minimum(w, phi[i](w) + TOL)
+        return cut
+
+    return AllocationRule(f"unlikely_trade({list(L)})", inst.n, fn, q_fn, q_cut)
 
 
 def _cdf(d: Dist, v: np.ndarray) -> np.ndarray:
@@ -680,17 +760,22 @@ class Sapp:
     def outcome_batch(self, B, S, coins=None):
         coins = self._coins(B, S, coins)
         X, theta = self._realized(B, S, coins)
+        pay = _seller_thresholds(self.inst, X, S, lambda rows, St: self._realized(B[rows], St, coins[rows])[0], self._cut_guess(B, S))
+        return X, _ordered_sum(np.where(X, theta, 0.0), axis=1), pay
 
-        def trades_for(i, rows):
-            def trades(idx, v):
-                r = rows[idx]
-                trial = S[r].copy()
-                trial[:, i] = v
-                return self._realized(B[r], trial, coins[r])[0][:, i]
+    def _cut_guess(self, B, S):
+        """The guess of each continuous seller's threshold: the cost at which
+        theta_i(s) = F_i^-1(1 - q_i(s)/2) reaches b_i - TOL, where item i
+        stops being affordable, i.e. where q_i falls to 2 Pr[b > b_i - TOL].
+        Only a rule with `q_cut` and continuous buyers (q from q_fn) has one."""
+        if self.pmap.rule.q_cut is None or self.pmap._bgrid is not None:
+            return None
 
-            return trades
+        def guess(rows):
+            afford = np.stack([_prob_below(d, B[rows, i] - TOL) for i, d in enumerate(self.inst.buyer_dists)], axis=-1)
+            return self.pmap.rule.q_cut(S[rows], 2.0 * (1.0 - afford))
 
-        return X, _ordered_sum(np.where(X, theta, 0.0), axis=1), _seller_thresholds(self.inst, X, S, trades_for)
+        return guess
 
     def run(self, b, s, rng: np.random.Generator | None = None, coins: np.ndarray | None = None) -> Outcome:
         if coins is None and rng is not None:
@@ -830,29 +915,21 @@ class BuyerOffering:
         tau = self.inst.virtuals(S, "seller")
         W = B - tau
         X = fea.max_weight_values(self.inst.constraint, W)[1]
+        k = fea.size_cap(self.inst.constraint)
 
-        def trades_for(i, rows):
-            iv = self.inst.seller_ironed[i]
-
-            def trades(idx, v):  # only tau_i moves with seller i's report
-                r = rows[idx]
-                trial = W[r].copy()
-                trial[:, i] = B[r, i] - iv(v)
-                return fea.max_weight_values(self.inst.constraint, trial)[1][:, i]
-
-            return trades
-
-        def guess_for(i, rows):
+        def guess(rows):
             # i trades while its weight beats the critical weight c_i, the
-            # k-th largest positive weight among the other items (else 0)
-            k = fea.size_cap(self.inst.constraint)
-            if k is None:
-                return None
-            others = np.maximum(np.delete(W[rows], i, axis=1), 0.0)
-            c = np.sort(others, axis=1)[:, -k] if k <= others.shape[1] else 0.0
-            return self.inst.seller_ironed[i].inverse(B[rows, i] - c)
+            # k-th largest positive weight among the other items (else 0):
+            # the k-th largest of the row, or the (k+1)-th where i is among
+            # the k largest
+            P = np.maximum(W[rows], 0.0)
+            top = np.sort(P, axis=1)[:, ::-1]
+            c = np.where(P >= top[:, k - 1:k], top[:, k:k + 1], top[:, k - 1:k]) if k < self.inst.n else 0.0
+            Y = B[rows] - c
+            return np.stack([iv.inverse(Y[:, i]) for i, iv in enumerate(self.inst.seller_ironed)], axis=-1)
 
-        return X, _ordered_sum(np.where(X, tau, 0.0), axis=1), _seller_thresholds(self.inst, X, S, trades_for, guess_for)
+        pay = _seller_thresholds(self.inst, X, S, lambda rows, St: self.allocation(B[rows], St), None if k is None else guess)
+        return X, _ordered_sum(np.where(X, tau, 0.0), axis=1), pay
 
     run = _run
     run_batch = expected_gft_rows = _realized_gft

@@ -158,3 +158,20 @@ def prob_trade_willing(d, phi, s):
     lo, hi = d.support()
     cut = trade_willing_cut(d, phi, s)
     return np.where(phi(hi) < s - TOL, 0.0, 1.0 - mech._cdf(d, np.maximum(s, cut)))
+
+
+def bisect_floats(trades, idx, near, away):
+    """The float-order bisection as one `trades` call per level: per row of
+    idx, where `near` trades and `away` does not, the trading end of the
+    adjacent pair of floats between them at which `trades` flips."""
+    kn, ka = mech._order_key(near), mech._order_key(away)
+    live = np.arange(len(idx))
+    while live.size:
+        a, b = kn[live], ka[live]
+        mid = (a >> 1) + (b >> 1) + (a & b & 1)  # floor of the mean, no overflow
+        keep = (mid != a) & (mid != b)
+        live, mid = live[keep], mid[keep]
+        if live.size:
+            ok = trades(idx[live], mech._from_key(mid))
+            kn[live[ok]], ka[live[~ok]] = mid[ok], mid[~ok]
+    return mech._from_key(kn)

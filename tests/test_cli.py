@@ -5,9 +5,14 @@ determinism, and exit codes for configuration and capacity errors.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gft_lab
 from gft_lab import cli
 from gft_lab import distributions as dst
 from gft_lab import feasibility as fsb
@@ -207,3 +212,12 @@ def test_selftest_unknown_criterion(capsys):
     code, _, err = run_cli(["selftest", "--only", "nope"], capsys)
     assert code == 2
     assert "unknown" in err
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is imported by the functions that use it, not at start-up
+    src = str(Path(gft_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, gft_lab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quad_reference as qr
+from gft_lab import bounds
 from gft_lab import distributions as dst
 
 
@@ -72,6 +74,47 @@ def test_trade_probability_exponential_pair_matches_closed_form():
     inst = instances.example_a1(t)
     got = dst.trade_probability(inst.buyer_dists[0], inst.seller_dists[0])
     assert math.isclose(got, instances.a1_r(t), abs_tol=1e-9)
+
+
+def test_trade_probability_with_wide_lognormal_seller():
+    # lognormal(0, 2.5) spans [2e-8, 4e7]: adaptive quad over that range
+    # missed the mass near 1 and returned 0.0
+    seller = dst.lognormal(0.0, 2.5)
+    for buyer in (dst.uniform(0.0, 1.0), dst.exponential_truncated(4.0), dst.lognormal(0.0, 0.5)):
+        got = dst.trade_probability(buyer, seller)
+        assert got > 0.1
+        assert abs(got - qr.trade_probability(buyer, seller)) <= 1e-9
+
+
+QUAD_FAMILIES = {
+    "uniform": lambda: dst.uniform(0.0, 1.0),
+    "uniform-negative": lambda: dst.uniform(-0.5, 1.5),
+    "exponential-4": lambda: dst.exponential_truncated(4.0),
+    "exponential-6": lambda: dst.exponential_truncated(6.0),
+    "exponential-reversed": lambda: dst.exponential_truncated_reversed(4.0),
+    "lognormal-0.5": lambda: dst.lognormal(0.0, 0.5),
+    "lognormal-2.5": lambda: dst.lognormal(0.0, 2.5),
+}
+
+
+@pytest.mark.parametrize("buyer", sorted(QUAD_FAMILIES))
+def test_gauss_legendre_integrals_match_tight_quad(buyer):
+    # both fixed-rule integrals, over every seller family, within 1e-9 of
+    # scipy's adaptive quad at epsabs 1e-13
+    b = QUAD_FAMILIES[buyer]()
+    phi = dst.iron(b, "buyer")
+    for name, make in sorted(QUAD_FAMILIES.items()):
+        s = make()
+        assert abs(dst.trade_probability(b, s) - qr.trade_probability(b, s)) <= 1e-9, name
+        assert abs(bounds._margin_integral(b, phi, s) - qr.expected_positive_margin(b, phi, s)) <= 1e-9, name
+
+
+def test_gauss_legendre_is_exact_on_piecewise_polynomials():
+    # 16 nodes a panel integrate degree 31 exactly; edges split at the kink
+    assert math.isclose(dst.gauss_legendre(lambda x: x**31, [0.0, 1.0]), 1.0 / 32.0, rel_tol=1e-14)
+    assert math.isclose(dst.gauss_legendre(lambda x: np.abs(x - 0.3), [-1.0, 0.3, 2.0]), (1.3**2 + 1.7**2) / 2.0, rel_tol=1e-14)
+    # geometric panels over ten decades
+    assert math.isclose(dst.gauss_legendre(lambda x: 1.0 / x, [1e-5, 1e5]), math.log(1e10), rel_tol=1e-12)
 
 
 def test_trade_probability_discrete_matches_double_sum():

@@ -9,7 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import outcome_reference as ref
@@ -103,12 +103,68 @@ def test_kernels_match_reference_on_continuous_samples(constraint):
     assert_rows_match(mech.BuyerOffering(inst), B, S, ref.buyer_offering)
 
 
+def _turns(trades, centers, toward):
+    """Floats within 64 of any center at which `trades` turns off towards
+    `toward` (+1 up, -1 down): the float trades, its neighbour that way does
+    not."""
+    keys = mech._order_key(np.asarray(centers, dtype=float))[:, None] + np.arange(-64, 65)
+    vals = np.unique(mech._from_key(keys.ravel()))
+    ok = trades(vals)
+    return vals[:-1][ok[:-1] & ~ok[1:]] if toward > 0 else vals[1:][ok[1:] & ~ok[:-1]]
+
+
 def test_kernels_match_reference_on_exponential_pair():
+    # bit for bit wherever the row's threshold predicate turns once near the
+    # threshold. Where closed-form rounding makes it turn several times within
+    # a few ulps (about 0.5% of exponential_truncated costs), both searches end
+    # on such turns, as in test_trade_willing_cut_matches_bisection
     inst = instances.example_a1(4.0)
     B, S = inst.sample_profiles(np.random.default_rng(5), 60)
     assert_rows_match(mech.Fpp(inst, [1.5], [1.5]), B, S, ref.posted)
-    assert_rows_match(mech.BuyerOffering(inst), B, S, ref.buyer_offering)
-    assert_rows_match(mech.SellerOffering(inst), B, S, ref.seller_offering)
+    # (mechanism, reference, the report its threshold moves, direction to far)
+    for m, reference, moved, toward in (
+        (mech.BuyerOffering(inst), ref.buyer_offering, S, 1),
+        (mech.SellerOffering(inst), ref.seller_offering, B, -1),
+    ):
+        X, pay_b, pay_S = m.outcome_batch(B, S)
+        for r in range(len(B)):
+            traded, want_b, (want,), gft = reference(m, B[r], S[r])
+            o = m.run(B[r], S[r])
+            assert (o.traded, o.buyer_payment, o.seller_payments, o.gft) == (traded, pay_b[r], (pay_S[r, 0],), gft)
+            assert tuple(np.flatnonzero(X[r])) == traded
+            assert pay_b[r] == want_b or (m.name == "seller_offering" and pay_b[r] == pay_S[r, 0])
+            got = pay_S[r, 0]
+            if got != want:
+
+                def trades(v, r=r, moved=moved):
+                    trial = np.repeat(moved[r:r + 1], len(v), axis=0)
+                    trial[:, 0] = v
+                    rows = (trial, np.repeat(S[r:r + 1], len(v), axis=0)) if moved is B else (np.repeat(B[r:r + 1], len(v), axis=0), trial)
+                    return m.allocation(*rows)[:, 0]
+
+                turns = _turns(trades, [got, want], toward)
+                assert len(turns) > 1 and got in turns and want in turns, (m.name, B[r], S[r], got, want)
+
+
+def test_kernels_match_reference_on_mixed_seller_market():
+    # continuous sellers and discrete ones with different atom counts, all
+    # traded pairs searched together; the unlikely-trade rule prices from
+    # q_fn, so continuous buyers' sellers start from its guessed cut
+    inst = mech.market(
+        [dst.uniform(0.2, 1.4), dst.exponential_truncated(2.0), dst.uniform(0.0, 1.5), dst.discrete([0.5, 1.0], [0.5, 0.5])],
+        [dst.uniform(0.0, 1.0), dst.discrete([0.1, 0.4, 0.8], [0.3, 0.4, 0.3]), dst.exponential_truncated_reversed(1.5), dst.discrete([0.2, 0.6], [0.5, 0.5])],
+        fea.k_uniform(2, range(4)),
+    )
+    rng = np.random.default_rng(9)
+    B, S = inst.sample_profiles(rng, 80)
+    bo = mech.BuyerOffering(inst)
+    assert bo.allocation(B, S).any(axis=0).all()
+    assert_rows_match(bo, B, S, ref.buyer_offering)
+    sp = mech.Sapp(inst, mech.sapp_build(inst, mech.unlikely_trade_rule(inst, [0, 1, 2, 3])))
+    coins = rng.random(B.shape)
+    X, _, _ = sp.outcome_batch(B, S, coins)
+    assert X.any(axis=0).all()
+    assert_rows_match(sp, B, S, ref.sapp, coins=coins)
 
 
 def test_sapp_kernel_matches_reference_on_continuous_market():
@@ -349,3 +405,52 @@ def test_buyer_offering_on_example_a3_matches_reference():
     inst = instances.example_a3(6)
     B, S = _grid_rows(inst, limit=200)
     assert_rows_match(mech.BuyerOffering(inst), B, S, ref.buyer_offering)
+
+
+# -- the tree-batched float bisection ------------------------------------------
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 0.5, 1.0, 2.0, 3.0, -1.0, -2.0, 1e300, -1e300]
+MAX_KEY = int(mech._order_key(np.array([np.finfo(float).max]))[0])
+
+
+@st.composite
+def float_brackets(draw):
+    """One row as (near key, away key, flip keys): away on either side of
+    near, adjacent to it, a few floats off, a guessed bracket's width off or
+    anywhere (across -0.0/0.0 and binade ends), and an odd number of keys
+    between them at which the predicate flips, so near trades and away does
+    not and the predicate may turn more than once."""
+    x = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    kn = int(mech._order_key(np.array([draw(x)]))[0])
+    width = draw(st.one_of(st.sampled_from([1, 2, 63, 64, 65]), st.integers(3, 5000), st.just(None)))
+    if width is None:
+        ka = int(mech._order_key(np.array([draw(x)]))[0])
+    else:
+        ka = kn + draw(st.sampled_from([width, -width]))
+    assume(ka != kn and abs(ka) <= MAX_KEY)
+    lo, hi = (kn + 1, ka) if ka > kn else (ka, kn - 1)
+    count = draw(st.sampled_from([1, 1, 3, 5, 9]))
+    flips = draw(st.lists(st.integers(lo, hi), min_size=count, max_size=count))
+    return kn, ka, np.array(sorted(flips), dtype=np.int64)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(float_brackets(), min_size=1, max_size=12))
+def test_tree_bisection_matches_one_level_per_call(rows):
+    # rows of different widths close at different tree levels and rounds,
+    # and the walk must take the one-level-per-call path through every turn
+    kn, ka = (np.array(keys[::-1], dtype=np.int64) for keys in zip(*[r[:2] for r in rows]))
+    up = ka > kn
+    # flip keys per row, padded with keys no report passes on its way out
+    flips = np.array([np.pad(f, (0, 9 - len(f)), constant_values=np.iinfo(np.int64).max if ka > kn else np.iinfo(np.int64).min) for kn, ka, f in rows[::-1]])
+    idx = np.arange(len(rows)) + 3
+
+    def trades(idx, v):
+        k, f, u = mech._order_key(v)[:, None], flips[idx - 3], up[idx - 3]
+        return np.where(u, (f <= k).sum(axis=1), (f >= k).sum(axis=1)) % 2 == 0
+
+    near, away = mech._from_key(kn), mech._from_key(ka)
+    assert trades(idx, near).all() and not trades(idx, away).any()
+    got = mech._bisect_floats(trades, idx, near.copy(), away.copy())
+    want = ref.bisect_floats(trades, idx, near.copy(), away.copy())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
