@@ -222,26 +222,28 @@ def expected_positive_margin(inst: MarketInstance, i: int, samples: int = 10**5,
 def _margin_integral(db: Dist, phi: dst.IronedVirtual, ds: Dist) -> float:
     """E[(X - Y)^+] = integral of Pr[X > t] Pr[Y < t] dt for X = phi(b), b ~ db,
     and Y = s ~ ds, both continuous: Pr[X > t] = 1 - F(phi.inverse(t)), over
-    [min Y, max X] with edges at both supports' ends and, where phi is an
+    [min Y, max X] with edges at both supports' ends, at both sides'
+    `scale_points` (the buyer's mapped through phi) and, where phi is an
     ironed step function, at each of its levels (jumps of Pr[X > t])."""
     lo, hi = ds.support()
     top = phi(db.support()[1])
     if top <= lo:
         return 0.0
     levels = () if phi.exact else np.unique(phi.grid_virtuals)
-    edges = dst._inside([hi, phi(db.support()[0]), *levels], lo, top)
+    edges = dst._inside([hi, phi(db.support()[0]), *levels, *phi(dst.scale_points(db)), *dst.scale_points(ds)], lo, top)
     return dst.gauss_legendre(lambda t: (1.0 - _cdf(db, phi.inverse(t))) * _cdf(ds, t), edges)
 
 
 def _e_pos_vs_cost(ds: Dist, v: float) -> float:
-    """E[(v - s)^+] for cost distribution ds: the integral of G up to v."""
+    """E[(v - s)^+] for cost distribution ds: the integral of G up to v,
+    with edges at ds's `scale_points`."""
     if ds.kind == "discrete":
         return float(sum(p * (v - sv) for sv, p in zip(ds.values, ds.probs) if sv < v))
     lo, hi = ds.support()
     if v <= lo:
         return 0.0
     upper = min(v, hi)
-    return dst.gauss_legendre(lambda s: _cdf(ds, s), [lo, upper]) + max(0.0, v - hi)
+    return dst.gauss_legendre(lambda s: _cdf(ds, s), dst._inside(dst.scale_points(ds), lo, upper)) + max(0.0, v - hi)
 
 
 def separate_sale_bound(

@@ -350,13 +350,23 @@ def _inside(points, lo: float, hi: float) -> list[float]:
     return [lo, hi] + [float(v) for v in points if lo < v < hi]
 
 
+SCALE_LEVELS = (1e-9, 1e-6, 1e-3, 0.05, 0.25, 0.5, 0.75, 0.95, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9)
+
+
+def scale_points(d: Dist) -> np.ndarray:
+    """The quantiles of continuous d at SCALE_LEVELS: panel edges that follow
+    its mass from the body out to tails of 1e-9, wherever on a wide support
+    (an exponential truncated at 100 holds all but e^-20 below 20)."""
+    return d.ppf(np.asarray(SCALE_LEVELS))
+
+
 def trade_probability(buyer: Dist, seller: Dist) -> float:
     """Pr[b >= s] for independent b ~ buyer, s ~ seller.
 
     Exact double sum for discrete x discrete, single sums when one side is
     discrete; when both are continuous, the integral of g(s) (1 - F(s)) over
     the seller's support by `gauss_legendre`, with edges at the buyer's
-    support ends (where F kinks).
+    support ends (where F kinks) and both sides' `scale_points`.
     """
     if seller.kind == "discrete":
         svals = np.asarray(seller.values)
@@ -370,7 +380,7 @@ def trade_probability(buyer: Dist, seller: Dist) -> float:
         return float(np.dot(bp, [seller.cdf(b) for b in bvals]))
     val = gauss_legendre(
         lambda s: seller.pdf_fn(s) * (1.0 - np.clip(buyer.cdf_fn(s), 0.0, 1.0)),
-        _inside(buyer.support(), *seller.support()),
+        _inside([*buyer.support(), *scale_points(buyer), *scale_points(seller)], *seller.support()),
     )
     return float(min(1.0, max(0.0, val)))
 

@@ -188,42 +188,52 @@ def _mid_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _bisect_floats(trades, idx: np.ndarray, near: np.ndarray, away: np.ndarray) -> np.ndarray:
     """Per row of idx, where `near` trades and `away` does not, the trading
     end of the adjacent pair of floats between them at which `trades` flips:
-    bisection of the float order, TREE_DEPTH levels per array call.
-
-    Each call evaluates, for every row still open, the 2^TREE_DEPTH - 1
-    midpoints of the next TREE_DEPTH levels (the keys of a full bisection
-    tree between its bracket ends); the walk down that tree then takes the
-    path one call per level would, so the result is the same even where
-    `trades` turns more than once. Once a row's bracket is adjacent floats,
-    its midpoint is the bracket end whose answer is known, so the rest of
-    the walk keeps it. A bracket of 2^TREE_DEPTH floats closes in one call.
-    """
-    width = 1 << TREE_DEPTH
+    bisection of the float order (at most 64 steps), one array call per step
+    over the rows still open."""
     kn, ka = _order_key(near), _order_key(away)
     live = np.arange(len(idx))
-    while True:
+    while live.size:
         a, b = kn[live], ka[live]
         mid = _mid_key(a, b)
         keep = (mid != a) & (mid != b)
-        live, a, b = live[keep], a[keep], b[keep]
-        if not live.size:
-            return _from_key(kn)
-        # tree[:, j] is the key at position j of width; level l fills every
-        # (width >> l)-th position, halfway between the positions it splits
-        tree = np.empty((live.size, width + 1), dtype=np.int64)
-        tree[:, 0], tree[:, width] = a, b
-        step = width
-        while step > 1:
-            tree[:, step // 2::step] = _mid_key(tree[:, :-1:step], tree[:, step::step])
-            step //= 2
-        ok = trades(np.repeat(idx[live], width - 1), _from_key(tree[:, 1:width].ravel()))
-        ok = ok.reshape(live.size, width - 1)
-        row, node = np.arange(live.size), np.full(live.size, width // 2)
-        for level in range(TREE_DEPTH):
-            at, up = tree[row, node], ok[row, node - 1]
-            a, b = np.where(up, at, a), np.where(up, b, at)
-            node += np.where(up, width >> (level + 2), -(width >> (level + 2)))
-        kn[live], ka[live] = a, b
+        live, mid = live[keep], mid[keep]
+        if live.size:
+            ok = trades(idx[live], _from_key(mid))
+            kn[live[ok]], ka[live[~ok]] = mid[ok], mid[~ok]
+    return _from_key(kn)
+
+
+def _bisect_tree(trades, idx: np.ndarray, near: np.ndarray, away: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The next TREE_DEPTH levels of `_bisect_floats` in one array call: the
+    narrowed (near, away) per row, so a bracket of 2^TREE_DEPTH floats (a
+    guessed one) comes back as the adjacent pair where `trades` flips.
+
+    The call evaluates, per row, the 2^TREE_DEPTH - 1 midpoints of a full
+    bisection tree between the bracket ends; the walk down that tree takes
+    the path one call per level would, so the result is the same even where
+    `trades` turns more than once. Once a bracket is adjacent floats its
+    midpoint is the end whose answer is known, so the walk keeps it. Only
+    guessed brackets take this path: on a wide one it would evaluate about
+    ten times as many reports as one level per call, which costs more than
+    it saves wherever `trades` is not one cheap array operation.
+    """
+    width = 1 << TREE_DEPTH
+    a, b = _order_key(near), _order_key(away)
+    # tree[:, j] is the key at position j of width; level l fills every
+    # (width >> l)-th position, halfway between the positions it splits
+    tree = np.empty((len(idx), width + 1), dtype=np.int64)
+    tree[:, 0], tree[:, width] = a, b
+    step = width
+    while step > 1:
+        tree[:, step // 2::step] = _mid_key(tree[:, :-1:step], tree[:, step::step])
+        step //= 2
+    ok = trades(np.repeat(idx, width - 1), _from_key(tree[:, 1:width].ravel())).reshape(len(idx), width - 1)
+    row, node = np.arange(len(idx)), np.full(len(idx), width // 2)
+    for level in range(TREE_DEPTH):
+        at, up = tree[row, node], ok[row, node - 1]
+        a, b = np.where(up, at, a), np.where(up, b, at)
+        node += np.where(up, width >> (level + 2), -(width >> (level + 2)))
+    return _from_key(a), _from_key(b)
 
 
 def _threshold_search(trades, t: np.ndarray, far=None, atoms=None, floor=None, guess=None) -> np.ndarray:
@@ -239,7 +249,8 @@ def _threshold_search(trades, t: np.ndarray, far=None, atoms=None, floor=None, g
     flips, found by `_bisect_floats` between t and far. A `guess` of the cut
     per row (NaN: none) only narrows that bracket: when the row trades
     GUESS_ULPS floats on t's side of the guess and not as many on far's side
-    (both probes in one call), the bisection starts from those two floats.
+    (both probes in one call), one `_bisect_tree` call closes the bracket
+    between those two floats; the other rows bisect one level per call.
     """
     t = np.asarray(t, dtype=float)
     if atoms is not None:
@@ -266,7 +277,9 @@ def _threshold_search(trades, t: np.ndarray, far=None, atoms=None, floor=None, g
             gn, ga = _from_key(np.clip(kg - step, low, high)), _from_key(np.clip(kg + step, low, high))
             ok = trades(np.concatenate((idx[j], idx[j])), np.concatenate((gn, ga)))
             hit = ok[:j.size] & ~ok[j.size:]
-            near[j], away[j] = np.where(hit, gn, near[j]), np.where(hit, ga, away[j])
+            j, gn, ga = j[hit], gn[hit], ga[hit]
+            if j.size:
+                near[j], away[j] = _bisect_tree(trades, idx[j], gn, ga)
     out[idx] = _bisect_floats(trades, idx, near, away)
     return out
 

@@ -2,15 +2,17 @@
 `distributions.gauss_legendre` computes: the trade probability of two
 continuous distributions and the expected positive margin E[(phi(b) - s)^+].
 
-Each is a sum of scalar `scipy.integrate.quad` calls with epsabs 1e-13, one
-per piece between the kinks of its integrand and the integration variable's
-quartiles (so the adaptive rule sees where the mass is). A positive piece
-spanning more than a decade is integrated in log space, s = e^x.
+Each integral is a sum of scalar `scipy.integrate.quad` calls with epsabs
+1e-13, one per piece between the kinks of its integrand and the integration
+variable's quartiles (so the adaptive rule sees where the mass is). A
+positive piece spanning more than a decade is integrated in log space,
+s = e^x. The margin is computed in the nested form over the buyer's value,
+so it shares no step with the one-integral form that inverts phi.
 """
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 EPSABS = 1e-13
 
@@ -42,18 +44,35 @@ def trade_probability(buyer, seller):
     return _quad(lambda s: seller.pdf(s) * (1.0 - _cdf(buyer, s)), lo, hi, [*buyer.support(), *_quantiles(seller)])
 
 
-def expected_positive_margin(buyer, phi, seller):
-    """E[(phi(b) - s)^+] = integral of Pr[phi(b) > t] Pr[s < t] dt, with
-    Pr[phi(b) > t] = 1 - F(phi.inverse(t))."""
+def _e_pos(seller, x):
+    """E[(x - s)^+]: the integral of G from the seller's lower end up to x."""
     lo, hi = seller.support()
-    top = phi(buyer.support()[1])
-    if top <= lo:
+    if x <= lo:
         return 0.0
-    levels = [] if phi.exact else list(np.unique(phi.grid_virtuals))
-    virt = [float(phi(v)) for v in _quantiles(buyer)]
-    return _quad(
-        lambda t: (1.0 - _cdf(buyer, float(phi.inverse(np.array([t]))[0]))) * _cdf(seller, t),
-        lo,
-        top,
-        [hi, phi(buyer.support()[0]), *levels, *virt, *_quantiles(seller)],
-    )
+    return _quad(lambda t: _cdf(seller, t), lo, min(x, hi), _quantiles(seller)) + max(0.0, x - hi)
+
+
+def expected_positive_margin(buyer, phi, seller):
+    """E[(phi(b) - s)^+] in the nested form: the integral over b of
+    f(b) E[(phi(b) - s)^+]. phi is evaluated, never inverted.
+
+    A closed-form phi is integrated over the buyer's support, with points
+    where phi(b) crosses the seller's support ends. An ironed phi is a step
+    function of b, stepping at each grid value less 1e-9 (as it is
+    evaluated), so each step adds its buyer mass times the inner expectation
+    at its level."""
+    lo, hi = seller.support()
+    blo, bhi = buyer.support()
+    if phi.exact:
+        cross = [optimize.brentq(lambda b: phi(b) - c, blo, bhi, xtol=1e-15) for c in (lo, hi) if phi(blo) < c < phi(bhi)]
+        return _quad(lambda b: buyer.pdf(b) * _e_pos(seller, phi(b)), blo, bhi, [*cross, *_quantiles(buyer)])
+    grid = np.asarray(phi.grid_values, dtype=float)
+    levels = phi(grid)
+    step = np.flatnonzero(np.diff(levels) != 0.0) + 1
+    ends = [blo, *(grid[step] - 1e-9), bhi]
+    cells = [phi(blo), *levels[step]]
+    # all the mass lies on the support: lognormal's numerical truncation
+    # leaves 1e-12 outside, which a top level of 2306 (lognormal(0, 2.5))
+    # would turn into 2e-9
+    cdf = [0.0, *(_cdf(buyer, e) for e in ends[1:-1]), 1.0]
+    return sum((b - a) * _e_pos(seller, float(y)) for a, b, y in zip(cdf[:-1], cdf[1:], cells))

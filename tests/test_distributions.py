@@ -91,7 +91,10 @@ QUAD_FAMILIES = {
     "uniform-negative": lambda: dst.uniform(-0.5, 1.5),
     "exponential-4": lambda: dst.exponential_truncated(4.0),
     "exponential-6": lambda: dst.exponential_truncated(6.0),
+    "exponential-50": lambda: dst.exponential_truncated(50.0),
+    "exponential-100": lambda: dst.exponential_truncated(100.0),
     "exponential-reversed": lambda: dst.exponential_truncated_reversed(4.0),
+    "exponential-reversed-100": lambda: dst.exponential_truncated_reversed(100.0),
     "lognormal-0.5": lambda: dst.lognormal(0.0, 0.5),
     "lognormal-2.5": lambda: dst.lognormal(0.0, 2.5),
 }
@@ -100,7 +103,8 @@ QUAD_FAMILIES = {
 @pytest.mark.parametrize("buyer", sorted(QUAD_FAMILIES))
 def test_gauss_legendre_integrals_match_tight_quad(buyer):
     # both fixed-rule integrals, over every seller family, within 1e-9 of
-    # scipy's adaptive quad at epsabs 1e-13
+    # scipy's adaptive quad at epsabs 1e-13; exponentials truncated at 50
+    # and 100 keep nearly all their mass in the first fifth of the support
     b = QUAD_FAMILIES[buyer]()
     phi = dst.iron(b, "buyer")
     for name, make in sorted(QUAD_FAMILIES.items()):

@@ -26,16 +26,31 @@ def _bits(traded, buyer_payment, seller_payments, gft):
     return tuple(int(i) for i in traded), float(buyer_payment).hex(), tuple(float(p).hex() for p in seller_payments), float(gft).hex()
 
 
-def assert_rows_match(m, B, S, reference, coins=None):
-    """outcome_batch rows, run_batch and run() all equal the reference."""
+def assert_rows_match(m, B, S, reference, coins=None, turns=None):
+    """outcome_batch rows, run_batch and run() all equal the reference.
+
+    `turns(r, centers)`, given for a one-seller market, lists the floats near
+    the centers at which row r's threshold test turns off towards the far
+    end. Where the batch threshold payment differs from the reference's, both
+    must be such turns, and there must be more than one: closed-form
+    virtuals can make the test turn several times within a few ulps, and
+    each search may end on another of them. Everything else still matches
+    bit for bit, a buyer payment equal to the reference threshold moving
+    with it."""
     X, pay_b, pay_S = m.outcome_batch(B, S, coins)
     gft = m.run_batch(B, S, coins=coins)
     for r in range(len(B)):
         c = None if coins is None else coins[r]
         want = _bits(*reference(m, B[r], S[r]) if c is None else reference(m, B[r], S[r], c))
+        got = _bits(np.flatnonzero(X[r]), pay_b[r], pay_S[r], gft[r])
         o = m.run(B[r], S[r], coins=c)
-        assert _bits(o.traded, o.buyer_payment, o.seller_payments, o.gft) == want, (B[r], S[r])
-        assert _bits(np.flatnonzero(X[r]), pay_b[r], pay_S[r], gft[r]) == want, (B[r], S[r])
+        assert _bits(o.traded, o.buyer_payment, o.seller_payments, o.gft) == got, (B[r], S[r])
+        if turns is not None and got[2] != want[2]:
+            (g,), (w,) = got[2], want[2]
+            at = {v.hex() for v in turns(r, [float.fromhex(g), float.fromhex(w)])}
+            assert len(at) > 1 and g in at and w in at, (B[r], S[r], g, w)
+            want = (want[0], g if want[1] == w else want[1], (g,), want[3])
+        assert got == want, (B[r], S[r])
 
 
 def _constraint(kind: str, n: int) -> fea.Constraint:
@@ -114,36 +129,23 @@ def _turns(trades, centers, toward):
 
 
 def test_kernels_match_reference_on_exponential_pair():
-    # bit for bit wherever the row's threshold predicate turns once near the
+    # bit for bit wherever the row's threshold test turns once near the
     # threshold. Where closed-form rounding makes it turn several times within
     # a few ulps (about 0.5% of exponential_truncated costs), both searches end
     # on such turns, as in test_trade_willing_cut_matches_bisection
     inst = instances.example_a1(4.0)
     B, S = inst.sample_profiles(np.random.default_rng(5), 60)
     assert_rows_match(mech.Fpp(inst, [1.5], [1.5]), B, S, ref.posted)
-    # (mechanism, reference, the report its threshold moves, direction to far)
-    for m, reference, moved, toward in (
-        (mech.BuyerOffering(inst), ref.buyer_offering, S, 1),
-        (mech.SellerOffering(inst), ref.seller_offering, B, -1),
-    ):
-        X, pay_b, pay_S = m.outcome_batch(B, S)
-        for r in range(len(B)):
-            traded, want_b, (want,), gft = reference(m, B[r], S[r])
-            o = m.run(B[r], S[r])
-            assert (o.traded, o.buyer_payment, o.seller_payments, o.gft) == (traded, pay_b[r], (pay_S[r, 0],), gft)
-            assert tuple(np.flatnonzero(X[r])) == traded
-            assert pay_b[r] == want_b or (m.name == "seller_offering" and pay_b[r] == pay_S[r, 0])
-            got = pay_S[r, 0]
-            if got != want:
+    bo, so = mech.BuyerOffering(inst), mech.SellerOffering(inst)
 
-                def trades(v, r=r, moved=moved):
-                    trial = np.repeat(moved[r:r + 1], len(v), axis=0)
-                    trial[:, 0] = v
-                    rows = (trial, np.repeat(S[r:r + 1], len(v), axis=0)) if moved is B else (np.repeat(B[r:r + 1], len(v), axis=0), trial)
-                    return m.allocation(*rows)[:, 0]
+    def bo_turns(r, centers):  # the seller's cost moves up
+        return _turns(lambda v: bo.allocation(np.repeat(B[r:r + 1], len(v), axis=0), v[:, None])[:, 0], centers, 1)
 
-                turns = _turns(trades, [got, want], toward)
-                assert len(turns) > 1 and got in turns and want in turns, (m.name, B[r], S[r], got, want)
+    def so_turns(r, centers):  # the buyer's value moves down
+        return _turns(lambda v: so.allocation(v[:, None], np.repeat(S[r:r + 1], len(v), axis=0))[:, 0], centers, -1)
+
+    assert_rows_match(bo, B, S, ref.buyer_offering, turns=bo_turns)
+    assert_rows_match(so, B, S, ref.seller_offering, turns=so_turns)
 
 
 def test_kernels_match_reference_on_mixed_seller_market():
@@ -437,7 +439,8 @@ def float_brackets(draw):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.lists(float_brackets(), min_size=1, max_size=12))
 def test_tree_bisection_matches_one_level_per_call(rows):
-    # rows of different widths close at different tree levels and rounds,
+    # one tree call (as on a guessed bracket) and then one level per call:
+    # rows of different widths close at different tree levels or after it,
     # and the walk must take the one-level-per-call path through every turn
     kn, ka = (np.array(keys[::-1], dtype=np.int64) for keys in zip(*[r[:2] for r in rows]))
     up = ka > kn
@@ -451,6 +454,10 @@ def test_tree_bisection_matches_one_level_per_call(rows):
 
     near, away = mech._from_key(kn), mech._from_key(ka)
     assert trades(idx, near).all() and not trades(idx, away).any()
-    got = mech._bisect_floats(trades, idx, near.copy(), away.copy())
+    tn, ta = mech._bisect_tree(trades, idx, near.copy(), away.copy())
+    got = mech._bisect_floats(trades, idx, tn, ta)
     want = ref.bisect_floats(trades, idx, near.copy(), away.copy())
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the tree call alone closes every bracket of at most 2^TREE_DEPTH floats
+    narrow = np.array([abs(a - n) <= 1 << mech.TREE_DEPTH for n, a, _ in rows[::-1]])
+    assert (np.abs(mech._order_key(ta) - mech._order_key(tn))[narrow] == 1).all()
