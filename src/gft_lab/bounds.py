@@ -17,10 +17,10 @@ import numpy as np
 
 from . import distributions as dst
 from . import feasibility as fea
-from .distributions import Dist
+from .distributions import Dist, _ordered_sum
 from . import audits
 from .audits import _mean_stderr
-from .mechanisms import Fpp, MarketInstance, _cdf, _ordered_sum
+from .mechanisms import Fpp, MarketInstance
 
 __all__ = [
     "BenchmarkReport",
@@ -202,8 +202,9 @@ def opt_b(inst: MarketInstance, mode: str = "exact", samples: int = 10**5, seed:
     return _mean_stderr(rows(*inst.sample_profiles(rng, samples))(every, every))
 
 
-def expected_positive_margin(inst: MarketInstance, i: int, samples: int = 10**5, seed: int = 0) -> float:
-    """E[(phi_i(b_i) - s_i)^+] for one item, exact when the shapes allow."""
+def expected_positive_margin(inst: MarketInstance, i: int) -> float:
+    """E[(phi_i(b_i) - s_i)^+] for one item: a sum over the atoms of a
+    discrete buyer, else `_margin_integral`."""
     phi = inst.buyer_ironed[i]
     db, ds = inst.buyer_dists[i], inst.seller_dists[i]
     if db.kind == "discrete":
@@ -211,27 +212,24 @@ def expected_positive_margin(inst: MarketInstance, i: int, samples: int = 10**5,
         for v, pmass in zip(db.values, db.probs):
             total += pmass * _e_pos_vs_cost(ds, phi(v))
         return total
-    if ds.kind != "discrete":
-        return _margin_integral(db, phi, ds)
-    rng = np.random.default_rng(seed)
-    bs = db.sample(rng, samples)
-    ss = ds.sample(rng, samples)
-    return float(np.maximum(phi(bs) - ss, 0.0).mean())
+    return _margin_integral(db, phi, ds)
 
 
 def _margin_integral(db: Dist, phi: dst.IronedVirtual, ds: Dist) -> float:
-    """E[(X - Y)^+] = integral of Pr[X > t] Pr[Y < t] dt for X = phi(b), b ~ db,
-    and Y = s ~ ds, both continuous: Pr[X > t] = 1 - F(phi.inverse(t)), over
-    [min Y, max X] with edges at both supports' ends, at both sides'
-    `scale_points` (the buyer's mapped through phi) and, where phi is an
-    ironed step function, at each of its levels (jumps of Pr[X > t])."""
+    """E[(X - Y)^+] = integral of Pr[X > t] Pr[Y < t] dt for X = phi(b), b ~ db
+    continuous, and Y = s ~ ds: Pr[X > t] = 1 - F(phi.inverse(t)), over
+    [min Y, max X] with edges at both supports' ends, at the buyer's
+    `scale_points` mapped through phi, at the seller's `scale_points` (its
+    atoms, where Pr[Y < t] jumps, if discrete) and, where phi is an ironed
+    step function, at each of its levels (jumps of Pr[X > t])."""
     lo, hi = ds.support()
     top = phi(db.support()[1])
     if top <= lo:
         return 0.0
     levels = () if phi.exact else np.unique(phi.grid_virtuals)
-    edges = dst._inside([hi, phi(db.support()[0]), *levels, *phi(dst.scale_points(db)), *dst.scale_points(ds)], lo, top)
-    return dst.gauss_legendre(lambda t: (1.0 - _cdf(db, phi.inverse(t))) * _cdf(ds, t), edges)
+    marks = ds.values if ds.kind == "discrete" else dst.scale_points(ds)
+    edges = dst._inside([hi, phi(db.support()[0]), *levels, *phi(dst.scale_points(db)), *marks], lo, top)
+    return dst.gauss_legendre(lambda t: db.tail(phi.inverse(t)) * ds.below(t), edges)
 
 
 def _e_pos_vs_cost(ds: Dist, v: float) -> float:
@@ -243,18 +241,16 @@ def _e_pos_vs_cost(ds: Dist, v: float) -> float:
     if v <= lo:
         return 0.0
     upper = min(v, hi)
-    return dst.gauss_legendre(lambda s: _cdf(ds, s), dst._inside(dst.scale_points(ds), lo, upper)) + max(0.0, v - hi)
+    return dst.gauss_legendre(ds.cdf, dst._inside(dst.scale_points(ds), lo, upper)) + max(0.0, v - hi)
 
 
-def separate_sale_bound(
-    inst: MarketInstance, L: Iterable[int], samples: int = 10**5, seed: int = 0
-) -> float:
+def separate_sale_bound(inst: MarketInstance, L: Iterable[int]) -> float:
     """max(1, log2 |L|) * sum over L of E[(phi_i(b_i) - s_i)^+]."""
     L = sorted(set(int(i) for i in L))
     if not L:
         return 0.0
     factor = max(1.0, math.log2(len(L)))
-    return factor * sum(expected_positive_margin(inst, i, samples, seed + 13 * i) for i in L)
+    return factor * sum(expected_positive_margin(inst, i) for i in L)
 
 
 def sb_gft_upper(inst: MarketInstance, samples: int = 10**5, seed: int = 0) -> float:
@@ -265,7 +261,7 @@ def sb_gft_upper(inst: MarketInstance, samples: int = 10**5, seed: int = 0) -> f
         ob = opt_b(inst, "exact")
     else:
         ob = opt_b(inst, "mc", samples, seed)[0]
-    mid = separate_sale_bound(inst, L, samples, seed + 1)
+    mid = separate_sale_bound(inst, L)
     if not H:
         fbh = 0.0
     else:

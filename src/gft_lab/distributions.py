@@ -40,6 +40,7 @@ __all__ = [
     "upper_quantile",
     "trade_probability",
     "gauss_legendre",
+    "partial_mean",
     "buyer_virtual",
     "seller_virtual",
     "iron",
@@ -56,51 +57,77 @@ class Dist:
     increasing values, masses summing to 1 within 1e-12).
 
     kind == "continuous": ``cdf_fn``, ``pdf_fn``, ``quantile_fn`` are numpy
-    array functions with support [lo, hi]: each accepts an array and acts
-    elementwise, and each also accepts a Python float. Point masses inside
-    continuous inputs are not representable; model them as discrete atoms.
+    closures with support [lo, hi], each acting elementwise on an array.
+    Point masses inside continuous inputs are not representable; model them
+    as discrete atoms.
+
+    Every query (``cdf``, ``below``, ``tail``, ``pdf``, ``ppf``) is
+    elementwise: a float in gives a float out, an array gives an array of its
+    shape. They fix the probability convention in one place: a continuous cdf
+    is clamped to [0, 1]; an atom within ATOL of v counts as at v, and atom
+    masses add in index order. No other module reads the closures.
     """
 
     kind: str
     values: tuple[float, ...] = ()
     probs: tuple[float, ...] = ()
-    cdf_fn: Callable[[float], float] | None = None
-    pdf_fn: Callable[[float], float] | None = None
-    quantile_fn: Callable[[float], float] | None = None
+    cdf_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    pdf_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    quantile_fn: Callable[[np.ndarray], np.ndarray] | None = None
     lo: float = 0.0
     hi: float = 0.0
     name: str = ""
     params: tuple[tuple[str, float], ...] = field(default=(), compare=False)
 
-    # -- shared probability helpers -------------------------------------
+    # -- elementwise probability queries ----------------------------------
 
-    def cdf(self, v: float) -> float:
+    def cdf(self, v):
         """Pr[X <= v]."""
-        if self.kind == "discrete":
-            vals = np.asarray(self.values)
-            return float(np.sum(np.asarray(self.probs)[vals <= v + ATOL]))
-        return float(min(1.0, max(0.0, self.cdf_fn(v))))
+        return self._prob(v, lambda a, x: a <= x + ATOL)
 
-    def tail(self, v: float) -> float:
+    def below(self, v):
+        """Pr[X < v]."""
+        return self._prob(v, lambda a, x: a < x - ATOL)
+
+    def tail(self, v):
         """Pr[X >= v]."""
-        if self.kind == "discrete":
-            vals = np.asarray(self.values)
-            return float(np.sum(np.asarray(self.probs)[vals >= v - ATOL]))
-        return 1.0 - self.cdf(v)
+        return self._prob(v, lambda a, x: a >= x - ATOL, upper=True)
 
-    def pdf(self, v: float) -> float:
+    def _prob(self, v, counts, upper: bool = False):
+        """The mass of the atoms a with counts(a, v), summed in index order;
+        for a continuous Dist the cdf at v clamped to [0, 1], or 1 less it if
+        upper."""
         if self.kind == "discrete":
-            raise ValueError("density undefined for discrete Dist; use mass()")
-        return float(self.pdf_fn(v))
+            x = np.asarray(v, dtype=float)[..., None]
+            out = _ordered_sum(np.where(counts(np.asarray(self.values), x), self.probs, 0.0), axis=-1)
+        else:
+            c = self.cdf_fn(v)
+            if isinstance(c, np.ndarray):
+                c = np.where(c > 0.0, c, 0.0)
+                c = np.where(c < 1.0, c, 1.0)
+            else:  # the same two comparisons (NaN to 0 as well), without numpy's per-call cost
+                c = min(1.0, max(0.0, c))
+            out = 1.0 - c if upper else c
+        return _scalar_or_array(out)
 
-    def mass(self, v: float) -> float:
-        """Probability mass at an atom (0 if v is not an atom)."""
-        if self.kind != "discrete":
-            return 0.0
-        for val, p in zip(self.values, self.probs):
-            if abs(val - v) <= ATOL * max(1.0, abs(v)):
-                return p
-        return 0.0
+    def pdf(self, v):
+        """The density of a continuous Dist."""
+        if self.kind == "discrete":
+            raise ValueError("density undefined for discrete Dist")
+        out = self.pdf_fn(v)  # no helper call: scalar quad integrands call this per point
+        return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+
+    def ppf(self, u):
+        """The generalized-inverse cdf at levels u, clipped to [0, 1]."""
+        u = np.asarray(u, dtype=float)
+        if self.kind == "discrete":
+            cum = np.cumsum(self.probs)
+            idx = np.searchsorted(cum, u - ATOL, side="left")
+            idx = np.minimum(idx, len(self.values) - 1)
+            out = np.asarray(self.values)[idx]
+        else:
+            out = np.asarray(self.quantile_fn(np.clip(u, 0.0, 1.0)), dtype=float)
+        return _scalar_or_array(out)
 
     def support(self) -> tuple[float, float]:
         if self.kind == "discrete":
@@ -110,27 +137,22 @@ class Dist:
     def mean(self) -> float:
         if self.kind == "discrete":
             return float(np.dot(self.values, self.probs))
-        from scipy import integrate
-
-        val, _ = integrate.quad(lambda v: v * self.pdf_fn(v), self.lo, self.hi, limit=200)
-        return val
+        return partial_mean(self, self.hi)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Inverse-transform sampling, so equal seeds couple across calls."""
         u = rng.random(size)
         return self.ppf(u)
 
-    def ppf(self, u):
-        """Vectorized generalized-inverse cdf."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "discrete":
-            cum = np.cumsum(self.probs)
-            idx = np.searchsorted(cum, u - ATOL, side="left")
-            idx = np.minimum(idx, len(self.values) - 1)
-            out = np.asarray(self.values)[idx]
-        else:
-            out = np.asarray(self.quantile_fn(np.clip(u, 0.0, 1.0)), dtype=float)
-        return out if out.shape else float(out)
+
+def _scalar_or_array(out):
+    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+
+
+def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along `axis` in index order, bit for bit a running `total += t`
+    from 0.0 (np.sum adds pairwise, in a different order)."""
+    return np.cumsum(a, axis=axis).take(-1, axis=axis) + 0.0
 
 
 # -- constructors --------------------------------------------------------
@@ -163,8 +185,6 @@ def uniform(lo: float, hi: float) -> Dist:
     if not hi > lo:
         raise ValueError("need hi > lo")
     w = hi - lo
-    # The in-support masks are booleans used as 0/1 in arithmetic, so the
-    # density of a Python float is a Python float and no np.where is needed.
     return Dist(
         kind="continuous",
         cdf_fn=lambda v: (v - lo) / w,
@@ -285,13 +305,7 @@ def quantile(d: Dist, q: float) -> float:
     """Generalized inverse cdf: inf{v : cdf(v) >= q}."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile level {q} outside [0,1]")
-    if d.kind == "discrete":
-        cum = np.cumsum(d.probs)
-        idx = int(np.searchsorted(cum, q - ATOL, side="left"))
-        return d.values[min(idx, len(d.values) - 1)]
-    if q <= 0.0:
-        return d.lo
-    return float(d.quantile_fn(min(q, 1.0)))
+    return d.lo if q <= 0.0 and d.kind == "continuous" else d.ppf(q)
 
 
 def upper_quantile(d: Dist, q: float) -> float:
@@ -302,7 +316,7 @@ def upper_quantile(d: Dist, q: float) -> float:
         tails = 1.0 - np.concatenate(([0.0], np.cumsum(d.probs)[:-1]))
         ok = np.nonzero(tails >= q - ATOL)[0]
         return d.values[int(ok[-1])]
-    return float(d.quantile_fn(max(0.0, 1.0 - q)))
+    return d.ppf(1.0 - q)
 
 
 # -- trade probability -----------------------------------------------------
@@ -360,26 +374,31 @@ def scale_points(d: Dist) -> np.ndarray:
     return d.ppf(np.asarray(SCALE_LEVELS))
 
 
+def partial_mean(d: Dist, x: float) -> float:
+    """The integral of v f(v) dv over [lo, x] for continuous d, by
+    `gauss_legendre` with edges at its `scale_points` and at hi (where a
+    truncated density drops to 0). At x = hi it is the mean; at quantile(d, w)
+    it is the integral of the quantile function over [0, w]."""
+    if x <= d.lo:
+        return 0.0
+    return gauss_legendre(lambda v: v * d.pdf(v), _inside([*scale_points(d), d.hi], d.lo, x))
+
+
 def trade_probability(buyer: Dist, seller: Dist) -> float:
     """Pr[b >= s] for independent b ~ buyer, s ~ seller.
 
-    Exact double sum for discrete x discrete, single sums when one side is
-    discrete; when both are continuous, the integral of g(s) (1 - F(s)) over
-    the seller's support by `gauss_legendre`, with edges at the buyer's
-    support ends (where F kinks) and both sides' `scale_points`.
+    A discrete side is a sum over its atoms: Pr[b >= s] at each seller atom,
+    or Pr[s <= b] at each buyer atom. When both are continuous, the integral
+    of g(s) Pr[b >= s] over the seller's support by `gauss_legendre`, with
+    edges at the buyer's support ends (where F kinks) and both sides'
+    `scale_points`.
     """
     if seller.kind == "discrete":
-        svals = np.asarray(seller.values)
-        sp = np.asarray(seller.probs)
-        tails = np.array([buyer.tail(s) for s in svals])
-        return float(np.dot(sp, tails))
+        return float(np.dot(seller.probs, buyer.tail(np.asarray(seller.values))))
     if buyer.kind == "discrete":
-        bvals = np.asarray(buyer.values)
-        bp = np.asarray(buyer.probs)
-        # continuous seller: Pr[s <= b] = G(b)
-        return float(np.dot(bp, [seller.cdf(b) for b in bvals]))
+        return float(np.dot(buyer.probs, seller.cdf(np.asarray(buyer.values))))
     val = gauss_legendre(
-        lambda s: seller.pdf_fn(s) * (1.0 - np.clip(buyer.cdf_fn(s), 0.0, 1.0)),
+        lambda s: seller.pdf(s) * buyer.tail(s),
         _inside([*buyer.support(), *scale_points(buyer), *scale_points(seller)], *seller.support()),
     )
     return float(min(1.0, max(0.0, val)))
@@ -388,60 +407,51 @@ def trade_probability(buyer: Dist, seller: Dist) -> float:
 # -- virtual values ---------------------------------------------------------
 
 
-def _discrete_index(d: Dist, v: float) -> int:
-    for k, val in enumerate(d.values):
-        if abs(val - v) <= 1e-9 * max(1.0, abs(v)):
-            return k
-    raise ValueError(f"{v} is not a support point")
+def _atom_virtuals(d: Dist, side: str) -> np.ndarray:
+    """The raw virtuals at every atom of a discrete d (the conventions of
+    buyer_virtual / seller_virtual)."""
+    v, p = np.asarray(d.values), np.asarray(d.probs)
+    out = v.copy()
+    if side == "buyer":  # Pr[X > v_k], summed down from the top atom
+        out[:-1] -= np.diff(v) * np.cumsum(p[::-1])[::-1][1:] / p[:-1]
+    else:  # Pr[X < v_k]
+        out[1:] += np.diff(v) * np.cumsum(p)[:-1] / p[1:]
+    return out
 
 
-def _density_and_cdf(d: Dist, v, what: str):
-    """Density and cdf of a continuous Dist at v, a float or an array (then
-    both are arrays); raises if any density is <= 0."""
-    if isinstance(v, np.ndarray):
-        f = d.pdf_fn(v)
-        bad = f <= 0
-        if np.any(bad):
-            raise ValueError(f"zero density at {v[bad][0]}; {what} undefined")
-        return f, np.clip(d.cdf_fn(v), 0.0, 1.0)
+def _virtual(d: Dist, v, side: str):
+    """buyer_virtual / seller_virtual, elementwise over v."""
+    if d.kind == "discrete":
+        x = np.asarray(v, dtype=float)
+        hit = np.abs(np.asarray(d.values) - x[..., None]) <= 1e-9 * np.maximum(1.0, np.abs(x))[..., None]
+        found = hit.any(axis=-1)
+        if not found.all():
+            raise ValueError(f"{x[~found][0]} is not a support point")
+        return _scalar_or_array(_atom_virtuals(d, side)[hit.argmax(axis=-1)])
     f = d.pdf(v)
-    if f <= 0:
-        raise ValueError(f"zero density at {v}; {what} undefined")
-    return f, d.cdf(v)
+    bad = np.asarray(f) <= 0
+    if bad.any():
+        at = np.asarray(v, dtype=float)[bad][0]
+        raise ValueError(f"zero density at {at}; virtual {'value' if side == 'buyer' else 'cost'} undefined")
+    return _scalar_or_array(v - d.tail(v) / f if side == "buyer" else v + d.cdf(v) / f)
 
 
 def buyer_virtual(d: Dist, b):
-    """Myerson buyer virtual value phi(b) = b - (1-F(b))/f(b).
+    """Myerson buyer virtual value phi(b) = b - (1-F(b))/f(b), elementwise.
 
     Discrete convention: phi(v_k) = v_k - (v_{k+1}-v_k) * Pr[X > v_k] / f(v_k),
-    with phi = value at the top atom. A continuous Dist also takes an array of
-    values and returns an array.
+    with phi = value at the top atom; b must be atoms (to 1e-9 relative).
     """
-    if d.kind == "discrete":
-        k = _discrete_index(d, b)
-        if k == len(d.values) - 1:
-            return d.values[k]
-        above = float(np.sum(d.probs[k + 1:]))
-        return d.values[k] - (d.values[k + 1] - d.values[k]) * above / d.probs[k]
-    f, cdf = _density_and_cdf(d, b, "virtual value")
-    return b - (1.0 - cdf) / f
+    return _virtual(d, b, "buyer")
 
 
 def seller_virtual(d: Dist, s):
-    """Myerson seller virtual cost tau(s) = s + G(s)/g(s).
+    """Myerson seller virtual cost tau(s) = s + G(s)/g(s), elementwise.
 
     Discrete convention: tau(v_k) = v_k + (v_k - v_{k-1}) * Pr[X < v_k] / g(v_k),
-    with tau = value at the bottom atom. A continuous Dist also takes an array
-    of costs and returns an array.
+    with tau = value at the bottom atom; s must be atoms (to 1e-9 relative).
     """
-    if d.kind == "discrete":
-        k = _discrete_index(d, s)
-        if k == 0:
-            return d.values[0]
-        below = float(np.sum(d.probs[:k]))
-        return d.values[k] + (d.values[k] - d.values[k - 1]) * below / d.probs[k]
-    g, cdf = _density_and_cdf(d, s, "virtual cost")
-    return s + cdf / g
+    return _virtual(d, s, "seller")
 
 
 # -- ironing ----------------------------------------------------------------
@@ -604,7 +614,8 @@ def iron(d: Dist, side: str) -> IronedVirtual:
     if d.kind == "discrete":
         vals = np.asarray(d.values)
         ironed = _iron_discrete(vals, np.asarray(d.probs), side)
-        return IronedVirtual(side, d, tuple(vals), tuple(ironed), exact=_is_monotone_match(d, side, ironed))
+        exact = bool(np.allclose(_atom_virtuals(d, side), ironed, atol=1e-9, rtol=1e-9))
+        return IronedVirtual(side, d, tuple(vals), tuple(ironed), exact=exact)
     # continuous: probe the raw virtual on an interior quantile grid
     vals = d.ppf((np.arange(IRON_GRID) + 0.5) / IRON_GRID)
     raw = (buyer_virtual if side == "buyer" else seller_virtual)(d, vals)
@@ -613,19 +624,6 @@ def iron(d: Dist, side: str) -> IronedVirtual:
     probs = np.full(IRON_GRID, 1.0 / IRON_GRID)
     ironed = _iron_discrete(vals, probs, side)
     return IronedVirtual(side, d, tuple(vals), tuple(ironed), exact=False)
-
-
-def _is_monotone_match(d: Dist, side: str, ironed: np.ndarray) -> bool:
-    """Whether ironing left the raw discrete virtuals (the conventions of
-    buyer_virtual / seller_virtual, all atoms at once) unchanged."""
-    v, p = np.asarray(d.values), np.asarray(d.probs)
-    raw = v.copy()
-    if side == "buyer":  # v_k - (v_{k+1} - v_k) Pr[X > v_k] / f(v_k); the top atom keeps v
-        above = np.cumsum(p[::-1])[::-1][1:]
-        raw[:-1] -= np.diff(v) * above / p[:-1]
-    else:  # v_k + (v_k - v_{k-1}) Pr[X < v_k] / g(v_k); the bottom atom keeps v
-        raw[1:] += np.diff(v) * np.cumsum(p)[:-1] / p[1:]
-    return bool(np.allclose(raw, ironed, atol=1e-9, rtol=1e-9))
 
 
 # -- quantile ladders and the pair check ------------------------------------

@@ -107,7 +107,7 @@ def example_a2(n: int, t: float, C: float = 1.0, eps: float = 0.01) -> MarketIns
 def equal_mass_discretize(d: Dist, grid: int = 64) -> Dist:
     """Replace a distribution by `grid` equally likely quantile midpoints."""
     us = (np.arange(grid) + 0.5) / grid
-    vals = np.array([dst.quantile(d, u) for u in us])
+    vals = d.ppf(us)
     uniq, inv = np.unique(np.round(vals, 12), return_inverse=True)
     probs = np.zeros(len(uniq))
     np.add.at(probs, inv, 1.0 / grid)

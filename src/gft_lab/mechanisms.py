@@ -30,7 +30,7 @@ import numpy as np
 
 from . import distributions as dst
 from . import feasibility as fea
-from .distributions import Dist, IronedVirtual
+from .distributions import Dist, IronedVirtual, _ordered_sum
 from .feasibility import Constraint
 
 TOL = 1e-9
@@ -132,12 +132,6 @@ class Outcome:
 # -> (X, buyer payments, seller payments) with X the realized allocation. The
 # per-profile methods below are views of them; each class binds them in its own
 # namespace, where perfbench/tracing.py wraps them.
-
-
-def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sum along `axis` in index order, bit for bit a running `total += t`
-    from 0.0 (np.sum adds pairwise, in a different order)."""
-    return np.cumsum(a, axis=axis).take(-1, axis=axis) + 0.0
 
 
 def _gft_rows(X: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -503,7 +497,7 @@ def unlikely_trade_rule(inst: MarketInstance, L: Iterable[int]) -> AllocationRul
 
     def others(S: np.ndarray) -> dict:
         """Per i in L, the product over the other L-items of Pr[b_j < s_j]."""
-        below = {j: _prob_below(inst.buyer_dists[j], S[..., j]) for j in L}
+        below = {j: inst.buyer_dists[j].below(S[..., j]) for j in L}
         out = {}
         for i in L:
             out[i] = 1.0
@@ -535,23 +529,6 @@ def unlikely_trade_rule(inst: MarketInstance, L: Iterable[int]) -> AllocationRul
     return AllocationRule(f"unlikely_trade({list(L)})", inst.n, fn, q_fn, q_cut)
 
 
-def _cdf(d: Dist, v: np.ndarray) -> np.ndarray:
-    """Dist.cdf of a continuous d, elementwise, with its clamping to [0, 1]."""
-    x = d.cdf_fn(v)
-    x = np.where(x > 0.0, x, 0.0)
-    return np.where(x < 1.0, x, 1.0)
-
-
-def _prob_below(d: Dist, v):
-    """Pr[X < v]; elementwise for an array v."""
-    if d.kind == "discrete":
-        below = np.asarray(d.values) < np.asarray(v, dtype=float)[..., None] - dst.ATOL
-        out = _ordered_sum(np.where(below, d.probs, 0.0), axis=-1)
-    else:
-        out = _cdf(d, np.asarray(v, dtype=float))
-    return out if np.ndim(v) else float(out)
-
-
 def _prob_trade_willing(d: Dist, phi: IronedVirtual, s: np.ndarray) -> np.ndarray:
     """Pr[b >= s and phi(b) >= s] for one item, elementwise over costs s."""
     if d.kind == "discrete":
@@ -563,7 +540,7 @@ def _prob_trade_willing(d: Dist, phi: IronedVirtual, s: np.ndarray) -> np.ndarra
     clears = phi(hi) >= y
     cut = np.full(y.shape, float(hi))
     cut[clears] = _virtual_cut(phi, y[clears], cut[clears])
-    return np.where(clears, 1.0 - _cdf(d, np.maximum(s, cut)), 0.0)
+    return np.where(clears, d.tail(np.maximum(s, cut)), 0.0)
 
 
 def _virtual_cut(phi: IronedVirtual, y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -621,9 +598,8 @@ class SappPriceMap:
         self._atoms = {}  # per discrete buyer item: atoms, cdf, Pr[b > atom], (positive) mass at atom
         for i, d in enumerate(inst.buyer_dists):
             if d.kind == "discrete":
-                mass = np.array([d.mass(v) for v in d.values])
-                above = np.array([d.tail(v) for v in d.values]) - mass
-                self._atoms[i] = (np.asarray(d.values), np.cumsum(d.probs), above, mass)
+                v, p = np.asarray(d.values), np.asarray(d.probs)
+                self._atoms[i] = (v, np.cumsum(p), d.tail(v) - p, p)
 
     def q(self, s) -> np.ndarray:
         return self._entry(s)[0]
@@ -785,7 +761,7 @@ class Sapp:
             return None
 
         def guess(rows):
-            afford = np.stack([_prob_below(d, B[rows, i] - TOL) for i, d in enumerate(self.inst.buyer_dists)], axis=-1)
+            afford = np.stack([d.below(B[rows, i] - TOL) for i, d in enumerate(self.inst.buyer_dists)], axis=-1)
             return self.pmap.rule.q_cut(S[rows], 2.0 * (1.0 - afford))
 
         return guess
@@ -856,10 +832,7 @@ class Sapp:
         """
         t = self._table
         S = t.S[:, None, :]
-        tau = np.column_stack([
-            np.array([dst.seller_virtual(d, v) for v in d.values])[np.searchsorted(d.values, t.S[:, i])]
-            for i, d in enumerate(self.inst.seller_dists)
-        ])[:, None, :]
+        tau = np.column_stack([dst.seller_virtual(d, t.S[:, i]) for i, d in enumerate(self.inst.seller_dists)])[:, None, :]
         w = np.outer(t.pS, t.pB)
 
         def total(per_profile) -> float:  # weighted, summed over (s, b) in row-major order

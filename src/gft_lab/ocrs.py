@@ -26,7 +26,7 @@ import numpy as np
 from . import distributions as dst
 from . import feasibility as fea
 from .feasibility import CapacityError, Constraint
-from .mechanisms import Cfpp, MarketInstance, _prob_below
+from .mechanisms import Cfpp, MarketInstance
 
 __all__ = [
     "GreedyOcrs",
@@ -352,25 +352,30 @@ def cfpp_prices(inst: MarketInstance, p: Sequence[float], q: Sequence[float], de
         raise ValueError("p and q must have one entry per item")
     if not fea.in_scaled_polytope(inst.constraint, q, 1.0):
         raise ValueError("q must lie in the constraint polytope")
+    pr_b, cap = _caps(inst, p)
     theta_s = np.empty(n)
     for i in range(n):
-        pr_b = inst.buyer_dists[i].tail(p[i])
-        cap = pr_b * _prob_below(inst.seller_dists[i], p[i])
-        if q[i] > cap + 1e-9:
-            raise ValueError(f"q[{i}] exceeds Pr[b >= p > s] = {cap:.6g}")
-        if pr_b <= 0.0 or q[i] <= 0.0:
-            lo = inst.seller_dists[i].support()[0]
-            theta_s[i] = lo - 1.0
+        if q[i] > cap[i] + 1e-9:
+            raise ValueError(f"q[{i}] exceeds Pr[b >= p > s] = {cap[i]:.6g}")
+        if pr_b[i] <= 0.0 or q[i] <= 0.0:
+            theta_s[i] = inst.seller_dists[i].support()[0] - 1.0
         else:
-            theta_s[i] = dst.quantile(inst.seller_dists[i], min(1.0, delta * q[i] / pr_b))
+            theta_s[i] = dst.quantile(inst.seller_dists[i], min(1.0, delta * q[i] / pr_b[i]))
     return CfppPrices(p.copy(), theta_s, delta * q, _scheme_for(inst.constraint, delta))
+
+
+def _caps(inst: MarketInstance, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per item, Pr[b_i >= p_i] and the activation cap Pr[b_i >= p_i > s_i]."""
+    pr_b = np.array([d.tail(x) for d, x in zip(inst.buyer_dists, p)])
+    return pr_b, pr_b * np.array([d.below(x) for d, x in zip(inst.seller_dists, p)])
 
 
 # -- activation search (Frank-Wolfe on the concave surrogate) --------------------
 
 
 def _h_integral(d: dst.Dist, w: float) -> float:
-    """int_0^w quantile_d(u) du, exact for discrete d."""
+    """int_0^w quantile_d(u) du: exact for discrete d, the partial mean up to
+    quantile(d, w) for continuous d."""
     if w <= 0.0:
         return 0.0
     if d.kind == "discrete":
@@ -384,10 +389,7 @@ def _h_integral(d: dst.Dist, w: float) -> float:
             if prev >= w:
                 break
         return total
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda u: dst.quantile(d, u), 0.0, min(w, 1.0), limit=200)
-    return float(val)
+    return dst.partial_mean(d, dst.quantile(d, min(w, 1.0)))
 
 
 def lower_bound_value(inst: MarketInstance, p: Sequence[float], q: Sequence[float]) -> float:
@@ -395,16 +397,13 @@ def lower_bound_value(inst: MarketInstance, p: Sequence[float], q: Sequence[floa
     with q clamped to its per-item cap."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    pr_b, cap = _caps(inst, p)
     total = 0.0
     for i in range(inst.n):
-        pr_b = inst.buyer_dists[i].tail(p[i])
-        if pr_b <= 0.0:
+        w = min(q[i], cap[i])
+        if pr_b[i] <= 0.0 or w <= 0.0:
             continue
-        cap = pr_b * _prob_below(inst.seller_dists[i], p[i])
-        w = min(q[i], cap)
-        if w <= 0.0:
-            continue
-        total += w * p[i] - pr_b * _h_integral(inst.seller_dists[i], w / pr_b)
+        total += w * p[i] - pr_b[i] * _h_integral(inst.seller_dists[i], w / pr_b[i])
     return float(total)
 
 
@@ -418,10 +417,7 @@ def optimize_q(
     polytope; the linear subproblem is a max-weight feasible set."""
     p = np.asarray(p, dtype=float)
     n = inst.n
-    pr_b = np.array([inst.buyer_dists[i].tail(p[i]) for i in range(n)])
-    cap = np.array(
-        [pr_b[i] * _prob_below(inst.seller_dists[i], p[i]) for i in range(n)]
-    )
+    pr_b, cap = _caps(inst, p)
     q = np.zeros(n)
 
     def grad(qv: np.ndarray) -> np.ndarray:

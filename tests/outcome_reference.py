@@ -157,7 +157,7 @@ def prob_trade_willing(d, phi, s):
     costs s, from the bisected cut."""
     lo, hi = d.support()
     cut = trade_willing_cut(d, phi, s)
-    return np.where(phi(hi) < s - TOL, 0.0, 1.0 - mech._cdf(d, np.maximum(s, cut)))
+    return np.where(phi(hi) < s - TOL, 0.0, 1.0 - d.cdf(np.maximum(s, cut)))
 
 
 def bisect_floats(trades, idx, near, away):

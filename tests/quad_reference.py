@@ -1,6 +1,7 @@
 """Tight adaptive-quadrature references for the two integrals that
 `distributions.gauss_legendre` computes: the trade probability of two
-continuous distributions and the expected positive margin E[(phi(b) - s)^+].
+continuous distributions and the expected positive margin E[(phi(b) - s)^+]
+of a continuous buyer against a continuous or discrete seller.
 
 Each integral is a sum of scalar `scipy.integrate.quad` calls with epsabs
 1e-13, one per piece between the kinks of its integrand and the integration
@@ -45,7 +46,10 @@ def trade_probability(buyer, seller):
 
 
 def _e_pos(seller, x):
-    """E[(x - s)^+]: the integral of G from the seller's lower end up to x."""
+    """E[(x - s)^+]: a sum over a discrete seller's atoms, else the integral
+    of G from the seller's lower end up to x."""
+    if seller.kind == "discrete":
+        return sum(p * (x - v) for v, p in zip(seller.values, seller.probs) if v < x)
     lo, hi = seller.support()
     if x <= lo:
         return 0.0
@@ -57,14 +61,16 @@ def expected_positive_margin(buyer, phi, seller):
     f(b) E[(phi(b) - s)^+]. phi is evaluated, never inverted.
 
     A closed-form phi is integrated over the buyer's support, with points
-    where phi(b) crosses the seller's support ends. An ironed phi is a step
+    where phi(b) crosses the seller's support ends (every atom of a discrete
+    seller, where the inner expectation kinks). An ironed phi is a step
     function of b, stepping at each grid value less 1e-9 (as it is
     evaluated), so each step adds its buyer mass times the inner expectation
     at its level."""
     lo, hi = seller.support()
     blo, bhi = buyer.support()
     if phi.exact:
-        cross = [optimize.brentq(lambda b: phi(b) - c, blo, bhi, xtol=1e-15) for c in (lo, hi) if phi(blo) < c < phi(bhi)]
+        marks = seller.values if seller.kind == "discrete" else (lo, hi)
+        cross = [optimize.brentq(lambda b: phi(b) - c, blo, bhi, xtol=1e-15) for c in marks if phi(blo) < c < phi(bhi)]
         return _quad(lambda b: buyer.pdf(b) * _e_pos(seller, phi(b)), blo, bhi, [*cross, *_quantiles(buyer)])
     grid = np.asarray(phi.grid_values, dtype=float)
     levels = phi(grid)

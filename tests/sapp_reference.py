@@ -1,7 +1,7 @@
 """Per-profile reference implementations of the SAPP price map and exact
 audits, kept as plain loops so the array code in `mechanisms` can be checked
 against them: one rule call per (buyer profile, seller profile), prices from
-`dst.quantile`, `d.tail` and `d.mass`, and every sum a running `+=`.
+`dst.quantile`, `d.tail` and the atom's own mass, and every sum a running `+=`.
 """
 import numpy as np
 
@@ -9,6 +9,14 @@ from gft_lab import distributions as dst
 from gft_lab import mechanisms as mech
 
 TOL = mech.TOL
+
+
+def mass(d, v):
+    """The mass of the atom at v (to 1e-12 relative), 0 if none."""
+    for val, p in zip(d.values, d.probs):
+        if abs(val - v) <= 1e-12 * max(1.0, abs(v)):
+            return p
+    return 0.0
 
 
 def entry(inst, rule, s):
@@ -25,8 +33,8 @@ def entry(inst, rule, s):
     alpha = np.zeros(inst.n)
     for i, d in enumerate(inst.buyer_dists):
         theta[i] = dst.quantile(d, 1.0 - q[i] / 2.0)
-        above = d.tail(theta[i]) - d.mass(theta[i])
-        m = d.mass(theta[i])
+        m = mass(d, theta[i])
+        above = d.tail(theta[i]) - m
         alpha[i] = 0.0 if m <= 0 else min(1.0, max(0.0, (q[i] / 2.0 - above) / m))
     return q, theta, alpha
 

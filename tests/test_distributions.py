@@ -3,6 +3,7 @@ Tests for the distribution toolkit: builders, quantiles, trade probability,
 virtual value transforms, ironing, quantile ladders, and the pair check.
 """
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 import quad_reference as qr
 from gft_lab import bounds
 from gft_lab import distributions as dst
+from gft_lab import feasibility as fea
+from gft_lab import mechanisms as mech
 
 
 def test_discrete_builder_invariants():
@@ -28,7 +31,7 @@ def test_discrete_builder_invariants():
 def test_discrete_builder_sorts_unsorted_input():
     d = dst.discrete([1.0, 0.0], [0.25, 0.75])
     assert tuple(d.values) == (0.0, 1.0)
-    assert math.isclose(d.mass(0.0), 0.75, abs_tol=1e-12)
+    assert math.isclose(d.cdf(0.0) - d.below(0.0), 0.75, abs_tol=1e-12)
 
 
 @given(st.floats(0.01, 0.99))
@@ -111,6 +114,25 @@ def test_gauss_legendre_integrals_match_tight_quad(buyer):
         s = make()
         assert abs(dst.trade_probability(b, s) - qr.trade_probability(b, s)) <= 1e-9, name
         assert abs(bounds._margin_integral(b, phi, s) - qr.expected_positive_margin(b, phi, s)) <= 1e-9, name
+
+
+DISCRETE_SELLERS = {
+    "three-costs": lambda: dst.discrete([0.2, 0.9, 1.6], [1.0 / 3.0] * 3),
+    "spread": lambda: dst.discrete([-0.3, 0.5, 2.0, 40.0], [0.1, 0.4, 0.3, 0.2]),
+    "point": lambda: dst.point_mass(0.4),
+}
+
+
+@pytest.mark.parametrize("buyer", sorted(QUAD_FAMILIES))
+def test_margin_against_discrete_seller_matches_tight_quad(buyer):
+    # a continuous buyer against atoms: the one integral with the atoms as
+    # edges, where Pr[Y < t] steps, within 1e-9 of the nested adaptive quad
+    b = QUAD_FAMILIES[buyer]()
+    phi = dst.iron(b, "buyer")
+    for name, make in sorted(DISCRETE_SELLERS.items()):
+        s = make()
+        inst = mech.market([b], [s], fea.additive([0]))
+        assert abs(bounds.expected_positive_margin(inst, 0) - qr.expected_positive_margin(b, phi, s)) <= 1e-9, name
 
 
 def test_gauss_legendre_is_exact_on_piecewise_polynomials():
@@ -337,3 +359,93 @@ def test_scalar_calls_return_python_floats():
             assert type(dst.buyer_virtual(d, mid)) is float
             assert type(dst.seller_virtual(d, mid)) is float
     assert not dst.iron(dst.lognormal(0.0, 2.5), "buyer").exact  # the ironed-grid path is covered
+
+
+# -- the elementwise probability API on Dist -----------------------------------
+
+ELEMENTWISE_FAMILIES = {
+    "uniform": lambda: dst.uniform(-0.5, 1.5),
+    "exponential-4": lambda: dst.exponential_truncated(4.0),
+    "exponential-100": lambda: dst.exponential_truncated(100.0),
+    "exponential-reversed-4": lambda: dst.exponential_truncated_reversed(4.0),
+    "exponential-reversed-100": lambda: dst.exponential_truncated_reversed(100.0),
+    "lognormal-0.5": lambda: dst.lognormal(0.0, 0.5),
+    "lognormal-2.5": lambda: dst.lognormal(0.0, 2.5),
+}
+_RANDOM_DISCRETE = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12, unique=True).flatmap(
+    lambda vals: st.lists(st.floats(0.01, 1.0), min_size=len(vals), max_size=len(vals)).map(
+        lambda ws: dst.discrete(vals, [w / sum(ws) for w in ws])
+    )
+)
+_DISTS = st.one_of(st.sampled_from(sorted(ELEMENTWISE_FAMILIES)).map(lambda k: ELEMENTWISE_FAMILIES[k]()), _RANDOM_DISCRETE)
+
+
+def _points(d: dst.Dist, inside_only: bool = False):
+    """Points inside the support, on atoms and ATOL/2 either side of them,
+    and outside the support, including +-inf. inside_only keeps the points a
+    virtual transform takes: inside a continuous support, or near atoms."""
+    lo, hi = d.support()
+    inside = st.floats(0.0, 1.0).map(lambda f: lo + f * (hi - lo))
+    if d.kind == "discrete":
+        near = st.sampled_from(d.values).flatmap(lambda a: st.sampled_from([a, a - dst.ATOL / 2, a + dst.ATOL / 2]))
+        inside = near if inside_only else st.one_of(inside, near)
+    if inside_only:
+        return inside
+    outside = st.one_of(
+        st.floats(1e-6, 100.0).map(lambda x: lo - x),
+        st.floats(1e-6, 100.0).map(lambda x: hi + x),
+        st.sampled_from([-math.inf, math.inf]),
+    )
+    return st.one_of(inside, outside)
+
+
+def _assert_same_bits(fn, xs):
+    """The array call equals the per-element float calls bit for bit, in
+    the array's shape."""
+    arr = fn(np.array(xs))
+    singles = [fn(x) for x in xs]
+    assert all(type(y) is float for y in singles)
+    assert isinstance(arr, np.ndarray) and arr.shape == (len(xs),)
+    assert [float(y).hex() for y in arr] == [y.hex() for y in singles]
+    assert np.array_equal(fn(np.array(xs).reshape(-1, 1)), arr.reshape(-1, 1), equal_nan=True)
+
+
+@given(d=_DISTS, data=st.data())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_elementwise_queries_match_float_calls_bit_for_bit(d, data):
+    xs = data.draw(st.lists(_points(d), min_size=1, max_size=24))
+    with np.errstate(invalid="ignore"):  # an exponential density at -inf is inf * 0
+        queries = [d.cdf, d.below, d.tail] + ([d.pdf] if d.kind == "continuous" else [])
+        for fn in queries:
+            _assert_same_bits(fn, xs)
+    x = np.array(xs)
+    assert np.all(np.abs(d.below(x) + d.tail(x) - 1.0) <= 1e-15)
+    us = data.draw(st.lists(st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0])), min_size=1, max_size=24))
+    _assert_same_bits(d.ppf, us)
+    vs = data.draw(st.lists(_points(d, inside_only=True), min_size=1, max_size=24))
+    for fn in (dst.buyer_virtual, dst.seller_virtual):
+        _assert_same_bits(lambda v: fn(d, v), vs)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.5, 1.5), (2.0, 40.0)])
+def test_uniform_mean_is_the_midpoint(lo, hi):
+    assert math.isclose(dst.uniform(lo, hi).mean(), (lo + hi) / 2.0, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("t", [0.5, 4.0, 10.0, 100.0])
+def test_exponential_truncated_mean_matches_closed_form(t):
+    lam = 1.0 / (1.0 - math.exp(-t))
+    assert math.isclose(dst.exponential_truncated(t).mean(), lam * (1.0 - (1.0 + t) * math.exp(-t)), rel_tol=1e-14)
+
+
+def test_only_distributions_reads_the_closures():
+    # every other module asks Dist's elementwise queries, so the clamp and
+    # the atom rule have one home
+    src = Path(dst.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "distributions.py":
+            text = path.read_text()
+            for attr in (".cdf_fn", ".pdf_fn", ".quantile_fn"):
+                assert attr not in text, f"{path.name} reads {attr}"
+    assert not any(hasattr(mech, name) for name in ("_cdf", "_prob_below"))
+    assert not hasattr(dst.Dist, "mass")

@@ -346,7 +346,7 @@ def test_trade_willing_cut_matches_bisection(name, data):
         y = s[r] - mech.TOL
         flips = _flips(phi, y, [cut[r], phi.inverse(np.array([y]))[0]])
         assert len(flips) > 1 and cut[r] in flips, (s[r], cut[r], flips)
-        assert got[r] in 1.0 - mech._cdf(d, np.maximum(s[r], flips)), (s[r], got[r], want[r])
+        assert got[r] in 1.0 - d.cdf(np.maximum(s[r], flips)), (s[r], got[r], want[r])
 
 
 @pytest.mark.parametrize("m", [6, 8, 10])
