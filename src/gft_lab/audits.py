@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import feasibility as fea
-from .mechanisms import MarketInstance, _ordered_sum, buyer_grid, seller_grid
+from .distributions import _ordered_sum
+from .mechanisms import MarketInstance, buyer_grid, seller_grid
 
 __all__ = [
     "estimate_gft",

@@ -101,12 +101,9 @@ class Dist:
             x = np.asarray(v, dtype=float)[..., None]
             out = _ordered_sum(np.where(counts(np.asarray(self.values), x), self.probs, 0.0), axis=-1)
         else:
-            c = self.cdf_fn(v)
-            if isinstance(c, np.ndarray):
-                c = np.where(c > 0.0, c, 0.0)
-                c = np.where(c < 1.0, c, 1.0)
-            else:  # the same two comparisons (NaN to 0 as well), without numpy's per-call cost
-                c = min(1.0, max(0.0, c))
+            c = np.asarray(self.cdf_fn(v), dtype=float)
+            c = np.where(c > 0.0, c, 0.0)
+            c = np.where(c < 1.0, c, 1.0)
             out = 1.0 - c if upper else c
         return _scalar_or_array(out)
 
@@ -114,8 +111,7 @@ class Dist:
         """The density of a continuous Dist."""
         if self.kind == "discrete":
             raise ValueError("density undefined for discrete Dist")
-        out = self.pdf_fn(v)  # no helper call: scalar quad integrands call this per point
-        return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+        return _scalar_or_array(self.pdf_fn(v))
 
     def ppf(self, u):
         """The generalized-inverse cdf at levels u, clipped to [0, 1]."""
