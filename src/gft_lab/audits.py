@@ -2,11 +2,10 @@
 balance, individual rationality, and seller incentive audits.
 
 Monte Carlo checks quote mean and standard error so callers can apply
-three-sigma bands; `with_rerun` implements the one-retry-at-4x policy used by
-the statistical test suite. Every audit is an array reduction of a
-mechanism's kernels: Monte Carlo paths call `run_batch` or `outcome_batch`
-once on all samples (with one coin per sample and item), and exact paths
-evaluate `expected_gft_rows`, which integrates coins, on the profile grid.
+three-sigma bands. Every audit is an array reduction of a mechanism's
+kernels: Monte Carlo paths call `run_batch` or `outcome_batch` once on all
+samples (with one coin per sample and item), and exact paths evaluate
+`expected_gft_rows`, which integrates coins, on the profile grid.
 `_grid_expectation` is the one reducer over that grid; the exact first best
 and `bounds.opt_b` / `bounds.brustle_sd_upper` use it too.
 """
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "dsic_audit_sellers",
     "AuditReport",
     "audit_report",
-    "with_rerun",
 ]
 
 GRID_CAP = 10**7
@@ -159,8 +157,6 @@ def dsic_audit_sellers(
     inst: MarketInstance,
     samples: int = 2000,
     seed: int = 0,
-    deviations: Sequence[np.ndarray] | None = None,
-    prefer_exact: bool = True,
 ) -> float:
     """Largest estimated expected gain from a unilateral seller misreport.
 
@@ -168,7 +164,7 @@ def dsic_audit_sellers(
     otherwise Monte Carlo with common random numbers (shared profiles, and
     shared coins for coin-flipping mechanisms) across deviations.
     """
-    if prefer_exact and inst.is_discrete and hasattr(mechanism, "exact_dsic_gain"):
+    if inst.is_discrete and hasattr(mechanism, "exact_dsic_gain"):
         return float(mechanism.exact_dsic_gain())
     B, S, coins = _sample(inst, samples, seed)
 
@@ -178,9 +174,8 @@ def dsic_audit_sellers(
 
     worst = -np.inf
     for i in range(inst.n):
-        grid = deviations[i] if deviations is not None else _deviation_grid(inst, i)
         truth = util(i, S)
-        for z in grid:
+        for z in _deviation_grid(inst, i):
             reports = S.copy()
             reports[:, i] = z
             worst = max(worst, float((util(i, reports) - truth).mean()))
@@ -216,11 +211,3 @@ def audit_report(mechanism, inst: MarketInstance, samples: int = 10**4, seed: in
     name = getattr(mechanism, "name", type(mechanism).__name__)
     return AuditReport(name, gft, err, bud.expost_min_slack, bud.exante_slack, bud.exante_stderr, bir, sir, exact)
 
-
-def with_rerun(check: Callable[[int], tuple[bool, str]], samples: int, factor: int = 4) -> tuple[bool, str]:
-    """Run a statistical check; on failure retry once with factor-x samples."""
-    ok, detail = check(samples)
-    if ok:
-        return ok, detail
-    ok2, detail2 = check(samples * factor)
-    return ok2, f"{detail2} (after {factor}x rerun; first try: {detail})"

@@ -114,7 +114,8 @@ class Dist:
         return _scalar_or_array(self.pdf_fn(v))
 
     def ppf(self, u):
-        """The generalized-inverse cdf at levels u, clipped to [0, 1]."""
+        """The generalized-inverse cdf at levels u, clipped to [0, 1]; a
+        continuous one is clamped to the support [lo, hi]."""
         u = np.asarray(u, dtype=float)
         if self.kind == "discrete":
             cum = np.cumsum(self.probs)
@@ -123,6 +124,8 @@ class Dist:
             out = np.asarray(self.values)[idx]
         else:
             out = np.asarray(self.quantile_fn(np.clip(u, 0.0, 1.0)), dtype=float)
+            out = np.where(out > self.lo, out, self.lo)
+            out = np.where(out < self.hi, out, self.hi)
         return _scalar_or_array(out)
 
     def support(self) -> tuple[float, float]:
@@ -201,7 +204,7 @@ def exponential_truncated(t: float) -> Dist:
     return Dist(
         kind="continuous",
         cdf_fn=lambda v: lam * (1.0 - np.exp(-v)),
-        pdf_fn=lambda v: lam * np.exp(-v) * ((v >= 0) & (v <= t)),
+        pdf_fn=lambda v: lam * np.exp(-np.clip(v, 0.0, t)) * ((v >= 0) & (v <= t)),
         quantile_fn=lambda q: -np.log(np.maximum(1.0 - q / lam, 1e-300)),
         lo=0.0,
         hi=t,
@@ -219,7 +222,7 @@ def exponential_truncated_reversed(t: float) -> Dist:
     return Dist(
         kind="continuous",
         cdf_fn=lambda v: lam * (np.exp(v - t) - emt),
-        pdf_fn=lambda v: lam * np.exp(v - t) * ((v >= 0) & (v <= t)),
+        pdf_fn=lambda v: lam * np.exp(np.clip(v, 0.0, t) - t) * ((v >= 0) & (v <= t)),
         quantile_fn=lambda q: t + np.log(q / lam + emt),
         lo=0.0,
         hi=t,
@@ -301,7 +304,7 @@ def quantile(d: Dist, q: float) -> float:
     """Generalized inverse cdf: inf{v : cdf(v) >= q}."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile level {q} outside [0,1]")
-    return d.lo if q <= 0.0 and d.kind == "continuous" else d.ppf(q)
+    return d.ppf(q)
 
 
 def upper_quantile(d: Dist, q: float) -> float:
@@ -477,15 +480,13 @@ class IronedVirtual:
         if self.exact and self.dist.kind == "continuous":
             fn = buyer_virtual if self.side == "buyer" else seller_virtual
             lo, hi = self.dist.support()
-            # isinstance, not np.ndim: scalars must stay off the array branch
-            v = np.clip(v, lo, hi) if isinstance(v, np.ndarray) else min(max(float(v), lo), hi)
-            return fn(self.dist, v)
+            return fn(self.dist, np.clip(v, lo, hi))
         if self.side == "buyer":
             # value of the largest grid point <= v (grid covers the support)
             out = self._lookup[np.searchsorted(self._grid, v + 1e-9, side="right")]
         else:
             out = self._lookup[np.searchsorted(self._grid, v - 1e-9, side="left")]
-        return out if isinstance(v, np.ndarray) else float(out)
+        return _scalar_or_array(out)
 
     @cached_property
     def _grid(self) -> np.ndarray:

@@ -5,10 +5,13 @@ Variants: additive, unit-demand, k-uniform, matroid (rank oracle), matching
 intersection, and size-floor (|S| >= h, the one sanctioned non-downward-closed
 family, used only as a purchase subconstraint).
 
-Exact solvers throughout: greedy where a matroid structure makes it optimal,
-branch and bound / exhaustive search elsewhere at desk scale. Tie-breaking is
-global and deterministic: smallest total weight-attaining set by cardinality,
-then lexicographically smallest index tuple.
+Exact solvers throughout: closed forms (`top_positive`) for additive,
+unit-demand and k-uniform weights and for a size floor over an additive base,
+the greedy for a matroid, and one depth-first branch and bound
+(`_branch_and_bound`) for knapsack, matching, intersection and the other size
+floors, at desk scale. Tie-breaking is global and deterministic: smallest
+total weight-attaining set by cardinality, then lexicographically smallest
+index tuple.
 """
 
 from __future__ import annotations
@@ -185,9 +188,9 @@ def _weights_dict(c: Constraint, w) -> dict[int, float]:
     return {i: float(x) for i, x in zip(c.ground, w)}
 
 
-def _better(cand: tuple[float, tuple[int, ...]], best: tuple[float, tuple[int, ...]] | None) -> bool:
-    if best is None:
-        return True
+def _better(cand: tuple[float, tuple[int, ...]], best: tuple[float, tuple[int, ...]]) -> bool:
+    """The tie rule: higher by more than 1e-12, else fewer items, else the
+    lexicographically smaller tuple."""
     val, items = cand
     bval, bitems = best
     if val > bval + 1e-12:
@@ -202,14 +205,16 @@ def max_weight_set(c: Constraint, w) -> tuple[tuple[int, ...], float]:
     then lexicographic. Negative-weight items are never useful for
     downward-closed variants and only enter under a size floor."""
     wd = _weights_dict(c, w)
-    if c.variant in ("additive", "unit_demand", "k_uniform", "matroid"):
+    k = size_cap(c)
+    if k is not None:
+        mask = top_positive(np.array([[wd[i] for i in c.ground]]), k)[0]
+        chosen = tuple(i for i, m in zip(c.ground, mask) if m)
+    elif c.variant == "matroid":
         chosen = _greedy_matroid(c, wd)
-    elif c.variant == "knapsack":
-        chosen = _knapsack_best(c, wd)
-    elif c.variant in ("matching", "intersection"):
-        chosen = _search_best(c, wd)
-    elif c.variant == "size_floor":
-        chosen = _size_floor_best(c, wd)
+    elif c.variant == "size_floor" and c.base.variant == "additive":
+        chosen = _additive_floor(c, wd)
+    elif c.variant in ("knapsack", "matching", "intersection", "size_floor"):
+        chosen = _branch_and_bound(c, wd)
     else:
         raise ValueError(f"unknown variant {c.variant}")
     total = sum(wd[i] for i in chosen)
@@ -263,33 +268,54 @@ def top_positive(W: np.ndarray, k: int) -> np.ndarray:
 
 
 def _greedy_matroid(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
-    order = sorted((i for i in c.ground if wd[i] > 0.0), key=lambda i: (-wd[i], i))
-    if c.variant == "additive":
-        return tuple(sorted(order))
-    if c.variant == "unit_demand":
-        return (order[0],) if order else ()
-    if c.variant == "k_uniform":
-        return tuple(sorted(order[: c.k]))
     chosen: list[int] = []
     cur = frozenset()
-    for i in order:
+    for i in sorted((i for i in c.ground if wd[i] > 0.0), key=lambda i: (-wd[i], i)):
         if c.rank_fn(cur | {i}) == len(cur) + 1:
             chosen.append(i)
             cur = cur | {i}
     return tuple(sorted(chosen))
 
 
-def _knapsack_best(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
-    items = [i for i in c.ground if wd[i] > 0.0]
-    if len(items) > BRUTE_FORCE_LIMIT:
-        raise CapacityError(f"knapsack search over {len(items)} items exceeds {BRUTE_FORCE_LIMIT}")
-    # branch and bound, items by density; fractional relaxation as the bound
-    items.sort(key=lambda i: (-wd[i] / max(c.sizes[c.index_of(i)], 1e-15), i))
-    sizes = [c.sizes[c.index_of(i)] for i in items]
-    vals = [wd[i] for i in items]
-    best: tuple[float, tuple[int, ...]] | None = (0.0, ())
+def _additive_floor(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
+    """The closed form of a size floor over an additive base: every positive
+    item if there are h of them, else the h best items when they beat nothing."""
+    pos = tuple(i for i in c.ground if wd[i] > 0.0)
+    if len(pos) >= c.h:
+        return pos
+    cand = tuple(sorted(sorted(c.ground, key=lambda i: (-wd[i], i))[: c.h]))
+    return cand if _better((sum(wd[i] for i in cand), cand), (0.0, ())) else ()
 
-    def relax(j: int, cap: float) -> float:
+
+def _branch_and_bound(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
+    """Depth-first search over take/skip of each item, asking `_feasible` at
+    every take; branches worse than the best set by more than 1e-12 are cut,
+    so ties keep exploring and the tie rule stays globally exact.
+
+    Downward-closed variants search their positive items, by density for a
+    knapsack (its fractional relaxation is the bound) and by weight otherwise
+    (the positive weight left is the bound). A size floor |S| >= h searches
+    every item of its base in index order, negative ones too since reaching
+    the floor may need them, records only sets of at least h items, and cuts
+    a branch once h is out of reach."""
+    floor, knap = c.variant == "size_floor", c.variant == "knapsack"
+    fc, h = (c.base, c.h) if floor else (c, 0)
+    size = lambda i: c.sizes[c.index_of(i)] if knap else 0.0
+    if floor:
+        items = list(c.ground)
+    elif knap:
+        items = sorted((i for i in c.ground if wd[i] > 0.0), key=lambda i: (-wd[i] / max(size(i), 1e-15), i))
+    else:
+        items = sorted((i for i in c.ground if wd[i] > 0.0), key=lambda i: (-wd[i], i))
+    if len(items) > BRUTE_FORCE_LIMIT:
+        raise CapacityError(f"{c.variant} search over {len(items)} items exceeds {BRUTE_FORCE_LIMIT}")
+    vals, sizes = [wd[i] for i in items], [size(i) for i in items]
+    rest = [sum(v for v in vals[j:] if v > 0.0) for j in range(len(vals) + 1)]
+    best = (0.0, ())
+
+    def bound(j: int, cap: float) -> float:
+        if not knap:
+            return rest[j]
         out = 0.0
         for t in range(j, len(items)):
             if sizes[t] <= cap:
@@ -302,89 +328,21 @@ def _knapsack_best(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
 
     def dfs(j: int, cap: float, acc: float, taken: list[int]) -> None:
         nonlocal best
-        cand = (acc, tuple(sorted(taken)))
-        if _better(cand, best):
-            best = cand
-        if j == len(items):
+        if len(taken) >= h:
+            cand = (acc, tuple(sorted(taken)))
+            if _better(cand, best):
+                best = cand
+        if j == len(items) or len(taken) + len(items) - j < h:
             return
-        # prune only when strictly worse; ties keep exploring so the
-        # cardinality/lex tie-break stays globally exact
-        if acc + relax(j, cap) < best[0] - 1e-12:
+        if acc + bound(j, cap) < best[0] - 1e-12:
             return
-        if sizes[j] <= cap + 1e-12:
+        if _feasible(fc, frozenset(taken) | {items[j]}):
             taken.append(items[j])
             dfs(j + 1, cap - sizes[j], acc + vals[j], taken)
             taken.pop()
         dfs(j + 1, cap, acc, taken)
 
     dfs(0, 1.0, 0.0, [])
-    return best[1]
-
-
-def _search_best(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
-    items = sorted((i for i in c.ground if wd[i] > 0.0), key=lambda i: (-wd[i], i))
-    if len(items) > BRUTE_FORCE_LIMIT:
-        raise CapacityError(f"search over {len(items)} items exceeds {BRUTE_FORCE_LIMIT}")
-    best: tuple[float, tuple[int, ...]] | None = (0.0, ())
-
-    def dfs(j: int, acc: float, taken: list[int]) -> None:
-        nonlocal best
-        cand = (acc, tuple(sorted(taken)))
-        if _better(cand, best):
-            best = cand
-        if j == len(items):
-            return
-        rest = sum(wd[i] for i in items[j:])
-        if acc + rest < best[0] - 1e-12:
-            return
-        nxt = frozenset(taken) | {items[j]}
-        if _feasible(c, nxt):  # downward closure makes this pruning sound
-            taken.append(items[j])
-            dfs(j + 1, acc + wd[items[j]], taken)
-            taken.pop()
-        dfs(j + 1, acc, taken)
-
-    dfs(0, 0.0, [])
-    return best[1]
-
-
-def _size_floor_best(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
-    """Max weight over {S in base : |S| >= h} plus the empty set.
-
-    Negative weights matter here (reaching the floor may require them), so the
-    search runs over the full ground set.
-    """
-    base, h = c.base, c.h
-    if base.variant == "additive":
-        pos = sorted((i for i in base.ground if wd[i] > 0.0), key=lambda i: (-wd[i], i))
-        if len(pos) >= h:
-            return tuple(sorted(pos))
-        ranked = sorted(base.ground, key=lambda i: (-wd[i], i))
-        cand = tuple(sorted(ranked[:h]))
-        return cand if _better((sum(wd[i] for i in cand), cand), (0.0, ())) else ()
-    items = sorted(base.ground)
-    if len(items) > BRUTE_FORCE_LIMIT:
-        raise CapacityError(f"size-floor search over {len(items)} items exceeds {BRUTE_FORCE_LIMIT}")
-    best: tuple[float, tuple[int, ...]] | None = (0.0, ())
-
-    def dfs(j: int, acc: float, taken: list[int]) -> None:
-        nonlocal best
-        if len(taken) >= h:
-            cand = (acc, tuple(sorted(taken)))
-            if _better(cand, best):
-                best = cand
-        if j == len(items):
-            return
-        if len(taken) + (len(items) - j) < h:
-            return
-        nxt = frozenset(taken) | {items[j]}
-        if _feasible(base, nxt):
-            taken.append(items[j])
-            dfs(j + 1, acc + wd[items[j]], taken)
-            taken.pop()
-        dfs(j + 1, acc, taken)
-
-    dfs(0, 0.0, [])
     return best[1]
 
 

@@ -119,10 +119,6 @@ class Outcome:
     seller_payments: tuple[float, ...]
     gft: float
 
-    @property
-    def traded_set(self) -> frozenset[int]:
-        return frozenset(self.traded)
-
 
 # -- batch kernels and their views ---------------------------------------------
 #
@@ -350,42 +346,29 @@ def seller_grid(inst: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
 # -- fixed posted prices -------------------------------------------------------
 
 
-def _posted_purchase(b, theta_b, available, sub: Constraint) -> tuple[int, ...]:
-    """Utility-maximizing purchase from `available` at prices theta_b under sub,
-    buying at equality: zero-surplus items join the chosen set when feasible."""
-    if not available:
-        return ()
-    w = {i: float(b[i] - theta_b[i]) for i in available}
-    c_eff = fea.restrict(sub, available)
-    chosen, _ = fea.max_weight_set(c_eff, w)
-    taken = list(chosen)
-    for i in sorted(available):
-        if i not in taken and abs(w[i]) <= TOL:
-            if fea.is_feasible(c_eff, taken + [i]):
-                taken.append(i)
-    return tuple(sorted(taken))
-
-
 def _posted_allocation(c: Constraint, B, S, theta_b, theta_s) -> np.ndarray:
-    """`_posted_purchase` per row, over the items of c.ground whose seller
-    accepts theta_s and whose buyer affords theta_b. Additive, unit-demand and
-    k-uniform rows are closed forms: the positive-surplus items by max-weight,
-    then zero-surplus ones in index order while there is room."""
+    """The utility-maximizing purchase per row at prices theta_b under the
+    downward-closed c, over the items of c.ground whose seller accepts theta_s
+    and whose buyer affords theta_b, buying at equality: the positive-surplus
+    items by max-weight, then zero-surplus ones in index order while the set
+    stays feasible (for a size cap, while there is room)."""
     B = np.asarray(B, dtype=float)
     S = np.asarray(S, dtype=float)
-    m, n = B.shape
-    avail = np.isin(np.arange(n), c.ground) & (S <= theta_s + TOL) & (B >= theta_b - TOL)
-    room = fea.size_cap(c)
-    X = np.zeros((m, n), dtype=bool)
-    if room is None:
-        for t in range(m):
-            X[t, list(_posted_purchase(B[t], theta_b, np.flatnonzero(avail[t]).tolist(), c))] = True
-        return X
+    avail = np.isin(np.arange(B.shape[1]), c.ground) & (S <= theta_s + TOL) & (B >= theta_b - TOL)
     w = B - theta_b
-    X = fea.top_positive(np.where(avail, w, -np.inf), room)
+    room = fea.size_cap(c)
+    if room is None:
+        X = np.zeros(B.shape, dtype=bool)
+        X[:, c.ground] = fea.max_weight_values(c, np.where(avail, w, -np.inf)[:, c.ground])[1]
+    else:  # max_weight_values' mask, without the row values it would also compute
+        X = fea.top_positive(np.where(avail, w, -np.inf), room)
     zero = avail & (np.abs(w) <= TOL) & ~X
     if zero.any():
-        X |= zero & (np.cumsum(zero, axis=1) <= room - X.sum(axis=1, keepdims=True))
+        if room is not None:
+            X |= zero & (np.cumsum(zero, axis=1) <= room - X.sum(axis=1, keepdims=True))
+        else:
+            for t, i in zip(*np.nonzero(zero)):
+                X[t, i] = fea.is_feasible(c, np.flatnonzero(X[t]).tolist() + [i])
     return X
 
 
@@ -567,6 +550,7 @@ def reduction_rule(inst: MarketInstance) -> AllocationRule:
 SAPP_CACHE_CAP = 1024  # price-map entries kept for off-grid seller profiles
 SAPP_TABLE_BYTES = 2**26  # largest (|S|, |B|, n) float table; an audit peaks near 6x it (470 MB at 63 MB)
 SAPP_ROWS_BYTES = 2**23  # largest (k, |B|, n) block `SappPriceMap.rows` averages q over at once
+SAPP_BUYER_SAMPLE = 4096  # buyer profiles, seed 0, that q averages over for continuous buyers without q_fn
 
 
 class SappPriceMap:
@@ -581,7 +565,7 @@ class SappPriceMap:
     to SAPP_CACHE_CAP entries, oldest evicted first.
     """
 
-    def __init__(self, inst: MarketInstance, rule: AllocationRule, mc_samples: int = 4096, seed: int = 0):
+    def __init__(self, inst: MarketInstance, rule: AllocationRule):
         self.inst = inst
         self.rule = rule
         self._grid: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -591,7 +575,7 @@ class SappPriceMap:
             self._bgrid, self._bprobs = buyer_grid(inst)
         elif rule.q_fn is None:
             # a fixed-seed sample, equally weighted, keeps the map deterministic
-            self._bgrid, _ = inst.sample_profiles(np.random.default_rng(seed), mc_samples)
+            self._bgrid, _ = inst.sample_profiles(np.random.default_rng(0), SAPP_BUYER_SAMPLE)
         self.q_is_exact = self._bgrid is None or self._bprobs is not None
         if self._bgrid is not None:
             self._bphi = inst.virtuals(self._bgrid, "buyer")
@@ -688,11 +672,11 @@ def _validate_rule(inst: MarketInstance, rule: AllocationRule, probes: int = 48,
             raise ValueError(f"rule not nondecreasing in item {i}'s cost for item {j}")
 
 
-def sapp_build(inst: MarketInstance, rule: AllocationRule, mc_samples: int = 4096, seed: int = 0) -> SappPriceMap:
+def sapp_build(inst: MarketInstance, rule: AllocationRule) -> SappPriceMap:
     """Derive the seller-adjusted price map from an allocation rule, validating
     the rule hypotheses on sampled profiles first."""
     _validate_rule(inst, rule)
-    return SappPriceMap(inst, rule, mc_samples=mc_samples, seed=seed)
+    return SappPriceMap(inst, rule)
 
 
 def _hash_coins(b: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:

@@ -161,15 +161,3 @@ def test_audit_report_round_trip():
     assert row["exact"] is True
     assert math.isclose(row["gft_stderr"], 0.0, abs_tol=1e-12)
 
-
-def test_with_rerun_recovers_on_larger_sample():
-    calls = []
-
-    def check(n):
-        calls.append(n)
-        return n >= 4000, f"n={n}"
-
-    ok, detail = audits.with_rerun(check, 1000)
-    assert ok
-    assert calls == [1000, 4000]
-    assert "rerun" in detail

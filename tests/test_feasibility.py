@@ -11,13 +11,6 @@ import pytest
 from gft_lab import feasibility as fea
 
 
-def brute_max_weight(c, w):
-    best = 0.0
-    for s in fea.feasible_sets(c):
-        best = max(best, sum(w.get(i, 0.0) for i in s))
-    return best
-
-
 def test_is_feasible_examples():
     ud = fea.unit_demand(range(3))
     assert fea.is_feasible(ud, {0})
@@ -62,31 +55,44 @@ def test_max_weight_accepts_sparse_mapping():
     assert math.isclose(val, 1.0, abs_tol=1e-12)
 
 
+def brute_argmax(c, w):
+    """max_weight_set's documented choice over every feasible set (the empty
+    one included): the best value to 1e-12, then the fewest items, then the
+    lexicographically smallest tuple."""
+    sets = [tuple(sorted(s)) for s in fea.feasible_sets(c)]
+    vals = [sum(w[i] for i in s) for s in sets]
+    top = max(vals)
+    return min((len(s), s) for s, v in zip(sets, vals) if v >= top - 1e-12)[1]
+
+
 def test_max_weight_matches_brute_force_all_variants():
     rank = lambda S: min(2, len(S & {0, 1, 2})) + min(1, len(S & {3, 4}))
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
+    sizes = [0.3, 0.5, 0.4, 0.2, 0.6]
     cases = [
         fea.additive(range(5)),
         fea.unit_demand(range(5)),
         fea.k_uniform(2, range(5)),
-        fea.knapsack([0.3, 0.5, 0.4, 0.2, 0.6]),
+        fea.knapsack(sizes),
         fea.matroid_oracle(rank, range(5)),
-        fea.matching([(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]),
-        fea.intersection(fea.k_uniform(3, range(5)), fea.knapsack([0.3, 0.5, 0.4, 0.2, 0.6])),
+        fea.matching(edges),
+        fea.intersection(fea.k_uniform(3, range(5)), fea.knapsack(sizes)),
+        fea.intersection(fea.matroid_oracle(rank, range(5)), fea.matching(edges)),
         fea.size_floor(fea.k_uniform(3, range(5)), 2),
+        fea.size_floor(fea.matching(edges), 2),
+        fea.size_floor(fea.knapsack(sizes), 2),
+        fea.size_floor(fea.additive(range(5)), 3),
     ]
     rng = np.random.default_rng(9)
     for c in cases:
-        for _ in range(5):
-            w = {i: float(rng.uniform(-0.3, 1.0)) for i in c.ground}
+        # random weights, then 1/8-lattice weights in [-3/8, 1], whose sums tie exactly
+        draws = [rng.uniform(-0.3, 1.0, 5) for _ in range(5)] + [rng.integers(-3, 9, 5) / 8 for _ in range(5)]
+        for x in draws:
+            w = {i: float(v) for i, v in zip(c.ground, x)}
             chosen, val = fea.max_weight_set(c, w)
             assert fea.is_feasible(c, chosen)
             assert math.isclose(val, sum(w[i] for i in chosen), abs_tol=1e-9)
-            assert val >= brute_max_weight(c, w) - 1e-9 or c.variant == "size_floor"
-            if c.variant == "size_floor":
-                floor_best = max(
-                    (sum(w[i] for i in s) for s in fea.feasible_sets(c)), default=None
-                )
-                assert math.isclose(val, floor_best, abs_tol=1e-9)
+            assert chosen == brute_argmax(c, w), (c.variant, w)
 
 
 def test_size_floor_forces_minimum_cardinality():

@@ -81,7 +81,15 @@ def lattice_markets(draw):
     theta_s, theta_b = zip(*prices)
     sub = draw(
         st.sampled_from(
-            [fea.size_floor(fea.additive(range(n)), draw(st.integers(1, n))), fea.unit_demand(range(0, n, 2)), _constraint("matroid", n)]
+            [
+                fea.size_floor(fea.additive(range(n)), draw(st.integers(1, n))),
+                fea.unit_demand(range(0, n, 2)),
+                _constraint("matroid", n),
+                _constraint("knapsack", n),
+                fea.knapsack({i: 0.75 - i / 8 for i in range(0, n, 2)}),
+                _constraint("matching", n),
+                _constraint("intersection", n),
+            ]
         )
     )
     coins = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.999]), min_size=n, max_size=n))
