@@ -106,10 +106,7 @@ def logsep_exact_suite() -> tuple[bool, str]:
             for s, ps in zip(sd.values, sd.probs)
             if abs(phi(b) - s) <= mech.TOL
         )
-        support = sorted(set(bd.values) | set(sd.values))
-        fpp_best = max(
-            audits.exact_gft(mech.Fpp(inst, [p], [p]), inst) for p in support
-        )
+        fpp_best = bounds.best_fpp_bilateral(inst)[1]
         fb_lo = 0.25 * math.floor(lg) * (lg - llg - 1.0)
         fb_hi = lg * (lg + 1.0)
         gap = fb - so + tie

@@ -60,18 +60,6 @@ class BenchmarkReport:
     term6: tuple[float, ...]
     checks: dict
 
-    def summary_lines(self) -> list[str]:
-        out = [
-            f"r = {self.r:.6g} (per item: {', '.join(f'{v:.4g}' for v in self.r_items)})",
-            f"FB = {self.fb:.6g} +- {self.fb_stderr:.2g}",
-            f"term1 = {self.term1:.6g}  term2 = {self.term2:.6g}",
-            f"sum term3 = {sum(self.term3):.6g}  sum term4 = {sum(self.term4):.6g}",
-            f"sum term5 = {sum(self.term5):.6g}  sum term6 = {sum(self.term6):.6g}",
-        ]
-        for name, (ok, margin) in self.checks.items():
-            out.append(f"check {name}: {'ok' if ok else 'FAIL'} (margin {margin:.3g} sigma)")
-        return out
-
 
 def benchmark_decomposition(inst: MarketInstance, samples: int = 10**4, seed: int = 0) -> BenchmarkReport:
     """Estimate the first-best decomposition on common random profiles.
@@ -208,10 +196,8 @@ def expected_positive_margin(inst: MarketInstance, i: int) -> float:
     phi = inst.buyer_ironed[i]
     db, ds = inst.buyer_dists[i], inst.seller_dists[i]
     if db.kind == "discrete":
-        total = 0.0
-        for v, pmass in zip(db.values, db.probs):
-            total += pmass * _e_pos_vs_cost(ds, phi(v))
-        return total
+        excess = dst.expected_excess(ds, phi(np.asarray(db.values)), "below")
+        return float(_ordered_sum(np.asarray(db.probs) * excess, axis=0))
     return _margin_integral(db, phi, ds)
 
 
@@ -230,18 +216,6 @@ def _margin_integral(db: Dist, phi: dst.IronedVirtual, ds: Dist) -> float:
     marks = ds.values if ds.kind == "discrete" else dst.scale_points(ds)
     edges = dst._inside([hi, phi(db.support()[0]), *levels, *phi(dst.scale_points(db)), *marks], lo, top)
     return dst.gauss_legendre(lambda t: db.tail(phi.inverse(t)) * ds.below(t), edges)
-
-
-def _e_pos_vs_cost(ds: Dist, v: float) -> float:
-    """E[(v - s)^+] for cost distribution ds: the integral of G up to v,
-    with edges at ds's `scale_points`."""
-    if ds.kind == "discrete":
-        return float(sum(p * (v - sv) for sv, p in zip(ds.values, ds.probs) if sv < v))
-    lo, hi = ds.support()
-    if v <= lo:
-        return 0.0
-    upper = min(v, hi)
-    return dst.gauss_legendre(ds.cdf, dst._inside(dst.scale_points(ds), lo, upper)) + max(0.0, v - hi)
 
 
 def separate_sale_bound(inst: MarketInstance, L: Iterable[int]) -> float:
@@ -331,55 +305,45 @@ def z_concentration_check(
     return ZReport(hits, err, rhs, ez)
 
 
-# -- bilateral closed-form helpers (numeric integration) -------------------------
+# -- bilateral first best and posted prices ---------------------------------------
+
+
+def _bilateral(inst: MarketInstance) -> tuple[Dist, Dist]:
+    if inst.n != 1:
+        raise ValueError("bilateral helper")
+    return inst.buyer_dists[0], inst.seller_dists[0]
 
 
 def bilateral_fb_quad(inst: MarketInstance) -> float:
-    """First best E[(b - s)^+] for a continuous bilateral instance."""
-    if inst.n != 1:
-        raise ValueError("bilateral helper")
-    db, ds = inst.buyer_dists[0], inst.seller_dists[0]
-    from scipy.integrate import quad
-
-    bl, bh = db.support()
-
-    def inner(s: float) -> float:
-        lo = max(s, bl)
-        if lo >= bh:
-            return 0.0
-        val, _ = quad(lambda b: (b - s) * db.pdf(b), lo, bh, limit=200)
-        return val
-
-    val, _ = quad(lambda s: ds.pdf(s) * inner(s), *ds.support(), limit=200)
-    return float(val)
+    """First best E[(b - s)^+] for a continuous bilateral instance: the
+    integral of f(b) E[(b - s)^+] over the buyer's support by
+    `gauss_legendre`, with edges at the seller's support ends (where the
+    inner expectation kinks) and both sides' `scale_points`."""
+    db, ds = _bilateral(inst)
+    edges = dst._inside([*ds.support(), *dst.scale_points(db), *dst.scale_points(ds)], *db.support())
+    return dst.gauss_legendre(lambda b: db.pdf(b) * dst.expected_excess(ds, b, "below"), edges)
 
 
-def bilateral_fpp_gft_quad(inst: MarketInstance, p: float) -> float:
-    """GFT of the posted price p on a continuous bilateral instance:
-    E[(b - s) 1[b >= p >= s]] via independence."""
-    if inst.n != 1:
-        raise ValueError("bilateral helper")
-    db, ds = inst.buyer_dists[0], inst.seller_dists[0]
-    from scipy.integrate import quad
-
-    bl, bh = db.support()
-    sl, sh = ds.support()
-    pr_b = db.tail(p)
-    pr_s = ds.cdf(p)
-    if pr_b <= 0.0 or pr_s <= 0.0:
-        return 0.0
-    eb, _ = quad(lambda b: b * db.pdf(b), max(p, bl), bh, limit=200)
-    es, _ = quad(lambda s: s * ds.pdf(s), sl, min(p, sh), limit=200)
-    return float(eb * pr_s - es * pr_b)
+def bilateral_fpp_gft_quad(inst: MarketInstance, p):
+    """GFT of the posted price p on a bilateral instance, elementwise over
+    p: E[(b - s) 1[b >= p >= s]] = Pr[s <= p] E[(b - p)^+] + Pr[b >= p]
+    E[(p - s)^+] by independence. Fpp's TOL tie rule is not applied, so
+    `best_fpp_bilateral` prices a discrete instance by `exact_gft`."""
+    db, ds = _bilateral(inst)
+    return ds.cdf(p) * dst.expected_excess(db, p, "above") + db.tail(p) * dst.expected_excess(ds, p, "below")
 
 
 def best_fpp_bilateral(inst: MarketInstance, grid: int = 800) -> tuple[float, float]:
-    """Grid-plus-refine search for the best single posted price; returns
-    (price, gft)."""
-    lo = min(inst.buyer_dists[0].support()[0], inst.seller_dists[0].support()[0])
-    hi = max(inst.buyer_dists[0].support()[1], inst.seller_dists[0].support()[1])
-    ps = np.linspace(lo, hi, grid)
-    vals = np.array([bilateral_fpp_gft_quad(inst, p) for p in ps])
+    """The best single posted price and its GFT, as (price, gft). A fully
+    discrete instance takes the first maximum of the exact Fpp GFT over the
+    support atoms; otherwise the best of `grid` equally spaced prices,
+    refined by a bounded scalar search between its neighbours."""
+    db, ds = _bilateral(inst)
+    if inst.is_discrete:
+        support = sorted(set(db.values) | set(ds.values))
+        return max(((p, audits.exact_gft(Fpp(inst, [p], [p]), inst)) for p in support), key=lambda t: t[1])
+    ps = np.linspace(min(db.support()[0], ds.support()[0]), max(db.support()[1], ds.support()[1]), grid)
+    vals = bilateral_fpp_gft_quad(inst, ps)
     k = int(np.argmax(vals))
     from scipy.optimize import minimize_scalar
 

@@ -191,16 +191,7 @@ def cmd_bounds(args) -> int:
         {"metric": "sb_gft_upper", "value": bounds.sb_gft_upper(inst, cfg.samples, seed)}
     )
     if inst.n == 1:
-        if inst.is_discrete:
-            support = sorted(
-                set(inst.buyer_dists[0].values) | set(inst.seller_dists[0].values)
-            )
-            best_p, best_g = max(
-                ((p, audits.exact_gft(mech.Fpp(inst, [p], [p]), inst)) for p in support),
-                key=lambda t: t[1],
-            )
-        else:
-            best_p, best_g = bounds.best_fpp_bilateral(inst)
+        best_p, best_g = bounds.best_fpp_bilateral(inst)
         rows.append({"metric": "best_fpp_price", "value": best_p})
         rows.append({"metric": "best_fpp_gft", "value": best_g})
     _emit(rows, ("metric", "value"), cfg)

@@ -40,6 +40,7 @@ __all__ = [
     "upper_quantile",
     "trade_probability",
     "gauss_legendre",
+    "expected_excess",
     "partial_mean",
     "buyer_virtual",
     "seller_virtual",
@@ -115,17 +116,17 @@ class Dist:
 
     def ppf(self, u):
         """The generalized-inverse cdf at levels u, clipped to [0, 1]; a
-        continuous one is clamped to the support [lo, hi]."""
+        continuous one is clamped to the support [lo, hi]. A NaN level gives
+        NaN."""
         u = np.asarray(u, dtype=float)
         if self.kind == "discrete":
             cum = np.cumsum(self.probs)
-            idx = np.searchsorted(cum, u - ATOL, side="left")
-            idx = np.minimum(idx, len(self.values) - 1)
-            out = np.asarray(self.values)[idx]
+            idx = np.minimum(np.searchsorted(cum, u - ATOL, side="left"), len(self.values) - 1)
+            out = np.where(np.isnan(u), np.nan, np.asarray(self.values)[idx])
         else:
-            out = np.asarray(self.quantile_fn(np.clip(u, 0.0, 1.0)), dtype=float)
-            out = np.where(out > self.lo, out, self.lo)
-            out = np.where(out < self.hi, out, self.hi)
+            out = np.clip(self.quantile_fn(np.clip(u, 0.0, 1.0)), self.lo, self.hi)
+            if self.lo == 0.0 or self.hi == 0.0:
+                out += 0.0  # a -0.0 at a support end reads as the end, +0.0
         return _scalar_or_array(out)
 
     def support(self) -> tuple[float, float]:
@@ -330,6 +331,29 @@ def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(GL_NODES)
 
 
+def _panel_edges(edges) -> np.ndarray:
+    """The panel boundaries `gauss_legendre` integrates over: every edge,
+    with SEGMENT_PANELS equal panels between two, or geometric ones,
+    PANELS_PER_DECADE a decade, when both are positive and more than a
+    decade apart."""
+    e = np.unique(np.asarray(edges, dtype=float))
+    cuts = [e[:1]]
+    for a, b in zip(e[:-1], e[1:]):
+        if a > 0.0 and b > 10.0 * a:
+            cuts.append(np.geomspace(a, b, math.ceil(PANELS_PER_DECADE * math.log10(b / a)) + 1)[1:])
+        else:
+            cuts.append(np.linspace(a, b, SEGMENT_PANELS + 1)[1:])
+    return np.concatenate(cuts)
+
+
+def _gl_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The GL_NODES nodes and weights of the panels [a, b], elementwise over
+    arrays a and b, on a new last axis."""
+    x, w = _gl_rule()
+    half = 0.5 * (b - a)[..., None]
+    return 0.5 * (a + b)[..., None] + half * x, half * w
+
+
 def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], edges) -> float:
     """The integral of f from min(edges) to max(edges) by composite
     Gauss-Legendre, GL_NODES nodes a panel.
@@ -342,19 +366,50 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], edges) -> float:
     (panels, GL_NODES) array of all nodes; overflow to inf there (a cdf
     closure far past its support, clamped by the caller) is not warned.
     """
-    e = np.unique(np.asarray(edges, dtype=float))
-    cuts = [e[:1]]
-    for a, b in zip(e[:-1], e[1:]):
-        if a > 0.0 and b > 10.0 * a:
-            cuts.append(np.geomspace(a, b, math.ceil(PANELS_PER_DECADE * math.log10(b / a)) + 1)[1:])
-        else:
-            cuts.append(np.linspace(a, b, SEGMENT_PANELS + 1)[1:])
-    p = np.concatenate(cuts)
-    x, w = _gl_rule()
-    half = 0.5 * np.diff(p)[:, None]
+    p = _panel_edges(edges)
+    nodes, weights = _gl_nodes(p[:-1], p[1:])
     with np.errstate(over="ignore"):
-        y = f(0.5 * (p[:-1] + p[1:])[:, None] + half * x)
-    return float(np.sum(y * (half * w)))
+        y = f(nodes)
+    return float(np.sum(y * weights))
+
+
+def expected_excess(d: Dist, x, side: str):
+    """E[(X - x)^+] (side "above") or E[(x - X)^+] (side "below") for X ~ d,
+    elementwise over x.
+
+    Discrete d: each atom's mass times its excess, added in index order.
+    Continuous d: the integral of `tail` from x up to hi ("above") or of
+    `cdf` from lo up to x ("below"), plus the part of x beyond the support.
+    The panels are `gauss_legendre`'s with edges at the support ends and
+    `scale_points`, so fixed by d alone: the whole panels on the far side of
+    x are summed in order and one GL_NODES panel covers the rest up to x. An
+    entry never depends on the others, so an array call equals float calls
+    bit for bit.
+    """
+    if side not in ("above", "below"):
+        raise ValueError("side must be 'above' or 'below'")
+    x = np.asarray(x, dtype=float)
+    if d.kind == "discrete":
+        v = np.asarray(d.values)
+        gap = v - x[..., None] if side == "above" else x[..., None] - v
+        return _scalar_or_array(_ordered_sum(np.where(gap <= 0.0, 0.0, gap * d.probs), axis=-1))  # NaN x gives NaN
+    lo, hi = d.support()
+    p = _panel_edges(_inside(scale_points(d), lo, hi))
+    f = d.tail if side == "above" else d.cdf
+    nodes, weights = _gl_nodes(p[:-1], p[1:])
+    whole = _ordered_sum(f(nodes) * weights, axis=-1)
+    xc = np.clip(x, lo, hi)
+    if side == "below":  # panels [p[0], p[k]] whole, then [p[k], x]
+        k = np.clip(np.searchsorted(p, xc, side="right") - 1, 0, len(whole) - 1)
+        done = np.concatenate(([0.0], np.cumsum(whole)))[k]
+        nodes, weights = _gl_nodes(p[k], xc)
+        beyond = np.maximum(x - hi, 0.0)
+    else:  # [x, p[k]], then panels [p[k], p[-1]] whole
+        k = np.clip(np.searchsorted(p, xc, side="left"), 1, len(whole))
+        done = np.concatenate((np.cumsum(whole[::-1])[::-1], [0.0]))[k]
+        nodes, weights = _gl_nodes(xc, p[k])
+        beyond = np.maximum(lo - x, 0.0)
+    return _scalar_or_array(done + _ordered_sum(f(nodes) * weights, axis=-1) + beyond)
 
 
 def _inside(points, lo: float, hi: float) -> list[float]:

@@ -20,7 +20,6 @@ one table of it over the seller x buyer grid, so no sampling enters them.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -679,17 +678,6 @@ def sapp_build(inst: MarketInstance, rule: AllocationRule) -> SappPriceMap:
     return SappPriceMap(inst, rule)
 
 
-def _hash_coins(b: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
-    """Deterministic pseudo-coins for coin-less calls; audits that need coin
-    control pass their own."""
-    payload = np.asarray(b, dtype=float).tobytes() + np.asarray(s, dtype=float).tobytes()
-    out = np.empty(n)
-    for i in range(n):
-        dig = hashlib.blake2b(payload + i.to_bytes(4, "little"), digest_size=8).digest()
-        out[i] = int.from_bytes(dig, "little") / 2.0**64
-    return out
-
-
 class _SappTable(NamedTuple):
     """Exact SAPP quantities over the seller grid S x buyer grid B."""
 
@@ -714,13 +702,13 @@ class Sapp:
 
     # -- realized execution --
 
-    def _coins(self, B, S, coins, rng=None) -> np.ndarray:
-        """The given coins, else one rng draw per (row, item), else hash coins."""
+    def _coins(self, B, coins, rng=None) -> np.ndarray:
+        """The given coins, else one rng draw per (row, item)."""
         if coins is not None:
             return np.asarray(coins, dtype=float)
-        if rng is not None:
-            return rng.random(B.shape)
-        return np.array([_hash_coins(b, s, self.inst.n) for b, s in zip(B, S)]).reshape(B.shape)
+        if rng is None:
+            raise ValueError("a realized SAPP run needs coins or an rng")
+        return rng.random(B.shape)
 
     def _realized(self, B, S, coins) -> tuple[np.ndarray, np.ndarray]:
         """(X, theta): the buyer buys the affordable item of largest surplus
@@ -731,7 +719,7 @@ class Sapp:
         return (np.arange(self.inst.n) == best) & afford.any(axis=1, keepdims=True), theta
 
     def outcome_batch(self, B, S, coins=None):
-        coins = self._coins(B, S, coins)
+        coins = self._coins(B, coins)
         X, theta = self._realized(B, S, coins)
         pay = _seller_thresholds(self.inst, X, S, lambda rows, St: self._realized(B[rows], St, coins[rows])[0], self._cut_guess(B, S))
         return X, _ordered_sum(np.where(X, theta, 0.0), axis=1), pay
@@ -756,9 +744,9 @@ class Sapp:
         return _run(self, b, s, coins=coins)
 
     def run_batch(self, B, S, rng: np.random.Generator | None = None, coins: np.ndarray | None = None) -> np.ndarray:
-        """Per-row realized GFT under the given coins (else drawn from rng, else
-        hash coins); no payments are computed."""
-        return _gft_rows(self._realized(B, S, self._coins(B, S, coins, rng))[0], B, S)
+        """Per-row realized GFT under the given coins, else drawn from rng; no
+        payments are computed."""
+        return _gft_rows(self._realized(B, S, self._coins(B, coins, rng))[0], B, S)
 
     # -- exact coin-integrated machinery (discrete paths) --
 

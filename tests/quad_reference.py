@@ -1,7 +1,8 @@
-"""Tight adaptive-quadrature references for the two integrals that
+"""Tight adaptive-quadrature references for the integrals that
 `distributions.gauss_legendre` computes: the trade probability of two
-continuous distributions and the expected positive margin E[(phi(b) - s)^+]
-of a continuous buyer against a continuous or discrete seller.
+continuous distributions, the expected excess E[(X - x)^+] or E[(x - X)^+]
+of one distribution, and the expected positive margin E[(phi(b) - s)^+] of
+a continuous buyer against a continuous or discrete seller.
 
 Each integral is a sum of scalar `scipy.integrate.quad` calls with epsabs
 1e-13, one per piece between the kinks of its integrand and the integration
@@ -45,15 +46,21 @@ def trade_probability(buyer, seller):
     return _quad(lambda s: seller.pdf(s) * (1.0 - _cdf(buyer, s)), lo, hi, [*buyer.support(), *_quantiles(seller)])
 
 
-def _e_pos(seller, x):
-    """E[(x - s)^+]: a sum over a discrete seller's atoms, else the integral
-    of G from the seller's lower end up to x."""
-    if seller.kind == "discrete":
-        return sum(p * (x - v) for v, p in zip(seller.values, seller.probs) if v < x)
-    lo, hi = seller.support()
-    if x <= lo:
-        return 0.0
-    return _quad(lambda t: _cdf(seller, t), lo, min(x, hi), _quantiles(seller)) + max(0.0, x - hi)
+def expected_excess(d, x, side):
+    """E[(X - x)^+] (side "above") or E[(x - X)^+] (side "below"): a sum
+    over a discrete d's atoms, else the integral of 1 - F from x up to the
+    upper end or of F from the lower end up to x, plus the part of x
+    beyond the support."""
+    if d.kind == "discrete":
+        if side == "above":
+            return sum(p * (v - x) for v, p in zip(d.values, d.probs) if v > x)
+        return sum(p * (x - v) for v, p in zip(d.values, d.probs) if v < x)
+    lo, hi = d.support()
+    if side == "above":
+        inside = _quad(lambda t: 1.0 - _cdf(d, t), max(x, lo), hi, _quantiles(d)) if x < hi else 0.0
+        return inside + max(0.0, lo - x)
+    inside = _quad(lambda t: _cdf(d, t), lo, min(x, hi), _quantiles(d)) if x > lo else 0.0
+    return inside + max(0.0, x - hi)
 
 
 def expected_positive_margin(buyer, phi, seller):
@@ -71,7 +78,7 @@ def expected_positive_margin(buyer, phi, seller):
     if phi.exact:
         marks = seller.values if seller.kind == "discrete" else (lo, hi)
         cross = [optimize.brentq(lambda b: phi(b) - c, blo, bhi, xtol=1e-15) for c in marks if phi(blo) < c < phi(bhi)]
-        return _quad(lambda b: buyer.pdf(b) * _e_pos(seller, phi(b)), blo, bhi, [*cross, *_quantiles(buyer)])
+        return _quad(lambda b: buyer.pdf(b) * expected_excess(seller, phi(b), "below"), blo, bhi, [*cross, *_quantiles(buyer)])
     grid = np.asarray(phi.grid_values, dtype=float)
     levels = phi(grid)
     step = np.flatnonzero(np.diff(levels) != 0.0) + 1
@@ -81,4 +88,4 @@ def expected_positive_margin(buyer, phi, seller):
     # leaves 1e-12 outside, which a top level of 2306 (lognormal(0, 2.5))
     # would turn into 2e-9
     cdf = [0.0, *(_cdf(buyer, e) for e in ends[1:-1]), 1.0]
-    return sum((b - a) * _e_pos(seller, float(y)) for a, b, y in zip(cdf[:-1], cdf[1:], cells))
+    return sum((b - a) * expected_excess(seller, float(y), "below") for a, b, y in zip(cdf[:-1], cdf[1:], cells))

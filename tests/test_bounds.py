@@ -256,6 +256,43 @@ def test_bilateral_quadrature_matches_closed_forms():
         )
 
 
+@pytest.mark.parametrize("t", [4.0, 8.0, 12.0, 20.0])
+def test_bilateral_first_best_and_price_grid_match_a1_closed_forms(t):
+    # the first best to 1e-14 relative and the whole 800-price grid to
+    # 1e-7 of the best GFT; at t = 20 the best GFT is 4e-9, so the grid's
+    # bound is an absolute 4e-16
+    inst = instances.example_a1(t)
+    assert abs(bounds.bilateral_fb_quad(inst) - instances.a1_fb(t)) <= 1e-14 * instances.a1_fb(t)
+    ps = np.linspace(0.0, t, 800)
+    closed = np.array([instances.a1_fpp_gft(t, p) for p in ps])
+    assert np.max(np.abs(bounds.bilateral_fpp_gft_quad(inst, ps) - closed)) <= 1e-7 * closed.max()
+
+
+def test_price_grid_is_elementwise():
+    inst = instances.example_a1(8.0)
+    ps = np.linspace(-1.0, 9.0, 41)
+    grid = bounds.bilateral_fpp_gft_quad(inst, ps)
+    assert [float(g).hex() for g in grid] == [bounds.bilateral_fpp_gft_quad(inst, float(p)).hex() for p in ps]
+
+
+def test_posted_price_formula_matches_exact_gft_on_atoms():
+    # the independence formula, which ignores Fpp's TOL tie rule, agrees
+    # with exact enumeration at every atom of the power-of-two instance
+    inst = instances.example_a3(8)
+    for p in sorted(set(inst.buyer_dists[0].values) | set(inst.seller_dists[0].values)):
+        exact = audits.exact_gft(mech.Fpp(inst, [p], [p]), inst)
+        assert math.isclose(bounds.bilateral_fpp_gft_quad(inst, p), exact, rel_tol=1e-14, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("m", [6, 8])
+def test_best_fpp_on_a_discrete_instance_is_the_first_best_atom(m):
+    inst = instances.example_a3(m)
+    support = sorted(set(inst.buyer_dists[0].values) | set(inst.seller_dists[0].values))
+    gfts = [audits.exact_gft(mech.Fpp(inst, [p], [p]), inst) for p in support]
+    k = gfts.index(max(gfts))
+    assert bounds.best_fpp_bilateral(inst) == (support[k], gfts[k])
+
+
 def test_posted_price_gft_below_strict_envelope():
     t = 10.0
     inst = instances.example_a1(t)

@@ -215,9 +215,20 @@ def test_selftest_unknown_criterion(capsys):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate is imported by the functions that use it, not at start-up
+    # no code in gft_lab integrates by scipy: not at start-up, nor on the
+    # bilateral first best and best posted price of `bounds --example a1`
+    # and `lowtrade-ratio-trend`
     src = str(Path(gft_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, gft_lab.cli; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, gft_lab.cli as c\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "c.main(['bounds', '--example', 'a1', '--seed', '1', '--samples', '2000'])\n"
+        "c.main(['selftest', '--only', 'lowtrade-ratio-trend'])\n"
+        "print('scipy.integrate' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.splitlines()
+    assert lines[0] == lines[-1] == "False"
+    assert any(line.startswith("best_fpp_gft,") for line in lines)
+    assert "PASS" in out.stdout and "lowtrade-ratio-trend" in out.stdout

@@ -135,6 +135,36 @@ def test_margin_against_discrete_seller_matches_tight_quad(buyer):
         assert abs(bounds.expected_positive_margin(inst, 0) - qr.expected_positive_margin(b, phi, s)) <= 1e-9, name
 
 
+@pytest.mark.parametrize("family", sorted(QUAD_FAMILIES))
+def test_expected_excess_matches_tight_quad(family):
+    # both sides, at x below, at the ends of, inside and above the support,
+    # within 1e-9 of the adaptive quad, relative above 1 (lognormal(0, 2.5)
+    # reaches 4e7, where a float's spacing is 7e-9); x inside falls
+    # mid-panel and on the scale points, where a panel ends
+    d = QUAD_FAMILIES[family]()
+    lo, hi = d.support()
+    xs = [lo - 1.0, lo, *(lo + f * (hi - lo) for f in (0.001, 0.3, 0.7)), *dst.scale_points(d)[[2, 5, 8]], hi, hi + 2.0]
+    for side in ("above", "below"):
+        for x in xs:
+            want = qr.expected_excess(d, float(x), side)
+            assert abs(dst.expected_excess(d, float(x), side) - want) <= 1e-9 * max(1.0, want), (side, x)
+
+
+@pytest.mark.parametrize("seller", sorted(DISCRETE_SELLERS))
+def test_expected_excess_on_atoms_is_the_index_order_sum(seller):
+    # bit for bit the running sum over the atoms, at, between and beyond them
+    d = DISCRETE_SELLERS[seller]()
+    xs = [d.values[0] - 1.0, *d.values, *(0.5 * (a + b) for a, b in zip(d.values, d.values[1:])), d.values[-1] + 3.0]
+    for side in ("above", "below"):
+        for x in xs:
+            assert dst.expected_excess(d, x, side).hex() == float(qr.expected_excess(d, x, side)).hex(), (side, x)
+
+
+def test_expected_excess_rejects_an_unknown_side():
+    with pytest.raises(ValueError, match="side"):
+        dst.expected_excess(dst.uniform(0.0, 1.0), 0.5, "left")
+
+
 def test_gauss_legendre_is_exact_on_piecewise_polynomials():
     # 16 nodes a panel integrate degree 31 exactly; edges split at the kink
     assert math.isclose(dst.gauss_legendre(lambda x: x**31, [0.0, 1.0]), 1.0 / 32.0, rel_tol=1e-14)
@@ -418,12 +448,15 @@ def test_elementwise_queries_match_float_calls_bit_for_bit(d, data):
         _assert_same_bits(fn, xs)
     x = np.array(xs)
     assert np.all(np.abs(d.below(x) + d.tail(x) - 1.0) <= 1e-15)
-    us = data.draw(st.lists(st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0])), min_size=1, max_size=24))
+    us = data.draw(st.lists(st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0, math.nan])), min_size=1, max_size=24))
     _assert_same_bits(d.ppf, us)
     lo, hi = d.support()
     assert d.ppf(0.0).hex() == dst.quantile(d, 0.0).hex() == lo.hex()
     levels = d.ppf(np.array(us))
-    assert np.all((lo <= levels) & (levels <= hi))
+    assert np.array_equal(np.isnan(levels), np.isnan(us))
+    assert np.all((lo <= levels[~np.isnan(levels)]) & (levels[~np.isnan(levels)] <= hi))
+    for side in ("above", "below"):
+        _assert_same_bits(lambda x: dst.expected_excess(d, x, side), xs)
     vs = data.draw(st.lists(_points(d, inside_only=True), min_size=1, max_size=24))
     for fn in (dst.buyer_virtual, dst.seller_virtual):
         _assert_same_bits(lambda v: fn(d, v), vs)

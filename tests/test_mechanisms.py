@@ -459,3 +459,22 @@ def test_class_run_on_one_profile():
     pm = mech.sapp_build(inst, mech.reduction_rule(inst))
     o = mech.Sapp(inst, pm).run([2.0, 0.5], [0.0, 1.0], coins=np.array([0.0, 0.0]))
     assert isinstance(o, mech.Outcome)
+
+
+def test_sapp_realized_run_needs_coins_or_an_rng():
+    inst = ud2a()
+    sapp = mech.Sapp(inst, mech.sapp_build(inst, mech.reduction_rule(inst)))
+    with pytest.raises(ValueError, match="coins or an rng"):
+        sapp.run([2.0, 0.5], [0.0, 1.0])
+    with pytest.raises(ValueError, match="coins or an rng"):
+        sapp.run_batch(np.array([[2.0, 0.5]]), np.array([[0.0, 1.0]]))
+    assert sapp.run_batch(np.array([[2.0, 0.5]]), np.array([[0.0, 1.0]]), rng=np.random.default_rng(0)).shape == (1,)
+
+
+def test_unlikely_trade_cut_has_no_guess_where_the_others_never_fall_short():
+    # q_i / rest is 0/0 when another L-item's buyer always covers its cost:
+    # the cut is NaN, "no guess", not the support's lower end
+    inst = instances.example_a2(4, 6.0)
+    rule = mech.unlikely_trade_rule(inst, range(4))
+    cut = rule.q_cut(np.array([[3.0, 1.0, 1.01, 1.01]]), np.zeros((1, 4)))
+    assert math.isnan(cut[0, 0])
