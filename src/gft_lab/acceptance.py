@@ -527,7 +527,7 @@ CRITERIA: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_all(names: list[str] | None = None, writer: Callable[[str], None] = print) -> int:
+def run_all(names: list[str] | None = None) -> int:
     """Run the selected criteria, print one PASS/FAIL line each, return 0/1."""
     known = {name for name, _ in CRITERIA}
     if names:
@@ -544,6 +544,6 @@ def run_all(names: list[str] | None = None, writer: Callable[[str], None] = prin
         except Exception as exc:  # a crashed criterion is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         dt = time.perf_counter() - t0
-        writer(f"{'PASS' if ok else 'FAIL'} {name} ({dt:.1f}s) {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name} ({dt:.1f}s) {detail}")
         failures += 0 if ok else 1
     return 0 if failures == 0 else 1

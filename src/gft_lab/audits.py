@@ -145,11 +145,12 @@ def ir_audit(mechanism, inst: MarketInstance, samples: int = 4096, seed: int = 0
     return _first_min(buyer), _first_min(np.where(X, pay_S - S, pay_S))
 
 
-def _deviation_grid(inst: MarketInstance, i: int, points: int = 33) -> np.ndarray:
+def _deviation_grid(inst: MarketInstance, i: int) -> np.ndarray:
+    """Seller i's atoms, else the midpoints of 33 equal-mass cells of its cost."""
     d = inst.seller_dists[i]
     if d.kind == "discrete":
         return np.asarray(d.values, dtype=float)
-    return d.ppf((np.arange(points) + 0.5) / points)
+    return d.ppf((np.arange(33) + 0.5) / 33)
 
 
 def dsic_audit_sellers(

@@ -333,22 +333,22 @@ def bilateral_fpp_gft_quad(inst: MarketInstance, p):
     return ds.cdf(p) * dst.expected_excess(db, p, "above") + db.tail(p) * dst.expected_excess(ds, p, "below")
 
 
-def best_fpp_bilateral(inst: MarketInstance, grid: int = 800) -> tuple[float, float]:
+def best_fpp_bilateral(inst: MarketInstance) -> tuple[float, float]:
     """The best single posted price and its GFT, as (price, gft). A fully
     discrete instance takes the first maximum of the exact Fpp GFT over the
-    support atoms; otherwise the best of `grid` equally spaced prices,
+    support atoms; otherwise the best of 800 equally spaced prices,
     refined by a bounded scalar search between its neighbours."""
     db, ds = _bilateral(inst)
     if inst.is_discrete:
         support = sorted(set(db.values) | set(ds.values))
         return max(((p, audits.exact_gft(Fpp(inst, [p], [p]), inst)) for p in support), key=lambda t: t[1])
-    ps = np.linspace(min(db.support()[0], ds.support()[0]), max(db.support()[1], ds.support()[1]), grid)
+    ps = np.linspace(min(db.support()[0], ds.support()[0]), max(db.support()[1], ds.support()[1]), 800)
     vals = bilateral_fpp_gft_quad(inst, ps)
     k = int(np.argmax(vals))
     from scipy.optimize import minimize_scalar
 
     a = ps[max(0, k - 1)]
-    b = ps[min(grid - 1, k + 1)]
+    b = ps[min(len(ps) - 1, k + 1)]
     res = minimize_scalar(lambda p: -bilateral_fpp_gft_quad(inst, p), bounds=(a, b), method="bounded")
     p_star = float(res.x)
     g_star = bilateral_fpp_gft_quad(inst, p_star)

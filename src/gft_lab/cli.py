@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import acceptance, audits, bounds, instances, oracle
 from . import feasibility as fea
@@ -24,22 +23,13 @@ SCHEMA = "#gft-lab-v1"
 MECHANISMS = ("fpp", "cfpp", "sapp", "buyer_offering", "seller_offering")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters shared by the data-emitting subcommands."""
-
-    samples: int
-    seed: int | None
-    exact: bool
-    output: str | None
-    format: str
-
-    def require_seed(self) -> int:
-        if self.exact:
-            return 0 if self.seed is None else self.seed
-        if self.seed is None:
-            raise ValueError("--seed is required for Monte Carlo runs")
-        return self.seed
+def _seed(args) -> int:
+    """--seed; an exact run defaults it to 0, a Monte Carlo run requires it."""
+    if args.seed is not None:
+        return args.seed
+    if args.exact:
+        return 0
+    raise ValueError("--seed is required for Monte Carlo runs")
 
 
 def _parse_params(pairs: list[str] | None) -> dict:
@@ -123,9 +113,9 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(rows: list[dict], fields: tuple[str, ...], cfg: RunConfig) -> None:
+def _emit(rows: list[dict], fields: tuple[str, ...], args) -> None:
     rows = [{k: _norm(v) for k, v in row.items()} for row in rows]
-    if cfg.format == "json":
+    if args.format == "json":
         body = {"schema": SCHEMA.lstrip("#"), "rows": rows}
         text = json.dumps(body, sort_keys=True, indent=2) + "\n"
     else:
@@ -136,7 +126,7 @@ def _emit(rows: list[dict], fields: tuple[str, ...], cfg: RunConfig) -> None:
         for row in rows:
             writer.writerow([_cell(row[f]) for f in fields])
         text = buf.getvalue()
-    _write_text(cfg.output, text)
+    _write_text(args.output, text)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -147,31 +137,19 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        samples=args.samples,
-        seed=args.seed,
-        exact=getattr(args, "exact", False),
-        output=args.output,
-        format=args.format,
-    )
-
-
 def cmd_simulate(args) -> int:
-    cfg = _config(args)
     inst = _load_instance(args)
-    seed = cfg.require_seed()
+    seed = _seed(args)
     mechs = [_build_mechanism(name, inst, args) for name in args.mechanism]
-    rows = [audits.audit_report(mm, inst, cfg.samples, seed, cfg.exact).as_dict() for mm in mechs]
-    _emit(rows, audits.AuditReport.CSV_FIELDS, cfg)
+    rows = [audits.audit_report(mm, inst, args.samples, seed, args.exact).as_dict() for mm in mechs]
+    _emit(rows, audits.AuditReport.CSV_FIELDS, args)
     return 0
 
 
 def cmd_bounds(args) -> int:
-    cfg = _config(args)
     inst = _load_instance(args)
-    seed = cfg.require_seed()
-    rep = bounds.benchmark_decomposition(inst, samples=cfg.samples, seed=seed)
+    seed = _seed(args)
+    rep = bounds.benchmark_decomposition(inst, samples=args.samples, seed=seed)
     rows = [
         {"metric": "r_min", "value": rep.r},
         {"metric": "ladder_depth", "value": rep.ladder_depth},
@@ -188,24 +166,23 @@ def cmd_bounds(args) -> int:
     for name, (good, _) in rep.checks.items():
         rows.append({"metric": f"check_{name}", "value": good})
     rows.append(
-        {"metric": "sb_gft_upper", "value": bounds.sb_gft_upper(inst, cfg.samples, seed)}
+        {"metric": "sb_gft_upper", "value": bounds.sb_gft_upper(inst, args.samples, seed)}
     )
     if inst.n == 1:
         best_p, best_g = bounds.best_fpp_bilateral(inst)
         rows.append({"metric": "best_fpp_price", "value": best_p})
         rows.append({"metric": "best_fpp_gft", "value": best_g})
-    _emit(rows, ("metric", "value"), cfg)
+    _emit(rows, ("metric", "value"), args)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    cfg = _config(args)
     inst = _load_instance(args)
     if not inst.is_discrete:
         raise CapacityError("continuous instance; discretize first")
     m = oracle.DiscreteMarket(inst)
     if args.dump_lp:
-        _write_text(cfg.output, oracle.lp_text(m, args.budget))
+        _write_text(args.output, oracle.lp_text(m, args.budget))
         return 0
     chain = oracle.verify_ub_chain(m)
     rows = [
@@ -222,7 +199,7 @@ def cmd_oracle(args) -> int:
     if inst.n == 2:
         for label, (_, _, good) in sorted(oracle.opt_s_partition_check(m).items()):
             rows.append({"metric": f"opt_s_partition_{label}", "value": good})
-    _emit(rows, ("metric", "value"), cfg)
+    _emit(rows, ("metric", "value"), args)
     return 0
 
 
@@ -276,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_args(p)
     p.add_argument("--budget", choices=("exante", "expost"), default="exante")
     p.add_argument("--dump-lp", action="store_true")
-    p.set_defaults(fn=cmd_oracle, exact=True)
+    p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("example", help="dump a named instance to JSON")
     p.add_argument("--example", required=True)

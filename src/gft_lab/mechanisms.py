@@ -33,6 +33,7 @@ from .distributions import Dist, IronedVirtual, _ordered_sum
 from .feasibility import Constraint
 
 TOL = 1e-9
+PRODUCT_GRID_CAP = 10**7  # points in one side's profile grid (`_product_grid`)
 
 __all__ = [
     "MarketInstance",
@@ -317,15 +318,15 @@ def _seller_thresholds(inst: MarketInstance, X: np.ndarray, S: np.ndarray, alloc
 # -- profile grids (exact enumeration helpers) --------------------------------
 
 
-def _product_grid(dists: Sequence[Dist], cap: int = 10**7) -> tuple[np.ndarray, np.ndarray]:
+def _product_grid(dists: Sequence[Dist]) -> tuple[np.ndarray, np.ndarray]:
     """All value tuples over the given discrete dists, row-major over their
     atoms (the `itertools.product` order), and their probabilities."""
     if any(d.kind != "discrete" for d in dists):
         raise ValueError("exact enumeration needs discrete distributions")
     shape = [len(d.values) for d in dists]
     size = math.prod(shape)
-    if size > cap:
-        raise fea.CapacityError(f"profile grid exceeds {cap} points")
+    if size > PRODUCT_GRID_CAP:
+        raise fea.CapacityError(f"profile grid exceeds {PRODUCT_GRID_CAP} points")
     grids = np.empty(shape + [len(dists)])
     probs = np.ones(shape)
     for j, (d, idx) in enumerate(zip(dists, np.indices(shape, sparse=True))):
@@ -403,8 +404,8 @@ class Cfpp(Fpp):
     with nonnegative total utility (zero total still buys), else nothing.
     """
 
-    def __init__(self, inst, theta_b, theta_s, sub: Constraint, name: str = "cfpp"):
-        super().__init__(inst, theta_b, theta_s, name)
+    def __init__(self, inst, theta_b, theta_s, sub: Constraint):
+        super().__init__(inst, theta_b, theta_s, "cfpp")
         if set(sub.ground) - set(inst.constraint.ground):
             raise ValueError("subconstraint ground exceeds market ground")
         self.sub = sub
@@ -450,7 +451,6 @@ class AllocationRule:
     the other costs held (NaN where it has none)."""
 
     name: str
-    n: int
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     q_fn: Callable[[np.ndarray], np.ndarray] | None = None
     q_cut: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -508,7 +508,7 @@ def unlikely_trade_rule(inst: MarketInstance, L: Iterable[int]) -> AllocationRul
                 cut[..., i] = np.minimum(w, phi[i](w) + TOL)
         return cut
 
-    return AllocationRule(f"unlikely_trade({list(L)})", inst.n, fn, q_fn, q_cut)
+    return AllocationRule(f"unlikely_trade({list(L)})", fn, q_fn, q_cut)
 
 
 def _prob_trade_willing(d: Dist, phi: IronedVirtual, s: np.ndarray) -> np.ndarray:
@@ -541,12 +541,11 @@ def reduction_rule(inst: MarketInstance) -> AllocationRule:
         serve = (np.arange(inst.n) == best) & (np.take_along_axis(d, best, axis=-1) >= -TOL)
         return serve.astype(float)
 
-    return AllocationRule("reduction", inst.n, fn)
+    return AllocationRule("reduction", fn)
 
 
 # -- seller-adjusted posted prices ---------------------------------------------
 
-SAPP_CACHE_CAP = 1024  # price-map entries kept for off-grid seller profiles
 SAPP_TABLE_BYTES = 2**26  # largest (|S|, |B|, n) float table; an audit peaks near 6x it (470 MB at 63 MB)
 SAPP_ROWS_BYTES = 2**23  # largest (k, |B|, n) block `SappPriceMap.rows` averages q over at once
 SAPP_BUYER_SAMPLE = 4096  # buyer profiles, seed 0, that q averages over for continuous buyers without q_fn
@@ -559,30 +558,28 @@ class SappPriceMap:
     quantile at 1 - q_i(s)/2, and alpha_i(s) the boundary-coin probability
     calibrated so Pr[afford i] = q_i(s)/2 exactly on discrete grids.
 
-    `rows` computes all three for an array of seller profiles. Entries for the
-    seller grid are filled by Sapp's exact table; other profiles are cached up
-    to SAPP_CACHE_CAP entries, oldest evicted first.
+    `rows` computes all three for an array of seller profiles. The map keeps
+    no state: a row's prices depend on that row alone (the buyer rows q
+    averages over are fixed at construction), so a row priced alone equals
+    the same row priced in any batch.
     """
 
     def __init__(self, inst: MarketInstance, rule: AllocationRule):
         self.inst = inst
         self.rule = rule
-        self._grid: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._bgrid = self._bprobs = None  # the buyer rows q averages over, and their weights
         if all(d.kind == "discrete" for d in inst.buyer_dists):
             self._bgrid, self._bprobs = buyer_grid(inst)
         elif rule.q_fn is None:
             # a fixed-seed sample, equally weighted, keeps the map deterministic
             self._bgrid, _ = inst.sample_profiles(np.random.default_rng(0), SAPP_BUYER_SAMPLE)
-        self.q_is_exact = self._bgrid is None or self._bprobs is not None
         if self._bgrid is not None:
             self._bphi = inst.virtuals(self._bgrid, "buyer")
-        self._atoms = {}  # per discrete buyer item: atoms, cdf, Pr[b > atom], (positive) mass at atom
+        self._atoms = {}  # per discrete buyer item: atoms, Pr[b > atom], (positive) mass at atom
         for i, d in enumerate(inst.buyer_dists):
             if d.kind == "discrete":
                 v, p = np.asarray(d.values), np.asarray(d.probs)
-                self._atoms[i] = (v, np.cumsum(p), d.tail(v) - p, p)
+                self._atoms[i] = (v, d.tail(v) - p, p)
 
     def q(self, s) -> np.ndarray:
         return self._entry(s)[0]
@@ -598,24 +595,12 @@ class SappPriceMap:
         return q[0], theta[0], alpha[0]
 
     def _entries(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(q, theta, alpha) rows for a (k, n) array of seller profiles: grid and
-        cached entries are read, the other distinct profiles priced by one
-        `rows` call and cached."""
+        """(q, theta, alpha) rows for a (k, n) array of seller profiles, each
+        distinct profile priced once."""
         if not len(S):
             return np.empty(S.shape), np.empty(S.shape), np.empty(S.shape)
         uniq, inverse = np.unique(S, axis=0, return_inverse=True)
-        keys = list(map(tuple, uniq.tolist()))
-        hits = [self._grid.get(key) or self._cache.get(key) for key in keys]
-        missing = [key for key, hit in zip(keys, hits) if hit is None]
-        if missing:
-            priced = dict(zip(missing, zip(*self.rows(np.array(missing)))))
-            for key, entry in priced.items():
-                if len(self._cache) >= SAPP_CACHE_CAP:
-                    del self._cache[next(iter(self._cache))]
-                self._cache[key] = entry
-            hits = [hit or priced[key] for key, hit in zip(keys, hits)]
-        q, theta, alpha = (np.array(col)[inverse.ravel()] for col in zip(*hits))
-        return q, theta, alpha
+        return tuple(col[inverse.ravel()] for col in self.rows(uniq))
 
     def _kept(self, S: np.ndarray) -> np.ndarray:
         """x_i(b, s) * 1[phi_i(b_i) >= s_i] over seller rows S x buyer rows b."""
@@ -640,20 +625,17 @@ class SappPriceMap:
         theta = np.empty_like(q)
         alpha = np.zeros_like(q)
         for i, d in enumerate(self.inst.buyer_dists):
-            u = 1.0 - q[:, i] / 2.0
-            if d.kind != "discrete":
-                theta[:, i] = d.ppf(u)
-                continue
-            values, cdf, above, mass = self._atoms[i]
-            k = np.minimum(np.searchsorted(cdf, u - dst.ATOL, side="left"), len(values) - 1)
-            theta[:, i] = values[k]
-            alpha[:, i] = np.clip((q[:, i] / 2.0 - above[k]) / mass[k], 0.0, 1.0)
+            theta[:, i] = d.ppf(1.0 - q[:, i] / 2.0)
+            if i in self._atoms:
+                values, above, mass = self._atoms[i]
+                k = np.searchsorted(values, theta[:, i])
+                alpha[:, i] = np.clip((q[:, i] / 2.0 - above[k]) / mass[k], 0.0, 1.0)
         return q, theta, alpha
 
 
-def _validate_rule(inst: MarketInstance, rule: AllocationRule, probes: int = 48, seed: int = 7) -> None:
-    rng = np.random.default_rng(seed)
-    B, S = inst.sample_profiles(rng, probes)
+def _validate_rule(inst: MarketInstance, rule: AllocationRule) -> None:
+    """Check the rule hypotheses on 48 profiles sampled with seed 7."""
+    B, S = inst.sample_profiles(np.random.default_rng(7), 48)
     X = rule(B, S)
     if np.any(X.sum(axis=-1) > 1.0 + TOL):
         raise ValueError("allocation rule serves more than one item")
@@ -695,10 +677,10 @@ class Sapp:
     """Runs a SappPriceMap: posts theta(s), sells at most one item, pays the
     traded seller her threshold (largest still-trading cost report)."""
 
-    def __init__(self, inst: MarketInstance, pmap: SappPriceMap, name: str | None = None):
+    def __init__(self, inst: MarketInstance, pmap: SappPriceMap):
         self.inst = inst
         self.pmap = pmap
-        self.name = name or f"sapp[{pmap.rule.name}]"
+        self.name = f"sapp[{pmap.rule.name}]"
 
     # -- realized execution --
 
@@ -779,8 +761,7 @@ class Sapp:
 
     @cached_property
     def _table(self) -> _SappTable:
-        """Beta over the full seller x buyer grid, built once; it also fills
-        the price map's entries for the seller grid."""
+        """Beta over the full seller x buyer grid, built once."""
         inst = self.inst
         if not inst.is_discrete:
             raise ValueError("exact SAPP accounting needs a fully discrete instance")
@@ -790,7 +771,6 @@ class Sapp:
         S, pS = seller_grid(inst)
         B, pB = self.pmap._bgrid, self.pmap._bprobs
         q, theta, alpha = self.pmap.rows(S)
-        self.pmap._grid.update(zip(map(tuple, S.tolist()), zip(q, theta, alpha)))
         beta = self._beta_rows(B, theta[:, None, :], alpha[:, None, :])
         xhat = _ordered_sum(pB[:, None] * beta, axis=1)
         return _SappTable(S, pS, B, pB, q, theta, beta, xhat)

@@ -407,14 +407,10 @@ def lower_bound_value(inst: MarketInstance, p: Sequence[float], q: Sequence[floa
     return float(total)
 
 
-def optimize_q(
-    inst: MarketInstance,
-    p: Sequence[float],
-    iters: int = 500,
-    gap_tol: float = 1e-8,
-) -> np.ndarray:
+def optimize_q(inst: MarketInstance, p: Sequence[float]) -> np.ndarray:
     """Frank-Wolfe maximization of lower_bound_value over the constraint
-    polytope; the linear subproblem is a max-weight feasible set."""
+    polytope; the linear subproblem is a max-weight feasible set. Stops after
+    500 steps or once the duality gap is at most 1e-8."""
     p = np.asarray(p, dtype=float)
     n = inst.n
     pr_b, cap = _caps(inst, p)
@@ -428,13 +424,13 @@ def optimize_q(
             g[i] = max(0.0, p[i] - dst.quantile(inst.seller_dists[i], qv[i] / pr_b[i]))
         return g
 
-    for t in range(iters):
+    for t in range(500):
         g = grad(q)
         S, _ = fea.max_weight_set(inst.constraint, g)
         v = np.zeros(n)
         v[list(S)] = 1.0
         gap = float(np.dot(g, v - q))
-        if gap <= gap_tol:
+        if gap <= 1e-8:
             break
         step = 2.0 / (t + 2.0)
         q = (1.0 - step) * q + step * v

@@ -51,6 +51,7 @@ __all__ = [
 # (measured 460-590 B on two-item grids up to 12x12 and bilateral grids up
 # to 280x280, 1.1M nonzeros), so an LP at the cap peaks near 1 GB.
 LP_NNZ_CAP = 1_750_000
+CHAIN_TOL = 1e-6  # slack allowed in each inequality of the bound chain
 
 
 @dataclass(frozen=True)
@@ -377,7 +378,7 @@ def opt_s_lp(m: DiscreteMarket) -> float:
     return _maximize(c, *_stack(blocks, len(c)), box)
 
 
-def opt_s_partition_check(m: DiscreteMarket, tol: float = 1e-6) -> dict:
+def opt_s_partition_check(m: DiscreteMarket) -> dict:
     """OPT-S over all items is at most OPT-S on one part plus first best on the
     complement, for every 1/(n-1)-style split of a two-item market."""
     from . import audits
@@ -392,11 +393,11 @@ def opt_s_partition_check(m: DiscreteMarket, tol: float = 1e-6) -> dict:
         drop = 1 - keep
         part = opt_s_lp(DiscreteMarket(sub_instance(inst, [keep])))
         fb = audits.first_best_gft(sub_instance(inst, [drop]), "exact")
-        results[f"keep{keep}"] = (whole, part + fb, whole <= part + fb + tol)
+        results[f"keep{keep}"] = (whole, part + fb, whole <= part + fb + CHAIN_TOL)
     return results
 
 
-def verify_ub_chain(m: DiscreteMarket, mechanisms: Sequence | None = None, tol: float = 1e-6) -> dict:
+def verify_ub_chain(m: DiscreteMarket) -> dict:
     """Recompute the bound chain on one market: every implemented mechanism's
     exact GFT <= SB <= min(FB, OPT-B + OPT-S)."""
     from . import audits, bounds
@@ -412,27 +413,26 @@ def verify_ub_chain(m: DiscreteMarket, mechanisms: Sequence | None = None, tol: 
         "fb": fb,
         "opt_b": ob,
         "opt_s": os_,
-        "sb_le_fb": sb <= fb + tol,
-        "sb_le_optb_plus_opts": sb <= ob + os_ + tol,
+        "sb_le_fb": sb <= fb + CHAIN_TOL,
+        "sb_le_optb_plus_opts": sb <= ob + os_ + CHAIN_TOL,
         "mechanisms": {},
     }
-    if mechanisms is None:
-        mechanisms = []
-        prices = sorted({float(v) for d in inst.buyer_dists + inst.seller_dists for v in d.values})
-        for p in prices:
-            pv = np.full(inst.n, p)
-            try:
-                mechanisms.append(Fpp(inst, pv, pv, name=f"fpp[{p:g}]"))
-            except ValueError:
-                pass
-        mechanisms.append(BuyerOffering(inst))
-        if inst.n == 1:
-            mechanisms.append(SellerOffering(inst))
+    mechanisms = []
+    prices = sorted({float(v) for d in inst.buyer_dists + inst.seller_dists for v in d.values})
+    for p in prices:
+        pv = np.full(inst.n, p)
         try:
-            mechanisms.append(Sapp(inst, sapp_build(inst, reduction_rule(inst))))
+            mechanisms.append(Fpp(inst, pv, pv, name=f"fpp[{p:g}]"))
         except ValueError:
             pass
+    mechanisms.append(BuyerOffering(inst))
+    if inst.n == 1:
+        mechanisms.append(SellerOffering(inst))
+    try:
+        mechanisms.append(Sapp(inst, sapp_build(inst, reduction_rule(inst))))
+    except ValueError:
+        pass
     for mech in mechanisms:
         g = audits.exact_gft(mech, inst)
-        report["mechanisms"][getattr(mech, "name", type(mech).__name__)] = (g, g <= sb + tol)
+        report["mechanisms"][getattr(mech, "name", type(mech).__name__)] = (g, g <= sb + CHAIN_TOL)
     return report

@@ -303,7 +303,7 @@ def test_posted_price_gft_below_strict_envelope():
 
 
 def test_best_fpp_bilateral_uniform():
-    p, gft = bounds.best_fpp_bilateral(bilateral_uniform(), grid=200)
+    p, gft = bounds.best_fpp_bilateral(bilateral_uniform())
     assert math.isclose(p, 0.5, abs_tol=0.01)
     assert math.isclose(gft, 0.125, abs_tol=1e-3)
     for probe in (0.3, 0.5, 0.7):

@@ -177,7 +177,7 @@ def test_sapp_price_map_constant_rule_uniform():
     u = dst.uniform(0.0, 1.0)
     inst = mech.market([u], [u], fea.additive([0]))
     half = mech.AllocationRule(
-        "const-half", 1, lambda b, s: np.array([0.5]), q_fn=lambda s: np.array([0.5])
+        "const-half", lambda b, s: np.array([0.5]), q_fn=lambda s: np.array([0.5])
     )
     pm = mech.sapp_build(inst, half)
     assert math.isclose(pm.theta(np.array([0.3]))[0], 0.75, abs_tol=1e-9)
@@ -188,7 +188,7 @@ def test_sapp_zero_rule_posts_top_and_never_trades():
     u = dst.uniform(0.0, 1.0)
     inst = mech.market([u], [u], fea.additive([0]))
     never = mech.AllocationRule(
-        "never", 1, lambda b, s: np.zeros(1), q_fn=lambda s: np.zeros(1)
+        "never", lambda b, s: np.zeros(1), q_fn=lambda s: np.zeros(1)
     )
     sp = mech.Sapp(inst, mech.sapp_build(inst, never))
     assert math.isclose(sp.pmap.theta(np.array([0.5]))[0], 1.0, abs_tol=1e-9)
@@ -228,7 +228,7 @@ def test_sapp_activation_map_bi_monotone():
 
 def test_sapp_constant_map_pays_top_cost():
     half = mech.AllocationRule(
-        "const-half", 1, lambda b, s: np.array([0.5]), q_fn=lambda s: np.array([0.5])
+        "const-half", lambda b, s: np.array([0.5]), q_fn=lambda s: np.array([0.5])
     )
     inst = mech.market(
         [d([1.0, 2.0], [0.5, 0.5])],

@@ -1,8 +1,8 @@
 """
 Tests for the array form of seller-adjusted posted prices: the price map over
 seller-profile rows, the coin-integrated purchase table behind the exact
-audits, the bounded price cache, the table's capacity guard, and the rule
-hypothesis checks of `sapp_build`.
+audits, row independence of the prices, the table's capacity guard, and the
+rule hypothesis checks of `sapp_build`.
 """
 import math
 
@@ -72,7 +72,6 @@ def test_tables_match_per_profile_reference(case):
             assert got[k].tobytes() == want.tobytes()
         for m, b in enumerate(B):
             assert sp._table.beta[k, m].tobytes() == sp.beta(b, s).tobytes() == ref.beta(b, s).tobytes()
-    assert not sp.pmap._cache
 
 
 def test_one_row_entry_matches_reference():
@@ -87,6 +86,34 @@ def test_one_row_entry_matches_reference():
         s = np.array(s)
         for got, want in zip((pm.q(s), pm.theta(s), pm.alpha(s)), entry(inst, rule, s)):
             assert got.tobytes() == want.tobytes()
+
+
+def test_seller_payments_are_expected_threshold_payments_with_raw_virtual_costs():
+    # the first seller's ironing binds: raw virtual costs (0, 5.5, 3.22)
+    # against ironed (0, 3.64, 3.64)
+    inst = mech.market(
+        [d([0.5, 1.5, 3.0], [0.3, 0.4, 0.3]), d([0.8, 2.5], [0.5, 0.5])],
+        [d([0.0, 1.0, 2.0], [0.45, 0.1, 0.45]), d([0.2, 1.1], [0.6, 0.4])],
+        fea.unit_demand(range(2)),
+    )
+    sp = mech.Sapp(inst, mech.sapp_build(inst, mech.reduction_rule(inst)))
+    t = sp._table
+    shape = tuple(len(ds.values) for ds in inst.seller_dists) + (len(t.B),)
+    want = 0.0
+    for i, ds in enumerate(inst.seller_dists):
+        atoms = np.asarray(ds.values)
+        others = [inst.seller_dists[j] for j in range(inst.n) if j != i]
+        # beta[r, z]: seller i's purchase probability at own cost atoms[z]; the
+        # threshold payment at truthful atoms[a] telescopes over z >= a
+        beta = np.moveaxis(t.beta[..., i].reshape(shape), i, -1).reshape(-1, len(atoms))
+        w = np.outer(mech._product_grid(others)[1], t.pB).ravel()
+        at = beta - np.concatenate((beta[:, 1:], np.zeros((len(beta), 1))), axis=1)
+        pay = np.cumsum((at * atoms)[:, ::-1], axis=1)[:, ::-1]
+        want += float(np.dot(w @ pay, ds.probs))
+    got = sp.exact_report()["seller_payments"]
+    assert abs(got - want) <= 1e-12 and math.isclose(want, 0.36329, abs_tol=1e-12)
+    ironed = np.vecdot(t.beta, inst.virtuals(t.S, "seller")[:, None, :])
+    assert abs(float(np.sum(np.outer(t.pS, t.pB) * ironed)) - want) > 1e-3  # 0.35770
 
 
 # q, theta and alpha of the fixed-sample fallback (continuous buyers, a rule
@@ -125,7 +152,6 @@ def test_fixed_sample_fallback_pinned(name):
         else instances.random_instance(3, "uniform", seed=5, constraint="unit_demand")
     )
     pm = mech.sapp_build(inst, mech.reduction_rule(inst))
-    assert not pm.q_is_exact
     pins = FALLBACK_PINS[name]
     S = np.array([s for s, _, _ in pins])
     q, theta, alpha = pm.rows(S)
@@ -135,17 +161,42 @@ def test_fixed_sample_fallback_pinned(name):
         assert alpha[k].tolist() == [0.0] * inst.n
 
 
-@pytest.mark.parametrize("name", ["a1", "a2"])
+def _regime(name):
+    """A market and rule per way `rows` gets q: the fixed buyer sample (a1,
+    a2), the discrete buyer grid (a2d) and the rule's q_fn (a2-unlikely)."""
+    if name == "a1":
+        inst = instances.example_a1(4.0)
+    elif name == "a2d":
+        inst = instances.example_a2_discretized(4, 6.0, grid=8)
+    else:
+        inst = instances.example_a2(4, 6.0)
+    if name == "a2-unlikely":
+        return inst, mech.unlikely_trade_rule(inst, bounds.hl_split(inst)[1])
+    return inst, mech.reduction_rule(inst)
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "a2d", "a2-unlikely"])
 def test_fixed_sample_fallback_prices_rows_in_bounded_blocks(name, monkeypatch):
-    inst = instances.example_a1(4.0) if name == "a1" else instances.example_a2(4, 6.0)
-    pm = mech.sapp_build(inst, mech.reduction_rule(inst))
+    inst, rule = _regime(name)
+    pm = mech.sapp_build(inst, rule)
     S = inst.sample_profiles(np.random.default_rng(3), 600)[1]
+    # a row's prices depend on that row alone: priced in one batch, one row at
+    # a time, or among the same rows in another order, the bytes agree
+    batch = pm.rows(S)
+    alone = [np.concatenate(col) for col in zip(*(pm.rows(S[k:k + 1]) for k in range(len(S))))]
+    perm = np.random.default_rng(4).permutation(len(S))
+    stacked = pm._entries(np.concatenate((S, S[perm])))
+    for got, one, both in zip(batch, alone, stacked):
+        assert got.tobytes() == one.tobytes() == both[: len(S)].tobytes()
+        assert got[perm].tobytes() == both[len(S):].tobytes()
+    if pm._bgrid is None:  # q from q_fn: no buyer rows to block over
+        return
     blocks = []
     kept = pm._kept
     monkeypatch.setattr(pm, "_kept", lambda rows: blocks.append(len(rows)) or kept(rows))
     chunked = pm.rows(S)
     step = mech.SAPP_ROWS_BYTES // (len(pm._bgrid) * inst.n * 8)
-    assert sum(blocks) == len(S) and max(blocks) == min(step, len(S)) and len(blocks) > 1
+    assert sum(blocks) == len(S) and max(blocks) == min(step, len(S)) and len(blocks) == math.ceil(len(S) / step)
     monkeypatch.setattr(mech, "SAPP_ROWS_BYTES", 2**40)
     whole = pm.rows(S)
     monkeypatch.setattr(mech, "SAPP_ROWS_BYTES", 1)
@@ -155,31 +206,17 @@ def test_fixed_sample_fallback_prices_rows_in_bounded_blocks(name, monkeypatch):
         assert got.tobytes() == want.tobytes() == one.tobytes()
 
 
-def test_price_cache_is_bounded_with_unchanged_results():
+def test_budget_audit_pinned_on_a2():
     a2c = instances.example_a2(4, 6.0)
     _, L = bounds.hl_split(a2c)
     pm = mech.sapp_build(a2c, mech.unlikely_trade_rule(a2c, L))
     br = audits.budget_audit(mech.Sapp(a2c, pm), a2c, samples=3000, seed=9)
-    assert len(pm._cache) == mech.SAPP_CACHE_CAP  # about 3,600 distinct profiles were priced
-    # recorded with an unbounded cache
+    # recorded values: a change to the price map must not move the audit's bits
     assert (br.expost_min_slack, br.exante_slack, br.exante_stderr) == (
         0.0,
         0.0006371769094100885,
         0.0004615168869906838,
     )
-
-
-def test_price_cache_evicts_oldest_and_grid_rows_bypass_it(monkeypatch):
-    inst = mech.market([d([1.0, 2.0], [0.5, 0.5])], [d([0.0, 0.5], [0.5, 0.5])], fea.additive([0]))
-    pm = mech.sapp_build(inst, mech.reduction_rule(inst))
-    monkeypatch.setattr(mech, "SAPP_CACHE_CAP", 2)
-    for v in (0.1, 0.2, 0.3):
-        pm.theta(np.array([v]))
-    assert list(pm._cache) == [(0.2,), (0.3,)]
-    mech.Sapp(inst, pm).sandwich_violation()
-    assert sorted(pm._grid) == [(0.0,), (0.5,)]
-    pm.alpha(np.array([0.5]))
-    assert list(pm._cache) == [(0.2,), (0.3,)]
 
 
 def test_sapp_table_capacity_guard(monkeypatch):
@@ -219,12 +256,12 @@ def _two_uniform_items():
 def test_validate_rule_rejects(fn, message):
     inst = _two_uniform_items()
     with pytest.raises(ValueError, match=message):
-        mech.sapp_build(inst, mech.AllocationRule("bad", 2, fn))
+        mech.sapp_build(inst, mech.AllocationRule("bad", fn))
 
 
 def test_validate_rule_accepts_broadcast_constant():
     inst = _two_uniform_items()
-    const = mech.AllocationRule("const", 2, lambda b, s: np.array([0.5, 0.0]))
+    const = mech.AllocationRule("const", lambda b, s: np.array([0.5, 0.0]))
     pm = mech.sapp_build(inst, const)
     assert const(np.zeros((3, 5, 2)), np.zeros((5, 2))).shape == (3, 5, 2)
     # phi(b) = 2b - 1 clears 0.2 with probability 0.4 on the fixed buyer sample
