@@ -10,15 +10,21 @@ for intersections the value is a labeled upper bound.
 opt_s_lp drops the seller-side constraints entirely: the designer sees costs,
 pays them at face value, and only the buyer's incentives bind.
 
-Allocation and payments are variables per profile, where the objective, the
-polytope rows and the budget rows live. Incentives are stated over interim
-variables: each buyer type's expected allocation and payment over the seller
-profiles, and each seller cost type's expected trade and payment given that
-cost. Equality rows tie the interim variables to the profile ones, so an
-agent's IR/BIC rows cost O(types^2) nonzeros rather than O(types^2 *
-profiles). Both LPs are assembled as one sparse matrix with row bounds by
-index arithmetic on the product type grids and solved by one HiGHS call;
-variable names exist only in lp_text.
+The allocation is a variable per profile, where the objective and the
+polytope rows live. Incentives are stated over interim variables: each buyer
+type's expected allocation XB and payment PB over the seller profiles, and
+each seller cost type's expected trade XS and payment PS given that cost.
+Equality rows define XB and XS from the allocation. A payment enters only its
+interim mean and the budget, so the per-profile payments are projected out
+exactly: ex ante, PB and PS are free and the budget is one row over them; ex
+post, the sellers' payments stay per profile (they define PS) and the buyer's
+per-profile budget rows sum to one row per buyer type against PB. A
+single-dimensional agent (every seller, and the buyer of one item) has IR at
+its worst type and BIC between neighbouring types only, which imply all the
+others (Myerson 1981); the multi-dimensional buyer has every pair. Both LPs are
+assembled as one sparse matrix with row bounds by index arithmetic on the
+product type grids and solved by one HiGHS call; variable names exist only in
+lp_text.
 """
 
 from __future__ import annotations
@@ -46,11 +52,12 @@ __all__ = [
     "verify_ub_chain",
 ]
 
-# Largest second-best LP admitted, in constraint-matrix nonzeros. A solve
-# peaks at about 560 bytes per nonzero over the interpreter's ~80 MB
-# (measured 460-590 B on two-item grids up to 12x12 and bilateral grids up
-# to 280x280, 1.1M nonzeros), so an LP at the cap peaks near 1 GB.
-LP_NNZ_CAP = 1_750_000
+# Largest ex-post second-best LP admitted, in constraint-matrix nonzeros. A
+# solve peaks at about 540 bytes per nonzero over the interpreter's ~80 MB
+# (measured 477-538 B on two-item grids up to 14x14 and bilateral grids up to
+# 600x600, 1.45M nonzeros; the ex-ante LP and OPT-S peak lower), so an LP at
+# the cap peaks near 1 GB.
+LP_NNZ_CAP = 1_800_000
 CHAIN_TOL = 1e-6  # slack allowed in each inequality of the bound chain
 
 
@@ -69,23 +76,22 @@ class DiscreteMarket:
 
     @property
     def lp_nnz(self) -> int:
-        """Nonzeros of the second-best LP (the larger of the two) counted from
-        the grid sizes, before any grid or matrix is built; zero coefficients,
-        e.g. from a zero cost atom, make the built LP sparser."""
+        """Nonzeros of the ex-post second-best LP (the largest of the three)
+        counted from the grid sizes, before any grid or matrix is built; zero
+        coefficients, e.g. from a zero cost atom, make the built LP sparser."""
         n = self.inst.n
         nb = math.prod(len(d.values) for d in self.inst.buyer_dists)
         sizes = [len(d.values) for d in self.inst.seller_dists]
         ns = math.prod(sizes)
         feas = sum(len(coefs) for coefs, _ in self._prows)
-        # per profile: feasibility rows and n+1 budget coefficients; per buyer
-        # type: n+1 interim sums over ns profiles and (2nb-1)(n+1) in IR/BIC;
-        # per seller i: two interim sums over all profiles and, per cost
-        # type, 2(2m_i-1) in IR/BIC
-        return (
-            nb * ns * (feas + n + 1)
-            + nb * (n + 1) * (ns + 2 * nb)
-            + sum(2 * nb * ns + 4 * k * k for k in sizes)
-        )
+        # per profile: feasibility rows, each x[i] in defXB[i] and defXS[i],
+        # each pS[i] in defPS[i] and its buyer type's budget row; per buyer
+        # type: XB and PB once each in those rows, and IR/BIC rows of n+1 and
+        # 2(n+1) entries over all pairs of types. Local incentive rows of an
+        # agent with k types (the single-item buyer, each seller) are one IR
+        # row of 2 and 2(k-1) BIC rows of 4; a seller's XS and PS add 2 per type.
+        buyer = 8 * nb - 6 if n == 1 else (n + 1) * nb * (2 * nb - 1)
+        return nb * ns * (feas + 4 * n) + nb * (n + 1) + buyer + sum(10 * k - 6 for k in sizes)
 
     @cached_property
     def _prows(self):
@@ -151,11 +157,13 @@ def _fmt(vals: Sequence[float]) -> str:
 
 # Both LPs lay out one block of `stride` variables per profile (a, k), in
 # buyer-major order: variable j of profile (a, k) is (a*ns + k)*stride + j.
-# Second best has stride 2n+1 (x[0..n-1], pB, pS[0..n-1]); OPT-S has n+1
-# (x, pB). The interim variables follow the profile blocks: buyer type a's
-# block (XB[0..n-1](a), PB(a)), then, second best only, each seller i's
-# pairs (XS[i](t), PS[i](t)) by cost type t. Every row block below is
-# (rows, cols, vals, lo, hi) with local rows, lo <= sum vals*var <= hi; an
+# The block is x[0..n-1], followed by pS[0..n-1] in the ex-post second best
+# (stride 2n); the ex-ante second best and OPT-S keep x alone (stride n). The
+# interim variables follow the profile blocks: buyer type a's block
+# (XB[0..n-1](a), PB(a)), then, second best only, each seller i's pairs
+# (XS[i](t), PS[i](t)) by cost type t. Equality rows define XB and XS from x,
+# and PS from pS ex post; PB, and PS ex ante, are free. Every row block below
+# is (rows, cols, vals, lo, hi) with local rows, lo <= sum vals*var <= hi; an
 # equality row has lo == hi.
 
 
@@ -190,47 +198,63 @@ def _interim_rows(cols: np.ndarray, members: np.ndarray, w: np.ndarray):
     )
 
 
-def _incentive_rows(cols: np.ndarray, vals: np.ndarray, step: int):
-    """Interim IR and BIC rows of one agent with m types. Row t*m is the IR row
-    of true type t, sum vals[t] * var[cols[t]] <= 0; rows t*m+1 .. t*m+m-1 are
-    its misreports r != t in order, which add -vals[t] at the same variables
-    of type r, i.e. at cols[t] + (r - t)*step."""
-    m, width = cols.shape
-    t = np.arange(m).reshape(-1, 1)
-    q = np.arange(m - 1).reshape(1, -1)
-    shift = (q + (q >= t) - t) * step
-    rows = np.concatenate([np.arange(m * m), (t * m + 1 + q).ravel()])
-    own_cols, own_vals = np.repeat(cols, m, axis=0), np.repeat(vals, m, axis=0)
-    dev_cols = cols[:, None, :] + shift[:, :, None]
-    dev_vals = np.broadcast_to(-vals[:, None, :], dev_cols.shape)
+def _ic_pairs(m: int, ir: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(true type t, report r) of one agent's IR/BIC rows in row order, r == t
+    for the IR row of t. With ir None, every pair: per true type its IR row,
+    then each other report in order. Otherwise the agent is single-dimensional
+    with its m types in order, and IR at type ir (the highest cost or lowest
+    value) with BIC between neighbours implies every pair (Myerson 1981): per
+    true type, its IR row if it is ir, then BIC to t-1 and to t+1."""
+    if ir is None:
+        t = np.repeat(np.arange(m), m)
+        q = np.tile(np.arange(m), m) - 1
+        return t, np.where(q < 0, t, q + (q >= t))
+    t = np.repeat(np.arange(m), 3)
+    r = t + np.tile([0, -1, 1], m)
+    keep = np.where(r == t, t == ir, (r >= 0) & (r < m))
+    return t[keep], r[keep]
+
+
+def _buyer_pairs(m: DiscreteMarket):
+    """A single-item buyer's types are its increasing values."""
+    return _ic_pairs(len(m.btypes), 0 if m.inst.n == 1 else None)
+
+
+def _incentive_rows(cols: np.ndarray, vals: np.ndarray, pairs):
+    """One row per pair (t, r) over an agent's interim columns cols, shape (m,
+    width), where true type t's value of reporting r is -vals[t] . var[cols[r]]:
+    the IR row sum vals[t] * var[cols[t]] <= 0, and a BIC row that adds
+    -vals[t] at cols[r]."""
+    t, r = pairs
+    bic = np.flatnonzero(t != r)
     return (
-        np.repeat(rows, width),
-        np.concatenate([own_cols.ravel(), dev_cols.ravel()]),
-        np.concatenate([own_vals.ravel(), dev_vals.ravel()]),
-        *_upper(np.zeros(m * m)),
+        np.repeat(np.concatenate([np.arange(t.size), bic]), cols.shape[1]),
+        np.concatenate([cols[t].ravel(), cols[r[bic]].ravel()]),
+        np.concatenate([vals[t].ravel(), -vals[t[bic]].ravel()]),
+        *_upper(np.zeros(t.size)),
     )
 
 
 def _buyer_rows(m: DiscreteMarket, base: np.ndarray, first: int):
-    """The buyer's interim variables from column `first`, (XB, PB)(a) =
-    sum_k pS[k] * (x, pB)(a, k), and its IR/BIC rows over them: type a's
-    value of reporting a2 is B[a].XB(a2) - PB(a2)."""
+    """The buyer's interim block from column `first`, XB(a) = sum_k pS[k] *
+    x(a, k) beside a free PB(a), and its IR/BIC rows over them: type a's value
+    of reporting a2 is B[a].XB(a2) - PB(a2)."""
     B = m.btypes
     nb, ns = base.shape
     n = B.shape[1]
     interim = first + np.arange(nb * (n + 1)).reshape(nb, n + 1)
-    members = (base[:, None, :] + np.arange(n + 1)[:, None]).reshape(-1, ns)
+    members = (base[:, None, :] + np.arange(n)[:, None]).reshape(-1, ns)
     vals = np.hstack([-B, np.ones((nb, 1))])
-    return [_interim_rows(interim, members, m.sprobs), _incentive_rows(interim, vals, n + 1)]
+    return [_interim_rows(interim[:, :n], members, m.sprobs), _incentive_rows(interim, vals, _buyer_pairs(m))]
 
 
-def _seller_rows(m: DiscreteMarket, base: np.ndarray, first: int, i: int):
-    """Seller i's interim variables from column `first`, (XS, PS)[i](t) =
-    sum over the profiles (b, k) with cost atoms[t] of pB[b]*pS[k]/g[t] *
-    (x[i], pS[i])(b, k), and its IR/BIC rows over them: cost type t's value
-    of reporting r is PS[i](r) - atoms[t]*XS[i](r)."""
+def _seller_rows(m: DiscreteMarket, base: np.ndarray, first: int, i: int, pay: int | None):
+    """Seller i's interim pairs from column `first`: XS[i](t) = sum over the
+    profiles (b, k) with cost atoms[t] of pB[b]*pS[k]/g[t] * x[i](b, k), and
+    PS[i](t) the same sum of the variable at offset pay + i of the profile
+    block, or free when pay is None; and its IR/BIC rows over them: cost type
+    t's value of reporting r is PS[i](r) - atoms[t]*XS[i](r)."""
     inst = m.inst
-    n = inst.n
     atoms = np.array(inst.seller_dists[i].values)
     g = np.array(inst.seller_dists[i].probs)
     mi = len(atoms)
@@ -240,22 +264,30 @@ def _seller_rows(m: DiscreteMarket, base: np.ndarray, first: int, i: int):
     K = np.argsort(digit, kind="stable").reshape(mi, -1)  # profiles k with cost atoms[t]
     w = m.bprobs[None, :, None] * (m.sprobs[K] / g[:, None])[:, None, :]
     prof = base[:, K].transpose(1, 0, 2).reshape(mi, 1, -1)
+    offsets = np.array([i] if pay is None else [i, pay + i])
     interim = first + np.arange(2 * mi).reshape(mi, 2)
-    members = (prof + np.array([i, n + 1 + i])[:, None]).reshape(2 * mi, -1)
+    members = (prof + offsets[:, None]).reshape(mi * offsets.size, -1)
+    weights = np.repeat(w.reshape(mi, -1), offsets.size, axis=0)
     vals = np.column_stack([atoms, -np.ones(mi)])
-    weights = np.repeat(w.reshape(mi, -1), 2, axis=0)
-    return [_interim_rows(interim, members, weights), _incentive_rows(interim, vals, 2)]
+    return [
+        _interim_rows(interim[:, : offsets.size], members, weights),
+        _incentive_rows(interim, vals, _ic_pairs(mi, mi - 1)),
+    ]
 
 
-def _budget_rows(m: DiscreteMarket, base: np.ndarray, budget: str):
-    """sum_i pS[i] - pB <= 0: in expectation (one row) or per profile."""
-    n = m.inst.n
-    sign = np.r_[-1.0, np.ones(n)]
-    cols = (base.reshape(-1, 1) + n + np.arange(n + 1)).ravel()
+def _budget_rows(m: DiscreteMarket, base: np.ndarray, budget: str, pb: np.ndarray, ps: np.ndarray):
+    """Weak budget balance over the buyer's PB columns pb. Ex ante, one row
+    sum_i sum_t g_i[t]*PS[i](t) - sum_a pB[a]*PB(a) <= 0 over the sellers' PS
+    columns ps. Ex post, with the buyer's per-profile payment projected out,
+    one row per buyer type: sum_k pS[k] * sum_i pS[i](a, k) - PB(a) <= 0."""
     if budget == "exante":
-        w = np.outer(m.bprobs, m.sprobs).ravel()
-        return np.zeros(cols.size, dtype=int), cols, np.outer(w, sign).ravel(), *_upper(np.zeros(1))
-    return np.repeat(np.arange(base.size), n + 1), cols, np.tile(sign, base.size), *_upper(np.zeros(base.size))
+        g = np.concatenate([d.probs for d in m.inst.seller_dists])
+        cols = np.concatenate([ps, pb])
+        return np.zeros(cols.size, dtype=int), cols, np.concatenate([g, -m.bprobs]), *_upper(np.zeros(1))
+    n = m.inst.n
+    members = (base[:, :, None] + n + np.arange(n)).reshape(len(pb), -1)
+    rows, cols, vals, _, rhs = _interim_rows(pb, members, np.repeat(m.sprobs, n))
+    return rows, cols, vals, *_upper(rhs)
 
 
 def _stack(blocks, nv: int):
@@ -297,18 +329,21 @@ def _second_best(m: DiscreteMarket, budget: str):
     n = m.inst.n
     nb = len(m.btypes)
     sizes = [len(d.values) for d in m.inst.seller_dists]
-    stride = 2 * n + 1
+    stride = n if budget == "exante" else 2 * n
     base, xcols, box = _lp(m, stride, nb * (n + 1) + 2 * sum(sizes))
     B, S = m.btypes, m.stypes
     c = np.zeros(len(box.lb))
     c[xcols] = -(np.outer(m.bprobs, m.sprobs)[:, :, None] * (B[:, None, :] - S[None, :, :])).ravel()
     first = base.size * stride
+    pb = first + np.arange(nb) * (n + 1) + n
     blocks = [_feasibility_rows(m, base), *_buyer_rows(m, base, first)]
     first += nb * (n + 1)
+    ps = []
     for i, k in enumerate(sizes):
-        blocks += _seller_rows(m, base, first, i)
+        blocks += _seller_rows(m, base, first, i, None if budget == "exante" else n)
+        ps.append(first + 2 * np.arange(k) + 1)
         first += 2 * k
-    blocks.append(_budget_rows(m, base, budget))
+    blocks.append(_budget_rows(m, base, budget, pb, np.concatenate(ps)))
     return c, *_stack(blocks, len(c)), box
 
 
@@ -323,34 +358,34 @@ def second_best_lp(m: DiscreteMarket, budget: str = "exante") -> float:
     return _maximize(*_second_best(m, budget))
 
 
-def _ic_names(who: str, sub: str, labels: list[str]) -> list[str]:
-    out = []
-    for t, lt in enumerate(labels):
-        out.append(f"{who}IR{sub}({lt})")
-        out += [f"{who}BIC{sub}({lt}->{lr})" for r, lr in enumerate(labels) if r != t]
-    return out
+def _ic_names(who: str, sub: str, labels: list[str], pairs) -> list[str]:
+    return [
+        f"{who}IR{sub}({labels[t]})" if t == r else f"{who}BIC{sub}({labels[t]}->{labels[r]})" for t, r in zip(*pairs)
+    ]
 
 
 def lp_text(m: DiscreteMarket, budget: str = "exante") -> str:
     """The second-best LP in readable form, one named row per line; the row
-    defining an interim variable V is named defV."""
+    defining an interim variable V is named defV, and the ex-post budget row
+    of buyer type a is budget(a)."""
     c, A, lo, hi, _ = _second_best(m, budget)
     inst = m.inst
     n = inst.n
     tags = [f"({_fmt(bt)}|{_fmt(st)})" for bt in m.btypes for st in m.stypes]
-    slots = [f"x[{i}]" for i in range(n)] + ["pB"] + [f"pS[{i}]" for i in range(n)]
+    slots = [f"x[{i}]" for i in range(n)] + ([] if budget == "exante" else [f"pS[{i}]" for i in range(n)])
     vnames = [s + tag for tag in tags for s in slots]
     rnames = [f"feas[{r}]{tag}" for tag in tags for r in range(len(m._prows))]
     blabels = [_fmt(bt) for bt in m.btypes]
-    interim = [v for la in blabels for v in [f"XB[{i}]({la})" for i in range(n)] + [f"PB({la})"]]
-    vnames += interim
-    rnames += ["def" + v for v in interim] + _ic_names("buyer", "", blabels)
+    vnames += [v for la in blabels for v in [f"XB[{i}]({la})" for i in range(n)] + [f"PB({la})"]]
+    rnames += [f"defXB[{i}]({la})" for la in blabels for i in range(n)]
+    rnames += _ic_names("buyer", "", blabels, _buyer_pairs(m))
+    defined = ("XS",) if budget == "exante" else ("XS", "PS")
     for i, d in enumerate(inst.seller_dists):
         slabels = [f"{v:g}" for v in d.values]
-        interim = [v for lt in slabels for v in (f"XS[{i}]({lt})", f"PS[{i}]({lt})")]
-        vnames += interim
-        rnames += ["def" + v for v in interim] + _ic_names("seller", f"[{i}]", slabels)
-    rnames += ["budget(exante)"] if budget == "exante" else [f"budget{tag}" for tag in tags]
+        vnames += [v for lt in slabels for v in (f"XS[{i}]({lt})", f"PS[{i}]({lt})")]
+        rnames += [f"def{v}[{i}]({lt})" for lt in slabels for v in defined]
+        rnames += _ic_names("seller", f"[{i}]", slabels, _ic_pairs(len(slabels), len(slabels) - 1))
+    rnames += ["budget(exante)"] if budget == "exante" else [f"budget({la})" for la in blabels]
 
     def expr(cols, vals) -> str:
         return " ".join(f"{'+' if w >= 0 else '-'} {abs(w):.6g} {vnames[j]}" for j, w in zip(cols, vals))
@@ -368,13 +403,13 @@ def opt_s_lp(m: DiscreteMarket) -> float:
     """Best E[buyer payment - allocated costs] under buyer BIC/IR only, with
     the allocation free to depend on the full cost profile."""
     n = m.inst.n
-    stride = n + 1
-    base, xcols, box = _lp(m, stride, len(m.btypes) * (n + 1))
-    w = np.outer(m.bprobs, m.sprobs)
+    nb = len(m.btypes)
+    base, xcols, box = _lp(m, n, nb * (n + 1))
+    first = base.size * n
     c = np.zeros(len(box.lb))
-    c[base.ravel() + n] = -w.ravel()
-    c[xcols] = (w[:, :, None] * m.stypes[None, :, :]).ravel()
-    blocks = [_feasibility_rows(m, base), *_buyer_rows(m, base, base.size * stride)]
+    c[first + np.arange(nb) * (n + 1) + n] = -m.bprobs
+    c[xcols] = (np.outer(m.bprobs, m.sprobs)[:, :, None] * m.stypes[None, :, :]).ravel()
+    blocks = [_feasibility_rows(m, base), *_buyer_rows(m, base, first)]
     return _maximize(c, *_stack(blocks, len(c)), box)
 
 

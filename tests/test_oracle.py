@@ -129,36 +129,32 @@ def test_verify_ub_chain_matches_components():
     assert math.isclose(chain["opt_s"], oracle.opt_s_lp(m), abs_tol=1e-9)
 
 
-# The interim form of the two-atom market: the buyer's and the seller's
-# interim variables are defined by the `= 0` rows, and their IR/BIC rows read
-# only those.
+# The interim form of the two-atom market: the `= 0` rows define the buyer's
+# and the seller's interim allocations; their payments PB and PS are free.
+# Both agents are single-dimensional, so each has IR at one type (the lowest
+# value, the highest cost) and BIC to its neighbours only.
 TWO_ATOM_EXANTE_LP = "\n".join([
     'maximize',
     '  + 0.25 x[0](1|0) + 0.125 x[0](1|0.5) + 0.5 x[0](2|0) + 0.375 x[0](2|0.5)',
     'subject to',
     '  defXB[0](1): + 0.5 x[0](1|0) + 0.5 x[0](1|0.5) - 1 XB[0](1) = 0',
-    '  defPB(1): + 0.5 pB(1|0) + 0.5 pB(1|0.5) - 1 PB(1) = 0',
     '  defXB[0](2): + 0.5 x[0](2|0) + 0.5 x[0](2|0.5) - 1 XB[0](2) = 0',
-    '  defPB(2): + 0.5 pB(2|0) + 0.5 pB(2|0.5) - 1 PB(2) = 0',
     '  buyerIR(1): - 1 XB[0](1) + 1 PB(1) <= 0',
     '  buyerBIC(1->2): - 1 XB[0](1) + 1 PB(1) + 1 XB[0](2) - 1 PB(2) <= 0',
-    '  buyerIR(2): - 2 XB[0](2) + 1 PB(2) <= 0',
     '  buyerBIC(2->1): + 2 XB[0](1) - 1 PB(1) - 2 XB[0](2) + 1 PB(2) <= 0',
     '  defXS[0](0): + 0.5 x[0](1|0) + 0.5 x[0](2|0) - 1 XS[0](0) = 0',
-    '  defPS[0](0): + 0.5 pS[0](1|0) + 0.5 pS[0](2|0) - 1 PS[0](0) = 0',
     '  defXS[0](0.5): + 0.5 x[0](1|0.5) + 0.5 x[0](2|0.5) - 1 XS[0](0.5) = 0',
-    '  defPS[0](0.5): + 0.5 pS[0](1|0.5) + 0.5 pS[0](2|0.5) - 1 PS[0](0.5) = 0',
-    '  sellerIR[0](0): - 1 PS[0](0) <= 0',
     '  sellerBIC[0](0->0.5): - 1 PS[0](0) + 1 PS[0](0.5) <= 0',
     '  sellerIR[0](0.5): + 0.5 XS[0](0.5) - 1 PS[0](0.5) <= 0',
     '  sellerBIC[0](0.5->0): - 0.5 XS[0](0) + 1 PS[0](0) + 0.5 XS[0](0.5) - 1 PS[0](0.5) <= 0',
-    '  budget(exante): - 0.25 pB(1|0) + 0.25 pS[0](1|0) - 0.25 pB(1|0.5) + 0.25 pS[0](1|0.5) - 0.25 pB(2|0) + 0.25 pS[0](2|0) - 0.25 pB(2|0.5) + 0.25 pS[0](2|0.5) <= 0',
+    '  budget(exante): - 0.5 PB(1) - 0.5 PB(2) + 0.5 PS[0](0) + 0.5 PS[0](0.5) <= 0',
 ])
 
 LP_TEXT_SHA256 = {
-    ("two-atom", "expost"): "5b92b8f6d77098dc1581d0da3ac7000dd08a2bf8c153ffeb15993a9393e35325",
-    ("ud-2a", "exante"): "f64e48ddbb355faf1fc8e313e720cf263b39ef6a637e3a6d898d5bebe81e7d95",
-    ("ud-2a", "expost"): "271e4484bcd94d6ee7d73f50af57831cf47191abaef1686f156b0d0748f0f65c",
+    ("four-atom", "expost"): "51980006e3fb667d5cc999c4e2ba906a456d3216aceea78c1521b8fdcddcca1a",
+    ("two-atom", "expost"): "3852773983fac53b5da1ff56a5237933ee417aceb0b8888c930a02292e1d9ad3",
+    ("ud-2a", "exante"): "909ab8ceaedf0147570fa87d2003c1ed269709d4ba92242319e905691284e49c",
+    ("ud-2a", "expost"): "f0a29eeb26d284c284af3f6f988dca24360bbda12b1dc8251480ca63264f7056",
 }
 
 
@@ -177,7 +173,11 @@ def test_lp_text_dump():
 
 @pytest.mark.parametrize("label,budget", sorted(LP_TEXT_SHA256))
 def test_lp_text_golden_sha256(label, budget):
-    inst = {"two-atom": bilateral([1.0, 2.0], [0.5, 0.5], [0.0, 0.5], [0.5, 0.5]), "ud-2a": ud2a()}[label]
+    inst = {
+        "four-atom": bilateral4,
+        "two-atom": lambda: bilateral([1.0, 2.0], [0.5, 0.5], [0.0, 0.5], [0.5, 0.5]),
+        "ud-2a": ud2a,
+    }[label]()
     txt = oracle.lp_text(oracle.DiscreteMarket(inst), budget)
     assert hashlib.sha256(txt.encode()).hexdigest() == LP_TEXT_SHA256[(label, budget)]
 
@@ -219,17 +219,17 @@ PINNED_LPS = {
     "ud3": (
         random_ud3,
         [
-            ((444, 220, 1530), 1.081482731988124),
-            ((444, 300, 1530), 1.0814827319881237),
-            ((270, 189, 891), 0.8431887396350634),
+            ((201, 197, 1020), 1.081482731988124),
+            ((363, 211, 1344), 1.0814827319881237),
+            ((189, 180, 801), 0.8431887396350634),
         ],
     ),
     "bi4": (
         bilateral4,
         [
-            ((64, 49, 224), 0.299264705882353),
-            ((64, 64, 224), 0.299264705882353),
-            ((40, 24, 96), 0.20312500000000006),
+            ((32, 23, 100), 0.299264705882353),
+            ((48, 30, 132), 0.299264705882353),
+            ((24, 11, 46), 0.20312500000000006),
         ],
     ),
 }
@@ -253,28 +253,30 @@ def test_lp_shape_and_optima_pinned(label, monkeypatch):
         assert A.has_sorted_indices
         assert np.all(A.data != 0.0)
         assert math.isclose(value, pinned, rel_tol=0.0, abs_tol=1e-12)
-    assert m.lp_nnz == want[0][0][2]
+    assert m.lp_nnz == want[1][0][2]  # the ex-post LP, the largest
 
 
 def test_lp_nnz_guard_admits_two_item_8x8():
     atoms = d([(j + 1) / 8 for j in range(8)], [1 / 8] * 8)
     inst = mech.market([atoms] * 2, [atoms] * 2, fea.unit_demand(range(2)))
-    assert oracle.DiscreteMarket(inst).lp_nnz == 74240
+    assert oracle.DiscreteMarket(inst).lp_nnz == 65684
 
 
 def test_lp_nnz_guard_admits_and_solves_two_item_10x10():
     atoms = d([(j + 1) / 10 for j in range(10)], [0.1] * 10)
     inst = mech.market([atoms] * 2, [atoms] * 2, fea.unit_demand(range(2)))
     m = oracle.DiscreteMarket(inst)
-    assert m.lp_nnz == 180800
+    assert m.lp_nnz == 160188
     sb = oracle.second_best_lp(m)
     bo = audits.exact_gft(mech.BuyerOffering(inst), inst)
     assert bo - 1e-9 <= sb <= audits.first_best_gft(inst, "exact") + 1e-9
 
 
-def test_lp_nnz_guard_rejects_bilateral_400x400():
-    with pytest.raises(fea.CapacityError, match="2240000 nonzeros"):
-        oracle.DiscreteMarket(grid_bilateral(400))
+def test_lp_nnz_guard_rejects_bilateral_669x669():
+    # the smallest bilateral grid over the cap: 668x668 has 1798244 nonzeros
+    assert oracle.DiscreteMarket(grid_bilateral(668)).lp_nnz <= oracle.LP_NNZ_CAP
+    with pytest.raises(fea.CapacityError, match="1803612 nonzeros"):
+        oracle.DiscreteMarket(grid_bilateral(669))
 
 
 INTEGRAL = ("additive", "unit_demand", "k_uniform", "matroid")
@@ -327,7 +329,27 @@ def test_interim_lps_match_per_profile_reference(inst):
     assert math.isclose(exante, want, rel_tol=0.0, abs_tol=1e-9)
     assert math.isclose(expost, lp_reference.second_best(m, "expost"), rel_tol=0.0, abs_tol=1e-9)
     assert math.isclose(opt_s, lp_reference.opt_s(m), rel_tol=0.0, abs_tol=1e-9)
-    assert expost <= exante + 1e-9
+    assert abs(expost - exante) <= 1e-9
     if inst.constraint.variant in INTEGRAL:
         assert exante <= audits.first_best_gft(inst, "exact") + 1e-9
         assert exante <= bounds.opt_b(inst, "exact") + opt_s + 1e-9
+
+
+def test_local_rows_match_per_profile_reference_on_12_atoms():
+    """Local incentive rows and the projected payments against the all-pairs,
+    per-profile reference, on a bilateral market with 12 random atoms and
+    unequal masses per side, where incentives bind (SB below FB)."""
+    rng = np.random.default_rng(7)
+
+    def dist(lo, hi):
+        w = rng.integers(1, 6, 12)
+        return d(np.sort(rng.uniform(lo, hi, 12)).tolist(), (w / w.sum()).tolist())
+
+    inst = mech.market([dist(0.5, 2.0)], [dist(0.0, 1.5)], fea.additive([0]))
+    m = oracle.DiscreteMarket(inst)
+    exante = oracle.second_best_lp(m, "exante")
+    assert exante < audits.first_best_gft(inst, "exact") - 1e-3
+    assert math.isclose(exante, lp_reference.second_best(m, "exante"), rel_tol=0.0, abs_tol=1e-9)
+    expost = oracle.second_best_lp(m, "expost")
+    assert math.isclose(expost, lp_reference.second_best(m, "expost"), rel_tol=0.0, abs_tol=1e-9)
+    assert math.isclose(oracle.opt_s_lp(m), lp_reference.opt_s(m), rel_tol=0.0, abs_tol=1e-9)
