@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import feasibility as fea
-from .distributions import _ordered_sum
+from .distributions import _ordered_sum, item_sum
 from .mechanisms import MarketInstance, buyer_grid, seller_grid
 
 __all__ = [
@@ -132,7 +132,7 @@ def budget_audit(mechanism, inst: MarketInstance, samples: int = 10**4, seed: in
     """Buyer payment minus total seller payments, ex post (min) and ex ante."""
     B, S, coins = _sample(inst, samples, seed)
     _, pay_b, pay_S = mechanism.outcome_batch(B, S, coins)
-    slack = pay_b - _ordered_sum(pay_S, axis=1)
+    slack = pay_b - item_sum(pay_S)
     mean, err = _mean_stderr(slack)
     return BudgetReport(float(slack.min()), mean, err)
 
@@ -141,7 +141,7 @@ def ir_audit(mechanism, inst: MarketInstance, samples: int = 4096, seed: int = 0
     """Minimum ex-post utility slack over samples: (buyer, worst seller)."""
     B, S, coins = _sample(inst, samples, seed)
     X, pay_b, pay_S = mechanism.outcome_batch(B, S, coins)
-    buyer = _ordered_sum(np.where(X, B, 0.0), axis=1) - pay_b
+    buyer = item_sum(np.where(X, B, 0.0)) - pay_b
     return _first_min(buyer), _first_min(np.where(X, pay_S - S, pay_S))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import distributions as dst
 from . import feasibility as fea
-from .distributions import Dist, _ordered_sum
+from .distributions import Dist, _ordered_sum, item_max, item_sum
 from . import audits
 from .audits import _mean_stderr
 from .mechanisms import Fpp, MarketInstance
@@ -83,8 +83,8 @@ def benchmark_decomposition(inst: MarketInstance, samples: int = 10**4, seed: in
     B, S = inst.sample_profiles(rng, samples)
     diff = B - S
     fb_vals, star = fea.max_weight_values(inst.constraint, diff)
-    t1 = _ordered_sum(np.where(star & (S < np.asarray(x)), diff, 0.0), axis=1)
-    t2 = _ordered_sum(np.where(star & (S >= np.asarray(y)), diff, 0.0), axis=1)
+    t1 = item_sum(np.where(star & (S < np.asarray(x)), diff, 0.0))
+    t2 = item_sum(np.where(star & (S >= np.asarray(y)), diff, 0.0))
 
     def ladder_terms(prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lo = np.empty((depth, samples))
@@ -150,7 +150,7 @@ def prophet_threshold(inst: MarketInstance, p: Sequence[float], samples: int = 1
     rng = np.random.default_rng(seed)
     B, S = inst.sample_profiles(rng, samples)
     v = np.where(B >= p, np.maximum(p - S, 0.0), 0.0)
-    m = v.max(axis=1)
+    m = item_max(v)
     emax, err = _mean_stderr(m)
     xi = emax / 2.0
     return ProphetResult(xi, emax, err, p.copy(), p - xi)
@@ -257,8 +257,8 @@ def brustle_sd_upper(inst: MarketInstance) -> float:
         phi, tau = inst.virtuals(B, "buyer"), inst.virtuals(S, "seller")
 
         def relaxation(b: np.ndarray, s: np.ndarray) -> np.ndarray:
-            x = np.maximum(phi[b] - S[s], 0.0).max(axis=1)
-            y = np.maximum(B[b] - tau[s], 0.0).max(axis=1)
+            x = item_max(np.maximum(phi[b] - S[s], 0.0))
+            y = item_max(np.maximum(B[b] - tau[s], 0.0))
             return x + y
 
         return relaxation

@@ -155,6 +155,40 @@ def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
     return np.cumsum(a, axis=axis).take(-1, axis=axis) + 0.0
 
 
+# Item-axis kernels for batches of sampled rows, items on the last axis. numpy
+# reduces a short last axis one row at a time; these loop over the n columns
+# with whole-column operations instead and give the same bits. NaN never
+# reaches them (where it would, argmax would differ).
+
+
+def item_sum(W: np.ndarray) -> np.ndarray:
+    """`_ordered_sum(W, axis=-1)`, bit for bit."""
+    t = W[..., 0]
+    for j in range(1, W.shape[-1]):
+        t = t + W[..., j]
+    return t + 0.0
+
+
+def item_max(W: np.ndarray) -> np.ndarray:
+    """`W.max(axis=-1)`; for one item, the column itself."""
+    t = W[..., 0]
+    for j in range(1, W.shape[-1]):
+        t = np.maximum(t, W[..., j])
+    return t
+
+
+def item_argmax(W: np.ndarray) -> np.ndarray:
+    """`np.argmax(W, axis=-1)`, the lowest index on ties: the number of
+    leading columns below the row's max."""
+    top = item_max(W)
+    below = W[..., 0] != top
+    idx = below.astype(np.intp)
+    for j in range(1, W.shape[-1] - 1):
+        below &= W[..., j] != top
+        idx += below
+    return idx
+
+
 # -- constructors --------------------------------------------------------
 
 

@@ -22,6 +22,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .distributions import item_argmax, item_max
+
 BRUTE_FORCE_LIMIT = 24  # capacity guard for exhaustive variants
 POLYTOPE_ENUM_LIMIT = 20
 
@@ -247,7 +249,7 @@ def max_weight_values(c: Constraint, W) -> tuple[np.ndarray, np.ndarray]:
     if k >= n:
         values = pos.sum(axis=1)
     elif k == 1:
-        values = pos.max(axis=1)
+        values = item_max(pos)
     else:
         values = np.partition(pos, n - k, axis=1)[:, n - k:].sum(axis=1)
     return values, top_positive(W, k)
@@ -259,11 +261,10 @@ def top_positive(W: np.ndarray, k: int) -> np.ndarray:
     if k >= W.shape[1]:
         return W > 0
     if k == 1:
-        top = np.argmax(W, axis=1)[:, None]
+        mask = np.arange(W.shape[1]) == item_argmax(W)[:, None]
     else:
-        top = np.argsort(-W, axis=1, kind="stable")[:, :k]
-    mask = np.zeros(W.shape, dtype=bool)
-    np.put_along_axis(mask, top, True, axis=1)
+        mask = np.zeros(W.shape, dtype=bool)
+        np.put_along_axis(mask, np.argsort(-W, axis=1, kind="stable")[:, :k], True, axis=1)
     return mask & (W > 0)
 
 

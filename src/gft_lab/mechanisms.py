@@ -29,7 +29,7 @@ import numpy as np
 
 from . import distributions as dst
 from . import feasibility as fea
-from .distributions import Dist, IronedVirtual, _ordered_sum
+from .distributions import Dist, IronedVirtual, _ordered_sum, item_argmax, item_sum
 from .feasibility import Constraint
 
 TOL = 1e-9
@@ -132,7 +132,7 @@ class Outcome:
 
 def _gft_rows(X: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Realized GFT per row, summed over the traded items in increasing order."""
-    return _ordered_sum(np.where(X, B - S, 0.0), axis=-1)
+    return item_sum(np.where(X, B - S, 0.0))
 
 
 def _one_row(v) -> np.ndarray:
@@ -390,7 +390,7 @@ class Fpp:
 
     def outcome_batch(self, B, S, coins=None):
         X = self.allocation(B, S)
-        return X, _ordered_sum(np.where(X, self.theta_b, 0.0), axis=1), np.where(X, self.theta_s, 0.0)
+        return X, item_sum(np.where(X, self.theta_b, 0.0)), np.where(X, self.theta_s, 0.0)
 
     run = _run
     run_batch = expected_gft_rows = _realized_gft
@@ -697,14 +697,14 @@ class Sapp:
         (lowest index on ties); boundary items afford when coin < alpha."""
         _, theta, alpha = self.pmap._entries(S)
         afford = (B > theta + TOL) | ((np.abs(B - theta) <= TOL) & (coins < alpha))
-        best = np.argmax(np.where(afford, B - theta, -np.inf), axis=1)[:, None]
+        best = item_argmax(np.where(afford, B - theta, -np.inf))[:, None]
         return (np.arange(self.inst.n) == best) & afford.any(axis=1, keepdims=True), theta
 
     def outcome_batch(self, B, S, coins=None):
         coins = self._coins(B, coins)
         X, theta = self._realized(B, S, coins)
         pay = _seller_thresholds(self.inst, X, S, lambda rows, St: self._realized(B[rows], St, coins[rows])[0], self._cut_guess(B, S))
-        return X, _ordered_sum(np.where(X, theta, 0.0), axis=1), pay
+        return X, item_sum(np.where(X, theta, 0.0)), pay
 
     def _cut_guess(self, B, S):
         """The guess of each continuous seller's threshold: the cost at which
@@ -867,7 +867,7 @@ class BuyerOffering:
             return np.stack([iv.inverse(Y[:, i]) for i, iv in enumerate(self.inst.seller_ironed)], axis=-1)
 
         pay = _seller_thresholds(self.inst, X, S, lambda rows, St: self.allocation(B[rows], St), None if k is None else guess)
-        return X, _ordered_sum(np.where(X, tau, 0.0), axis=1), pay
+        return X, item_sum(np.where(X, tau, 0.0)), pay
 
     run = _run
     run_batch = expected_gft_rows = _realized_gft

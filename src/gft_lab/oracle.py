@@ -52,46 +52,54 @@ __all__ = [
     "verify_ub_chain",
 ]
 
-# Largest ex-post second-best LP admitted, in constraint-matrix nonzeros. A
-# solve peaks at about 540 bytes per nonzero over the interpreter's ~80 MB
-# (measured 477-538 B on two-item grids up to 14x14 and bilateral grids up to
-# 600x600, 1.45M nonzeros; the ex-ante LP and OPT-S peak lower), so an LP at
-# the cap peaks near 1 GB.
+# Largest LP admitted, in constraint-matrix nonzeros. A solve peaks at about
+# 540 bytes per nonzero over the interpreter's ~80 MB (measured 477-538 B on
+# ex-post LPs of two-item grids up to 14x14 and bilateral grids up to 600x600,
+# 1.45M nonzeros), so an LP at the cap peaks near 1 GB.
 LP_NNZ_CAP = 1_800_000
 CHAIN_TOL = 1e-6  # slack allowed in each inequality of the bound chain
 
 
 @dataclass(frozen=True)
 class DiscreteMarket:
-    """A fully discrete instance with its enumerated type spaces."""
+    """A fully discrete instance with its enumerated type spaces. A market is
+    refused when even its smallest LP, OPT-S, is over the cap; each
+    second-best LP is checked again, by its own count, before it is built."""
 
     inst: MarketInstance
 
     def __post_init__(self):
         if not self.inst.is_discrete:
             raise ValueError("LP oracle needs a fully discrete instance")
-        nnz = self.lp_nnz
-        if nnz > LP_NNZ_CAP:
-            raise CapacityError(f"second-best LP has {nnz} nonzeros, over the cap {LP_NNZ_CAP}")
+        self.admit("opt_s")
 
-    @property
-    def lp_nnz(self) -> int:
-        """Nonzeros of the ex-post second-best LP (the largest of the three)
-        counted from the grid sizes, before any grid or matrix is built; zero
+    def admit(self, kind: str) -> None:
+        """Raise CapacityError when the LP of this kind is over the cap."""
+        nnz = self.lp_nnz(kind)
+        if nnz > LP_NNZ_CAP:
+            raise CapacityError(f"{kind} LP has {nnz} nonzeros, over the cap {LP_NNZ_CAP}")
+
+    def lp_nnz(self, kind: str) -> int:
+        """Nonzeros of the `exante` or `expost` second-best LP or of `opt_s`,
+        counted from the grid sizes before any grid or matrix is built; zero
         coefficients, e.g. from a zero cost atom, make the built LP sparser."""
         n = self.inst.n
+        per_profile = {"opt_s": n, "exante": 2 * n, "expost": 4 * n}[kind]
         nb = math.prod(len(d.values) for d in self.inst.buyer_dists)
         sizes = [len(d.values) for d in self.inst.seller_dists]
         ns = math.prod(sizes)
         feas = sum(len(coefs) for coefs, _ in self._prows)
-        # per profile: feasibility rows, each x[i] in defXB[i] and defXS[i],
-        # each pS[i] in defPS[i] and its buyer type's budget row; per buyer
-        # type: XB and PB once each in those rows, and IR/BIC rows of n+1 and
-        # 2(n+1) entries over all pairs of types. Local incentive rows of an
-        # agent with k types (the single-item buyer, each seller) are one IR
-        # row of 2 and 2(k-1) BIC rows of 4; a seller's XS and PS add 2 per type.
+        # per profile: feasibility rows, each x[i] in defXB[i] (and, second
+        # best, in defXS[i]), and ex post each pS[i] in defPS[i] and its buyer
+        # type's budget row; per buyer type: each XB[i] once in defXB[i], and
+        # IR/BIC rows of n+1 and 2(n+1) entries over all pairs of types. Local
+        # incentive rows of an agent with k types (the single-item buyer, each
+        # seller) are one IR row of 2 and 2(k-1) BIC rows of 4. The second
+        # best adds PB once in a budget row and a seller's XS and PS in two
+        # more rows per type (defXS, and the ex-ante budget or defPS).
         buyer = 8 * nb - 6 if n == 1 else (n + 1) * nb * (2 * nb - 1)
-        return nb * ns * (feas + 4 * n) + nb * (n + 1) + buyer + sum(10 * k - 6 for k in sizes)
+        total = nb * ns * (feas + per_profile) + nb * n + buyer
+        return total if kind == "opt_s" else total + nb + sum(10 * k - 6 for k in sizes)
 
     @cached_property
     def _prows(self):
@@ -326,6 +334,7 @@ def _lp(m: DiscreteMarket, stride: int, interim: int):
 def _second_best(m: DiscreteMarket, budget: str):
     if budget not in ("exante", "expost"):
         raise ValueError("budget must be 'exante' or 'expost'")
+    m.admit(budget)
     n = m.inst.n
     nb = len(m.btypes)
     sizes = [len(d.values) for d in m.inst.seller_dists]

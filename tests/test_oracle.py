@@ -253,30 +253,41 @@ def test_lp_shape_and_optima_pinned(label, monkeypatch):
         assert A.has_sorted_indices
         assert np.all(A.data != 0.0)
         assert math.isclose(value, pinned, rel_tol=0.0, abs_tol=1e-12)
-    assert m.lp_nnz == want[1][0][2]  # the ex-post LP, the largest
+    assert [m.lp_nnz(kind) for kind in ("exante", "expost", "opt_s")] == [A.nnz for _, A in seen]
 
 
 def test_lp_nnz_guard_admits_two_item_8x8():
     atoms = d([(j + 1) / 8 for j in range(8)], [1 / 8] * 8)
     inst = mech.market([atoms] * 2, [atoms] * 2, fea.unit_demand(range(2)))
-    assert oracle.DiscreteMarket(inst).lp_nnz == 65684
+    assert oracle.DiscreteMarket(inst).lp_nnz("expost") == 65684
 
 
 def test_lp_nnz_guard_admits_and_solves_two_item_10x10():
     atoms = d([(j + 1) / 10 for j in range(10)], [0.1] * 10)
     inst = mech.market([atoms] * 2, [atoms] * 2, fea.unit_demand(range(2)))
     m = oracle.DiscreteMarket(inst)
-    assert m.lp_nnz == 160188
+    assert m.lp_nnz("expost") == 160188
     sb = oracle.second_best_lp(m)
     bo = audits.exact_gft(mech.BuyerOffering(inst), inst)
     assert bo - 1e-9 <= sb <= audits.first_best_gft(inst, "exact") + 1e-9
 
 
-def test_lp_nnz_guard_rejects_bilateral_669x669():
-    # the smallest bilateral grid over the cap: 668x668 has 1798244 nonzeros
-    assert oracle.DiscreteMarket(grid_bilateral(668)).lp_nnz <= oracle.LP_NNZ_CAP
-    with pytest.raises(fea.CapacityError, match="1803612 nonzeros"):
-        oracle.DiscreteMarket(grid_bilateral(669))
+def test_lp_nnz_guard_by_kind_on_bilateral_669x669(monkeypatch):
+    # the smallest bilateral grid whose ex-post LP is over the cap (668x668
+    # has 1798244 nonzeros); its ex-ante LP has half as many and is admitted
+    assert oracle.DiscreteMarket(grid_bilateral(668)).lp_nnz("expost") <= oracle.LP_NNZ_CAP
+    m = oracle.DiscreteMarket(grid_bilateral(669))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(oracle, "_lp", no_build)
+    with pytest.raises(fea.CapacityError, match="expost LP has 1803612 nonzeros"):
+        oracle.second_best_lp(m, "expost")
+    assert m.lp_nnz("exante") == 908490
+    m.admit("exante")
+    with pytest.raises(AssertionError, match="a matrix was built"):
+        oracle.second_best_lp(m, "exante")
 
 
 INTEGRAL = ("additive", "unit_demand", "k_uniform", "matroid")

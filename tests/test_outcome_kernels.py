@@ -294,6 +294,22 @@ def test_audit_and_decomposition_outputs_pinned(name):
     assert [float(v).hex() for v in got] == [float(v).hex() for v in DECOMPOSITION_PINS[name]]
 
 
+# the prophet posting and the second-best upper bound on the u5 market
+# (prophet_threshold seed 13, estimate_gft of its posting seed 14, sb_gft_upper
+# seed 15, 4000 samples each), recorded with numpy's row-wise reductions
+PROPHET_PIN = (0.6293355506151131, 0.005473630608269574, 0.3146677753075566, 0.7125554275637719, 0.0066697866750700776)
+SB_UPPER_PIN = 1.7082500243889303
+
+
+def test_prophet_posting_and_sb_upper_pinned():
+    inst, _, _ = _task("u5-fpp")
+    p = [0.5 * sum(d.support()) for d in inst.buyer_dists]
+    pr = bounds.prophet_threshold(inst, p, samples=4000, seed=13)
+    gft, se = audits.estimate_gft(pr.fpp(inst), inst, samples=4000, seed=14)
+    assert [float(v).hex() for v in (pr.emax, pr.emax_stderr, pr.xi, gft, se)] == [v.hex() for v in PROPHET_PIN]
+    assert bounds.sb_gft_upper(inst, samples=4000, seed=15).hex() == SB_UPPER_PIN.hex()
+
+
 # -- the inverted ironed-virtual cut -------------------------------------------
 
 CUT_DISTS = {
