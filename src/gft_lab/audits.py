@@ -109,12 +109,12 @@ def first_best_gft(inst: MarketInstance, mode: str = "exact", samples: int = 10*
     """
     if mode == "exact":
         c = inst.constraint
-        return _grid_expectation(inst, lambda B, S: lambda b, s: fea.max_weight_values(c, B[b] - S[s])[0])
+        return _grid_expectation(inst, lambda B, S: lambda b, s: fea.max_weight(c, B[b] - S[s]))
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
     rng = np.random.default_rng(seed)
     B, S = inst.sample_profiles(rng, samples)
-    return _mean_stderr(fea.max_weight_values(inst.constraint, B - S)[0])
+    return _mean_stderr(fea.max_weight(inst.constraint, B - S))
 
 
 @dataclass(frozen=True)

@@ -87,12 +87,9 @@ def benchmark_decomposition(inst: MarketInstance, samples: int = 10**4, seed: in
     t2 = item_sum(np.where(star & (S >= np.asarray(y)), diff, 0.0))
 
     def ladder_terms(prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.empty((depth, samples))
-        hi = np.empty((depth, samples))
-        for j in range(depth):
-            p = prices[j]
-            lo[j] = fea.max_weight_values(inst.constraint, np.where(S <= p, B - p, 0.0))[0]
-            hi[j] = fea.max_weight_values(inst.constraint, np.where(B >= p, p - S, 0.0))[0]
+        P = prices[:, None, :]  # (depth, 1, n) against the (samples, n) profiles
+        lo = fea.max_weight(inst.constraint, np.where(S <= P, B - P, 0.0))
+        hi = fea.max_weight(inst.constraint, np.where(B >= P, P - S, 0.0))
         return lo, hi
 
     t3, t4 = ladder_terms(theta_b)
@@ -179,7 +176,7 @@ def opt_b(inst: MarketInstance, mode: str = "exact", samples: int = 10**5, seed:
 
     def rows(B: np.ndarray, S: np.ndarray):
         tau = inst.virtuals(S, "seller")
-        return lambda b, s: fea.max_weight_values(inst.constraint, B[b] - tau[s])[0]
+        return lambda b, s: fea.max_weight(inst.constraint, B[b] - tau[s])
 
     if mode == "exact":
         return audits._grid_expectation(inst, rows)
@@ -295,7 +292,7 @@ def z_concentration_check(
             raise ValueError("weights must be supported on [0, 1]")
     rng = np.random.default_rng(seed)
     T = np.column_stack([d.sample(rng, samples) for d in t_dists])
-    Z = fea.max_weight_values(constraint, T)[0]
+    Z = fea.max_weight(constraint, T)
     ez = float(Z.mean())
     if ez <= 0.0:
         return ZReport(1.0, 0.0, 0.0, 0.0)

@@ -40,6 +40,7 @@ __all__ = [
     "is_feasible",
     "max_weight_set",
     "size_cap",
+    "max_weight",
     "max_weight_values",
     "top_positive",
     "restrict",
@@ -235,24 +236,38 @@ def max_weight_values(c: Constraint, W) -> tuple[np.ndarray, np.ndarray]:
     k-uniform rows are closed forms with the same tie rule; other variants
     fall back to one search per row."""
     W = np.asarray(W, dtype=float)
-    m, n = W.shape
     k = size_cap(c)
     if k is None:
-        values = np.empty(m)
-        mask = np.zeros((m, n), dtype=bool)
-        col = {item: j for j, item in enumerate(c.ground)}
-        for t in range(m):
-            chosen, values[t] = max_weight_set(c, {item: w for item, w in zip(c.ground, W[t]) if w > 0})
-            mask[t, [col[i] for i in chosen]] = True
-        return values, mask
+        return _searched(c, W)
+    return max_weight(c, W), top_positive(W, k)
+
+
+def max_weight(c: Constraint, W) -> np.ndarray:
+    """The values of max_weight_values alone, over the last axis of W with
+    any leading axes."""
+    W = np.asarray(W, dtype=float)
+    k = size_cap(c)
+    if k is None:
+        return _searched(c, W.reshape(-1, W.shape[-1]))[0].reshape(W.shape[:-1])
+    n = W.shape[-1]
     pos = np.maximum(W, 0.0)
     if k >= n:
-        values = pos.sum(axis=1)
-    elif k == 1:
-        values = item_max(pos)
-    else:
-        values = np.partition(pos, n - k, axis=1)[:, n - k:].sum(axis=1)
-    return values, top_positive(W, k)
+        return pos.sum(axis=-1)
+    if k == 1:
+        return item_max(pos)
+    return np.partition(pos, n - k, axis=-1)[..., n - k:].sum(axis=-1)
+
+
+def _searched(c: Constraint, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, argmax mask) of the rows of W by one max_weight_set each."""
+    m, n = W.shape
+    values = np.empty(m)
+    mask = np.zeros((m, n), dtype=bool)
+    col = {item: j for j, item in enumerate(c.ground)}
+    for t in range(m):
+        chosen, values[t] = max_weight_set(c, {item: w for item, w in zip(c.ground, W[t]) if w > 0})
+        mask[t, [col[i] for i in chosen]] = True
+    return values, mask
 
 
 def top_positive(W: np.ndarray, k: int) -> np.ndarray:

@@ -24,7 +24,9 @@ its worst type and BIC between neighbouring types only, which imply all the
 others (Myerson 1981); the multi-dimensional buyer has every pair. Both LPs are
 assembled as one sparse matrix with row bounds by index arithmetic on the
 product type grids and solved by one HiGHS call; variable names exist only in
-lp_text.
+lp_text. The call sees the objective divided by a power of two, so that its
+largest coefficient lies in [0.5, 1), and the point it returns is checked
+against the unscaled rows and bounds.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ __all__ = [
 # 1.45M nonzeros), so an LP at the cap peaks near 1 GB.
 LP_NNZ_CAP = 1_800_000
 CHAIN_TOL = 1e-6  # slack allowed in each inequality of the bound chain
+# Largest residual of a returned point on the unscaled rows and box: HiGHS's
+# own primal feasibility tolerance. The scaled solves break no row by more
+# than about 1e-13; an unscaled ex-ante solve on a bilateral 150x150 grid
+# broke a buyer IC row by 2e-6 and overstated SB by 1.0e-4.
+PRIMAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -299,8 +306,9 @@ def _budget_rows(m: DiscreteMarket, base: np.ndarray, budget: str, pb: np.ndarra
 
 
 def _stack(blocks, nv: int):
-    """One canonical CSR matrix (sorted indices, no duplicates or explicit
-    zeros) and its row bounds from the row blocks, in order."""
+    """One canonical CSC matrix (sorted indices, no duplicates or explicit
+    zeros), column-wise as HiGHS takes it, and its row bounds from the row
+    blocks, in order."""
     rows, cols, vals, lo, hi = [], [], [], [], []
     nrows = 0
     for r, c, v, lo_r, hi_r in blocks:
@@ -311,7 +319,7 @@ def _stack(blocks, nv: int):
         hi.append(hi_r)
         nrows += len(hi_r)
     coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    A = sp.csr_array(coo, shape=(nrows, nv))
+    A = sp.csc_array(coo, shape=(nrows, nv))
     A.sum_duplicates()
     A.eliminate_zeros()
     return A, np.concatenate(lo), np.concatenate(hi)
@@ -356,15 +364,30 @@ def _second_best(m: DiscreteMarket, budget: str):
     return c, *_stack(blocks, len(c)), box
 
 
-def _maximize(c: np.ndarray, A, lo: np.ndarray, hi: np.ndarray, box: Bounds) -> float:
-    res = milp(c, constraints=LinearConstraint(A, lo, hi), bounds=box)
+def _maximize(kind: str, c: np.ndarray, A, lo: np.ndarray, hi: np.ndarray, box: Bounds) -> float:
+    """The optimum of the `kind` LP, min c.x subject to lo <= A x <= hi and
+    the box, negated. The solver sees c divided by the power of two just
+    above its largest |coefficient|, which loses no bit of c: coefficients
+    such as pB*pS*(b - s) fall to 1e-5 and below on larger grids, far under
+    the solver's absolute tolerances, where the simplex slowed down or
+    stopped at a wrong point. The point returned must meet every unscaled
+    row and bound within PRIMAL_TOL."""
+    scale = 2.0 ** math.frexp(np.abs(c).max())[1]
+    res = milp(c / scale, constraints=LinearConstraint(A, lo, hi), bounds=box)
     if not res.success:
-        raise RuntimeError(f"LP solve failed: {res.message}")
-    return float(-res.fun)
+        raise RuntimeError(f"{kind} LP solve failed: {res.message}")
+    ax = A @ res.x
+    rows = np.maximum(lo - ax, ax - hi)
+    bounds = np.maximum(box.lb - res.x, res.x - box.ub)
+    for what, resid in (("row", rows), ("bound of variable", bounds)):
+        worst = int(np.argmax(resid))
+        if resid[worst] > PRIMAL_TOL:
+            raise RuntimeError(f"{kind} LP solution breaks {what} {worst} by {resid[worst]:.3g} > {PRIMAL_TOL:g}")
+    return float(-res.fun * scale)
 
 
 def second_best_lp(m: DiscreteMarket, budget: str = "exante") -> float:
-    return _maximize(*_second_best(m, budget))
+    return _maximize(budget, *_second_best(m, budget))
 
 
 def _ic_names(who: str, sub: str, labels: list[str], pairs) -> list[str]:
@@ -378,6 +401,7 @@ def lp_text(m: DiscreteMarket, budget: str = "exante") -> str:
     defining an interim variable V is named defV, and the ex-post budget row
     of buyer type a is budget(a)."""
     c, A, lo, hi, _ = _second_best(m, budget)
+    A = A.tocsr()
     inst = m.inst
     n = inst.n
     tags = [f"({_fmt(bt)}|{_fmt(st)})" for bt in m.btypes for st in m.stypes]
@@ -419,7 +443,7 @@ def opt_s_lp(m: DiscreteMarket) -> float:
     c[first + np.arange(nb) * (n + 1) + n] = -m.bprobs
     c[xcols] = (np.outer(m.bprobs, m.sprobs)[:, :, None] * m.stypes[None, :, :]).ravel()
     blocks = [_feasibility_rows(m, base), *_buyer_rows(m, base, first)]
-    return _maximize(c, *_stack(blocks, len(c)), box)
+    return _maximize("opt_s", c, *_stack(blocks, len(c)), box)
 
 
 def opt_s_partition_check(m: DiscreteMarket) -> dict:

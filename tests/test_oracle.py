@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import milp
+from scipy.optimize import linprog, milp
 
 from gft_lab import audits, bounds
 from gft_lab import distributions as dst
@@ -256,6 +256,55 @@ def test_lp_shape_and_optima_pinned(label, monkeypatch):
     assert [m.lp_nnz(kind) for kind in ("exante", "expost", "opt_s")] == [A.nnz for _, A in seen]
 
 
+def test_second_best_matches_tight_solve_on_bilateral_150x150():
+    """Objective coefficients pB*pS*(b - s) below 4.5e-5 once stopped the
+    ex-ante solve at a point that broke a buyer IC row by 2e-6, 1.0e-4 above
+    the optimum; with the objective scaled, the oracle matches a dual simplex
+    solve of the same matrices at 1e-10 tolerances."""
+    rng = np.random.default_rng(3)
+    b = np.sort(rng.uniform(0, 1, 150))
+    s = np.sort(rng.uniform(0, 1, 150))
+    m = oracle.DiscreteMarket(bilateral(b, [1 / 150] * 150, s, [1 / 150] * 150))
+    c, A, lo, hi, box = oracle._second_best(m, "exante")
+    A = A.tocsr()
+    eq = lo == hi
+    assert np.all(np.isneginf(lo[~eq]))
+    tight = linprog(
+        c,
+        A_ub=A[~eq],
+        b_ub=hi[~eq],
+        A_eq=A[eq],
+        b_eq=hi[eq],
+        bounds=np.column_stack([box.lb, box.ub]),
+        method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert tight.success
+    assert abs(oracle.second_best_lp(m, "exante") - -tight.fun) <= 1e-9
+
+
+def test_solution_off_a_row_is_refused(monkeypatch):
+    """A returned point that breaks a row by more than PRIMAL_TOL raises,
+    naming the LP, the row and the residual: here the row defXS[0](0) of the
+    two-atom market, off by 1e-6 once XS[0](0) is moved, which enters the
+    other rows only with a zero or a falling coefficient."""
+    m = oracle.DiscreteMarket(bilateral([1.0, 2.0], [0.5, 0.5], [0.0, 0.5], [0.5, 0.5]))
+    names = [line.split(":")[0].strip() for line in oracle.lp_text(m).splitlines()[3:]]
+    row = names.index("defXS[0](0)")
+    R = oracle._second_best(m, "exante")[1].tocsr()[[row]]
+    col = R.indices[R.data == -1.0][0]  # XS[0](0), the variable the row defines
+
+    def off_row(c, *, constraints, **kwargs):
+        res = milp(c, constraints=constraints, **kwargs)
+        res.x = res.x.copy()
+        res.x[col] += 1e-6
+        return res
+
+    monkeypatch.setattr(oracle, "milp", off_row)
+    with pytest.raises(RuntimeError, match=rf"exante LP solution breaks row {row} by 1e-06 > 1e-07"):
+        oracle.second_best_lp(m, "exante")
+
+
 def test_lp_nnz_guard_admits_two_item_8x8():
     atoms = d([(j + 1) / 8 for j in range(8)], [1 / 8] * 8)
     inst = mech.market([atoms] * 2, [atoms] * 2, fea.unit_demand(range(2)))
@@ -307,17 +356,21 @@ def _constraint(kind: str, n: int, k: int) -> fea.Constraint:
 
 @st.composite
 def lp_markets(draw):
-    """1-2 items with 3-4 atoms per distribution, buyer values in [0.5, 2] and
-    seller costs in [0, 1.5], so trade is uncertain; the atoms sit on a
-    quarter lattice (ties) or are uniform draws. SB equals FB on about 3 draws
-    in 4 (9 in 10 with 2-3 atoms); the test below discards those, so every
-    example has binding incentive or budget rows."""
+    """1-2 items, buyer values in [0.5, 2] and seller costs in [0, 1.5], so
+    trade is uncertain; the atoms sit on a quarter lattice (ties) or are
+    uniform draws. The test below discards the draws where SB equals FB, so
+    every example has binding incentive or budget rows. Few atoms leave room
+    to price the first best: SB equals FB on about 6 single-item draws in 7
+    with 3 atoms but 1 in 7 with 5-6, and on 17 two-item draws in 20 with 4
+    atoms. So a single-item market has 5-6 atoms per distribution and a
+    two-item one 4, which bounds the reference LP's size; about 6 draws in 10
+    are kept, a few of them two-item."""
     n = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lattice = draw(st.booleans())
 
     def dist(lo, hi):
-        k = draw(st.integers(3, 4))
+        k = draw(st.integers(5, 6)) if n == 1 else 4
         vals = rng.choice(np.arange(lo, hi + 0.125, 0.25), k, replace=False) if lattice else rng.uniform(lo, hi, k)
         w = rng.integers(1, 4, k)
         return d(np.sort(vals).tolist(), (w / w.sum()).tolist())

@@ -253,6 +253,9 @@ def test_max_weight_values_match_max_weight_set(kind, rows):
         chosen, total = fea.max_weight_set(c, {i: x for i, x in enumerate(w) if x > 0})
         assert values[t] == total
         assert tuple(np.flatnonzero(mask[t])) == chosen
+    # the values-only kernel, bit for bit, on the rows and on a stack of them
+    assert np.array_equal(fea.max_weight(c, W), values)
+    assert np.array_equal(fea.max_weight(c, np.stack([W, W[::-1]])), np.stack([values, values[::-1]]))
 
 
 # audit and decomposition outputs of three benchmark task shapes, recorded
