@@ -101,20 +101,26 @@ def exact_gft(mechanism, inst: MarketInstance) -> float:
     return _grid_expectation(inst, lambda B, S: lambda b, s: mechanism.expected_gft_rows(B[b], S[s]))
 
 
+def _expectation(inst: MarketInstance, rows, mode: str, samples: int, seed: int):
+    """E[f(b, s)] for rows(B, S) -> f as in `_grid_expectation`: exactly over
+    the grid (mode="exact", a float), or as (mean, stderr) over `samples`
+    seeded profile draws (mode="mc"), f then taking every row in place."""
+    if mode == "exact":
+        return _grid_expectation(inst, rows)
+    if mode != "mc":
+        raise ValueError("mode must be 'exact' or 'mc'")
+    every = slice(None)
+    return _mean_stderr(rows(*inst.sample_profiles(np.random.default_rng(seed), samples))(every, every))
+
+
 def first_best_gft(inst: MarketInstance, mode: str = "exact", samples: int = 10**5, seed: int = 0):
     """E[max over feasible sets of the positive-part surplus].
 
     mode="exact" enumerates discrete grids and returns a float; mode="mc"
     returns (mean, stderr).
     """
-    if mode == "exact":
-        c = inst.constraint
-        return _grid_expectation(inst, lambda B, S: lambda b, s: fea.max_weight(c, B[b] - S[s]))
-    if mode != "mc":
-        raise ValueError("mode must be 'exact' or 'mc'")
-    rng = np.random.default_rng(seed)
-    B, S = inst.sample_profiles(rng, samples)
-    return _mean_stderr(fea.max_weight(inst.constraint, B - S))
+    c = inst.constraint
+    return _expectation(inst, lambda B, S: lambda b, s: fea.max_weight(c, B[b] - S[s]), mode, samples, seed)
 
 
 @dataclass(frozen=True)

@@ -178,13 +178,7 @@ def opt_b(inst: MarketInstance, mode: str = "exact", samples: int = 10**5, seed:
         tau = inst.virtuals(S, "seller")
         return lambda b, s: fea.max_weight(inst.constraint, B[b] - tau[s])
 
-    if mode == "exact":
-        return audits._grid_expectation(inst, rows)
-    if mode != "mc":
-        raise ValueError("mode must be 'exact' or 'mc'")
-    rng = np.random.default_rng(seed)
-    every = np.arange(samples)
-    return _mean_stderr(rows(*inst.sample_profiles(rng, samples))(every, every))
+    return audits._expectation(inst, rows, mode, samples, seed)
 
 
 def expected_positive_margin(inst: MarketInstance, i: int) -> float:

@@ -26,6 +26,7 @@ from .distributions import item_argmax, item_max
 
 BRUTE_FORCE_LIMIT = 24  # capacity guard for exhaustive variants
 POLYTOPE_ENUM_LIMIT = 20
+MATROID_ROWS_LIMIT = 16  # 2^n rank rows (polytope, JSON rank table)
 
 __all__ = [
     "Constraint",
@@ -43,8 +44,8 @@ __all__ = [
     "max_weight",
     "max_weight_values",
     "top_positive",
-    "restrict",
     "reindex_restrict",
+    "polytope_rows",
     "in_scaled_polytope",
     "feasible_sets",
     "constraint_to_json",
@@ -231,10 +232,10 @@ def size_cap(c: Constraint) -> int | None:
 
 
 def max_weight_values(c: Constraint, W) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise max_weight_set over the positive parts of W, whose columns
-    follow c.ground: (values, argmax mask). Additive, unit-demand and
-    k-uniform rows are closed forms with the same tie rule; other variants
-    fall back to one search per row."""
+    """Row-wise max_weight_set over W, whose columns follow c.ground:
+    (values, argmax mask); a -inf entry is an item no set may take.
+    Additive, unit-demand and k-uniform rows are closed forms with the same
+    tie rule; other variants fall back to one search per row."""
     W = np.asarray(W, dtype=float)
     k = size_cap(c)
     if k is None:
@@ -265,7 +266,7 @@ def _searched(c: Constraint, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mask = np.zeros((m, n), dtype=bool)
     col = {item: j for j, item in enumerate(c.ground)}
     for t in range(m):
-        chosen, values[t] = max_weight_set(c, {item: w for item, w in zip(c.ground, W[t]) if w > 0})
+        chosen, values[t] = max_weight_set(c, W[t])
         mask[t, [col[i] for i in chosen]] = True
     return values, mask
 
@@ -295,10 +296,13 @@ def _greedy_matroid(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
 
 def _additive_floor(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
     """The closed form of a size floor over an additive base: every positive
-    item if there are h of them, else the h best items when they beat nothing."""
+    item if there are h of them, else the h best items when they beat nothing
+    (nothing when the ground has fewer than h items)."""
     pos = tuple(i for i in c.ground if wd[i] > 0.0)
     if len(pos) >= c.h:
         return pos
+    if len(c.ground) < c.h:
+        return ()
     cand = tuple(sorted(sorted(c.ground, key=lambda i: (-wd[i], i))[: c.h]))
     return cand if _better((sum(wd[i] for i in cand), cand), (0.0, ())) else ()
 
@@ -365,38 +369,23 @@ def _branch_and_bound(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
 # -- restriction -------------------------------------------------------------
 
 
-def restrict(c: Constraint, T: Iterable[int]) -> Constraint:
-    return _restricted(c, T, relabel=False)
-
-
 def reindex_restrict(c: Constraint, T: Iterable[int]) -> Constraint:
-    """Restrict to T and relabel its items as 0..len(T)-1 (sorted order), so
-    the result can ground a standalone sub-market."""
-    return _restricted(c, T, relabel=True)
-
-
-def _restricted(c: Constraint, T: Iterable[int], relabel: bool) -> Constraint:
-    """c on the items T, relabeled 0..len(T)-1 when asked: the fields aligned
-    with the ground are subset, members and base restricted alike."""
+    """c on the items T, renumbered 0..len(T)-1 (sorted order) so the result
+    can ground a standalone sub-market: the fields aligned with the ground are
+    subset, and members restricted alike."""
     t = tuple(sorted(set(int(i) for i in T)))
     if not set(t) <= set(c.ground):
         raise ValueError(f"restriction {t} not within ground {c.ground}")
-    if relabel and c.variant == "size_floor":
+    if c.variant == "size_floor":
         raise ValueError(f"cannot reindex variant {c.variant}")
     pick = [c.index_of(i) for i in t]
-    ground, rank = t, c.rank_fn
-    if relabel:
-        ground = tuple(range(len(t)))
-        if rank is not None:
-            rank = lambda S: c.rank_fn(frozenset(t[j] for j in S))
     return replace(
         c,
-        ground=ground,
-        rank_fn=rank,
+        ground=tuple(range(len(t))),
+        rank_fn=None if c.rank_fn is None else lambda S: c.rank_fn(frozenset(t[j] for j in S)),
         edge_ends=tuple(c.edge_ends[j] for j in pick) if c.edge_ends else (),
         sizes=tuple(c.sizes[j] for j in pick) if c.sizes else (),
-        members=tuple(_restricted(m, t, relabel) for m in c.members),
-        base=None if c.base is None else _restricted(c.base, t, relabel),
+        members=tuple(reindex_restrict(m, t) for m in c.members),
     )
 
 
@@ -416,8 +405,37 @@ def feasible_sets(c: Constraint) -> list[frozenset[int]]:
     return out
 
 
+def polytope_rows(c: Constraint) -> list[tuple[dict[int, float], float]]:
+    """Rows (coef-by-item, rhs) describing sum coef*x <= rhs; the box 0<=x<=1
+    is left to the caller. For a knapsack this is the fractional relaxation,
+    and for an intersection the intersection of its members' polytopes."""
+    v = c.variant
+    if v == "additive":
+        return []
+    if v == "unit_demand":
+        return [({i: 1.0 for i in c.ground}, 1.0)]
+    if v == "k_uniform":
+        return [({i: 1.0 for i in c.ground}, float(c.k))]
+    if v == "knapsack":
+        return [({i: float(c.sizes[c.index_of(i)]) for i in c.ground}, 1.0)]
+    if v == "matroid":
+        if len(c.ground) > MATROID_ROWS_LIMIT:
+            raise CapacityError(f"matroid polytope rows need at most {MATROID_ROWS_LIMIT} items")
+        return [
+            ({i: 1.0 for i in T}, float(c.rank_fn(frozenset(T))))
+            for r in range(1, len(c.ground) + 1)
+            for T in combinations(c.ground, r)
+        ]
+    if v == "intersection":
+        return [row for m in c.members for row in polytope_rows(m)]
+    raise ValueError(f"no polytope description for variant {v!r}")
+
+
 def in_scaled_polytope(c: Constraint, q, delta: float) -> bool:
-    """Whether q lies in delta * P, P = convex hull of feasible-set indicators."""
+    """Whether q lies in delta * P. P is the box plus `polytope_rows` (for a
+    knapsack its fractional relaxation, not the hull of its feasible sets);
+    for matching and intersection it is the convex hull of feasible-set
+    indicators."""
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0,1]")
     qd = _weights_dict(c, q)
@@ -426,27 +444,13 @@ def in_scaled_polytope(c: Constraint, q, delta: float) -> bool:
         raise ValueError("q must lie in [0,1]^n")
     x = vals / delta
     tol = 1e-9
-    if c.variant == "additive":
-        return bool(np.all(x <= 1.0 + tol))
-    if c.variant == "unit_demand":
-        return bool(x.sum() <= 1.0 + tol)
-    if c.variant == "k_uniform":
-        return bool(x.sum() <= c.k + tol and np.all(x <= 1.0 + tol))
-    if c.variant == "knapsack":
-        sz = np.array(c.sizes)
-        return bool(np.dot(x, sz) <= 1.0 + tol and np.all(x <= 1.0 + tol))
-    if c.variant == "matroid":
-        if len(c.ground) > POLYTOPE_ENUM_LIMIT:
-            raise CapacityError("matroid polytope check is exact only for small grounds")
-        for r in range(1, len(c.ground) + 1):
-            for comb in combinations(c.ground, r):
-                rank = c.rank_fn(frozenset(comb))
-                if sum(x[c.index_of(i)] for i in comb) > rank + tol:
-                    return False
-        return True
     if c.variant in ("matching", "intersection"):
         return _in_hull_lp(c, x, tol)
-    raise ValueError(f"scaled-polytope membership undefined for {c.variant}")
+    xd = dict(zip(c.ground, x.tolist()))
+    rows = polytope_rows(c)
+    return bool(np.all(x <= 1.0 + tol)) and all(
+        sum(a * xd[i] for i, a in coefs.items()) <= rhs + tol for coefs, rhs in rows
+    )
 
 
 def _in_hull_lp(c: Constraint, x: np.ndarray, tol: float) -> bool:
@@ -489,7 +493,7 @@ def constraint_to_json(c: Constraint) -> dict:
         out["base"] = constraint_to_json(c.base)
         out["h"] = c.h
     elif c.variant == "matroid":
-        if len(c.ground) > 16:
+        if len(c.ground) > MATROID_ROWS_LIMIT:
             raise ValueError("matroid serialization uses an explicit rank table; ground too large")
         table = {}
         for r in range(len(c.ground) + 1):

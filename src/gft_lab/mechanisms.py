@@ -400,8 +400,10 @@ class Fpp:
 class Cfpp(Fpp):
     """Constrained posted prices: the purchase set must lie in `sub`.
 
-    Under a size-floor subconstraint the buyer takes the best set of size >= h
-    with nonnegative total utility (zero total still buys), else nothing.
+    Under a size-floor subconstraint the buyer takes the best floor-feasible
+    set of willing sellers' items with positive total utility, else the
+    largest floor-feasible set of zero-utility items (ties favor purchase),
+    else nothing.
     """
 
     def __init__(self, inst, theta_b, theta_s, sub: Constraint):
@@ -413,25 +415,17 @@ class Cfpp(Fpp):
     def allocation(self, B, S) -> np.ndarray:
         if self.sub.variant != "size_floor":
             return _posted_allocation(self.sub, B, S, self.theta_b, self.theta_s)
-        X = np.zeros(np.shape(B), dtype=bool)
-        for t, (b, s) in enumerate(zip(np.asarray(B, dtype=float), np.asarray(S, dtype=float))):
-            X[t, list(self._floor_purchase(b, s))] = True
+        g = list(self.sub.ground)
+        w = np.asarray(B, dtype=float)[:, g] - self.theta_b[g]
+        willing = np.asarray(S, dtype=float)[:, g] <= self.theta_s[g] + TOL
+        Y = fea.max_weight_values(self.sub, np.where(willing, w, -np.inf))[1]
+        zero = willing & (np.abs(w) <= TOL)
+        empty = ~Y.any(axis=1) & zero.any(axis=1)
+        if empty.any():
+            Y[empty] = fea.max_weight_values(self.sub, np.where(zero[empty], 1.0, -np.inf))[1]
+        X = np.zeros((len(Y), self.inst.n), dtype=bool)
+        X[:, g] = Y
         return X
-
-    def _floor_purchase(self, b, s) -> tuple[int, ...]:
-        willing = [i for i in self.sub.ground if s[i] <= self.theta_s[i] + TOL]
-        if not willing:
-            return ()
-        w = {i: float(b[i] - self.theta_b[i]) for i in willing}
-        chosen, _ = fea.max_weight_set(fea.restrict(self.sub, willing), w)
-        if not chosen and self.sub.h >= 1:
-            # a zero-utility floor-meeting set still trades (ties favor purchase)
-            zero = [i for i in willing if abs(w[i]) <= TOL]
-            if zero:
-                cand, _ = fea.max_weight_set(fea.restrict(self.sub, zero), {i: 1.0 for i in zero})
-                if len(cand) >= self.sub.h:
-                    chosen = cand
-        return chosen
 
     run = _run
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +41,7 @@ import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize import linprog  # noqa: F401  (unused; perfbench/tracing.py patches oracle.linprog)
 
-from .feasibility import CapacityError, Constraint
+from .feasibility import CapacityError, polytope_rows
 from .mechanisms import MarketInstance, buyer_grid, seller_grid
 
 __all__ = [
@@ -110,7 +109,7 @@ class DiscreteMarket:
 
     @cached_property
     def _prows(self):
-        return _polytope_rows(self.inst.constraint)
+        return polytope_rows(self.inst.constraint)
 
     @cached_property
     def _bgrid(self):
@@ -135,35 +134,6 @@ class DiscreteMarket:
     @property
     def sprobs(self) -> np.ndarray:
         return self._sgrid[1]
-
-
-def _polytope_rows(c: Constraint) -> list[tuple[dict[int, float], float]]:
-    """Rows (coef-by-item, rhs) describing sum coef*x <= rhs; the box 0<=x<=1
-    is handled separately."""
-    v = c.variant
-    if v == "additive":
-        return []
-    if v == "unit_demand":
-        return [({i: 1.0 for i in c.ground}, 1.0)]
-    if v == "k_uniform":
-        return [({i: 1.0 for i in c.ground}, float(c.k))]
-    if v == "knapsack":
-        return [({i: float(c.sizes[c.index_of(i)]) for i in c.ground}, 1.0)]
-    if v == "matroid":
-        rows = []
-        ground = list(c.ground)
-        if len(ground) > 16:
-            raise CapacityError("matroid polytope rows need at most 16 items")
-        for r in range(1, len(ground) + 1):
-            for T in combinations(ground, r):
-                rows.append(({i: 1.0 for i in T}, float(c.rank_fn(frozenset(T)))))
-        return rows
-    if v == "intersection":
-        rows = []
-        for m in c.members:
-            rows.extend(_polytope_rows(m))
-        return rows
-    raise ValueError(f"no polytope description for variant {v!r}")
 
 
 def _fmt(vals: Sequence[float]) -> str:

@@ -24,13 +24,27 @@ def _posted_purchase(b, theta_b, available, sub):
     if not available:
         return ()
     w = {i: float(b[i] - theta_b[i]) for i in available}
-    c_eff = fea.restrict(sub, available)
-    chosen, _ = fea.max_weight_set(c_eff, w)
+    chosen, _ = fea.max_weight_set(sub, w)
     taken = list(chosen)
     for i in sorted(available):
-        if i not in taken and abs(w[i]) <= TOL and fea.is_feasible(c_eff, taken + [i]):
+        if i not in taken and abs(w[i]) <= TOL and fea.is_feasible(sub, taken + [i]):
             taken.append(i)
     return tuple(sorted(taken))
+
+
+def _floor_brute_force(b, theta_b, willing, sub):
+    """Brute force over the floor-feasible sets within the willing sellers:
+    the best total that beats buying nothing by more than 1e-12 (ties to
+    fewer items, then the smaller tuple), else the largest feasible set of
+    zero-utility items (ties to the smaller tuple), else nothing."""
+    w = {i: float(b[i] - theta_b[i]) for i in willing}
+    sets = [tuple(sorted(s)) for s in fea.feasible_sets(sub) if s and s <= set(willing)]
+    gains = [(sum(w[i] for i in s), s) for s in sets]
+    best = max((v for v, _ in gains), default=0.0)
+    if best > 1e-12:
+        return min((len(s), s) for v, s in gains if v >= best - 1e-12)[1]
+    zero = [s for s in sets if all(abs(w[i]) <= TOL for i in s)]
+    return min(zero, key=lambda s: (-len(s), s)) if zero else ()
 
 
 def posted(m, b, s):
@@ -38,15 +52,7 @@ def posted(m, b, s):
     sub = getattr(m, "sub", m.inst.constraint)
     willing = [i for i in sub.ground if s[i] <= m.theta_s[i] + TOL]
     if sub.variant == "size_floor":
-        traded = ()
-        if willing:
-            w = {i: float(b[i] - m.theta_b[i]) for i in willing}
-            traded, _ = fea.max_weight_set(fea.restrict(sub, willing), w)
-            zero = [i for i in willing if abs(w[i]) <= TOL]
-            if not traded and zero:
-                cand, _ = fea.max_weight_set(fea.restrict(sub, zero), {i: 1.0 for i in zero})
-                if len(cand) >= sub.h:
-                    traded = cand
+        traded = _floor_brute_force(b, m.theta_b, willing, sub)
     else:
         afford = [i for i in willing if b[i] >= m.theta_b[i] - TOL]
         traded = _posted_purchase(b, m.theta_b, afford, sub)

@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import gft_lab
-from gft_lab import cli
+from gft_lab import audits, cli
 from gft_lab import distributions as dst
 from gft_lab import feasibility as fsb
 from gft_lab import instances
+from gft_lab import mechanisms as mech
 
 
 def run_cli(argv, capsys):
@@ -200,6 +201,27 @@ def test_simulate_with_prices(tmp_path, capsys):
     rows = parse_csv(out)
     assert rows[0]["mechanism"] == "fpp"
     assert float(rows[0]["gft"]) >= 0.0
+
+
+def test_simulate_cfpp_size_floor_matches_audit_report(tmp_path, capsys):
+    u = dst.uniform(0.0, 1.0)
+    inst = instances.MarketInstance((u,) * 3, (u,) * 3, fsb.additive(range(3)))
+    path = tmp_path / "u3.json"
+    path.write_text(json.dumps(instances.instance_to_json(inst)))
+    tb, ts, sub = [0.5, 0.6, 0.4], [0.4, 0.5, 0.3], fsb.size_floor(fsb.additive(range(3)), 2)
+    prices = tmp_path / "p.json"
+    prices.write_text(json.dumps({"theta_b": tb, "theta_s": ts, "sub": fsb.constraint_to_json(sub)}))
+    argv = ["simulate", "--instance", str(path), "--mechanism", "cfpp", "--prices", str(prices),
+            "--samples", "500", "--seed", "3", "--format", "csv"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    (row,) = parse_csv(out)
+    want = audits.audit_report(mech.Cfpp(inst, tb, ts, sub), inst, 500, 3).as_dict()
+    assert row == {k: cli._cell(v) for k, v in want.items()}
+    prices.write_text(json.dumps({"theta_b": tb, "theta_s": ts}))
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "sub" in err
 
 
 def test_selftest_single_fast_criterion(capsys):

@@ -95,6 +95,26 @@ def test_max_weight_matches_brute_force_all_variants():
             assert chosen == brute_argmax(c, w), (c.variant, w)
 
 
+def test_size_floor_max_weight_matches_brute_force():
+    # weights with negatives and -inf (an item no set may take), on every
+    # floor from 1 to one above the ground size
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    bases = [fea.additive(range(4)), fea.k_uniform(2, range(4)), fea.knapsack([0.3, 0.5, 0.4, 0.6]), fea.matching(edges)]
+    rng = np.random.default_rng(11)
+    for base in bases:
+        for h in range(1, len(base.ground) + 2):
+            c = fea.size_floor(base, h)
+            W = rng.integers(-3, 9, (40, 4)) / 8
+            W[rng.random(W.shape) < 0.25] = -np.inf
+            values, mask = fea.max_weight_values(c, W)
+            for x, value, m in zip(W, values, mask):
+                w = dict(zip(c.ground, x.tolist()))
+                want = brute_argmax(c, w)
+                chosen, val = fea.max_weight_set(c, w)
+                assert chosen == want and fea.is_feasible(c, chosen), (base.variant, h, x)
+                assert tuple(np.flatnonzero(m)) == want and value == val == sum(w[i] for i in want)
+
+
 def test_size_floor_forces_minimum_cardinality():
     c = fea.size_floor(fea.k_uniform(3, range(4)), 2)
     assert not fea.is_feasible(c, {0})
@@ -124,21 +144,15 @@ def test_matroid_rank_axioms_on_oracle_example():
         assert rank(set(s)) == len(s)
 
 
-def test_restrict_equivalence():
-    c = fea.k_uniform(2, range(5))
-    t = {1, 3, 4}
-    r = fea.restrict(c, t)
-    whole = {s for s in fea.feasible_sets(c) if s <= t}
-    assert set(fea.feasible_sets(r)) == whole
-
-
-def test_reindex_restrict_matches_restrict():
-    c = fea.knapsack([0.3, 0.5, 0.4, 0.2])
-    t = [1, 3]
+@pytest.mark.parametrize("c, t", [
+    (fea.k_uniform(2, range(5)), [1, 3, 4]),
+    (fea.knapsack([0.3, 0.5, 0.4, 0.2]), [1, 3]),
+], ids=["k_uniform", "knapsack"])
+def test_reindex_restrict_keeps_the_feasible_subsets_of_t(c, t):
     r = fea.reindex_restrict(c, t)
-    assert tuple(sorted(r.ground)) == (0, 1)
+    assert r.ground == tuple(range(len(t)))
     mapped = {frozenset(t[i] for i in s) for s in fea.feasible_sets(r)}
-    assert mapped == set(fea.feasible_sets(fea.restrict(c, t)))
+    assert mapped == {s for s in fea.feasible_sets(c) if s <= set(t)}
 
 
 def test_in_scaled_polytope_examples():

@@ -96,6 +96,13 @@ def lattice_markets(draw):
     return inst, list(theta_b), list(theta_s), sub, np.array(coins)
 
 
+def assert_purchases_feasible(m, B, S):
+    """Every row's purchase is feasible in the constraint m buys under."""
+    c = getattr(m, "sub", m.inst.constraint)
+    for b, s, x in zip(B, S, m.allocation(B, S)):
+        assert fea.is_feasible(c, np.flatnonzero(x).tolist()), (c, b, s, np.flatnonzero(x))
+
+
 def _grid_rows(inst, limit=48):
     B, _ = mech.buyer_grid(inst)
     S, _ = mech.seller_grid(inst)
@@ -108,8 +115,9 @@ def _grid_rows(inst, limit=48):
 def test_kernels_match_reference_on_lattice_markets(case):
     inst, theta_b, theta_s, sub, coin = case
     B, S = _grid_rows(inst)
-    assert_rows_match(mech.Fpp(inst, theta_b, theta_s), B, S, ref.posted)
-    assert_rows_match(mech.Cfpp(inst, theta_b, theta_s, sub), B, S, ref.posted)
+    for m in (mech.Fpp(inst, theta_b, theta_s), mech.Cfpp(inst, theta_b, theta_s, sub)):
+        assert_purchases_feasible(m, B, S)
+        assert_rows_match(m, B, S, ref.posted)
     assert_rows_match(mech.BuyerOffering(inst), B, S, ref.buyer_offering)
     if inst.n == 1:
         assert_rows_match(mech.SellerOffering(inst), B, S, ref.seller_offering)
@@ -235,6 +243,15 @@ def test_cfpp_size_floor_kernel_matches_reference():
     for h in (1, 2, 3):
         cf = mech.Cfpp(inst, [0.5, 0.6, 0.4], [0.4, 0.5, 0.3], fea.size_floor(fea.additive(range(3)), h))
         assert_rows_match(cf, B, S, ref.posted)
+
+
+@pytest.mark.parametrize("base", [fea.additive(range(4)), fea.k_uniform(3, range(4)), fea.knapsack([0.3, 0.5, 0.4, 0.2])])
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_size_floor_purchases_are_feasible(base, h):
+    u = dst.uniform(0.0, 1.0)
+    inst = mech.market([u] * 4, [u] * 4, fea.additive(range(4)))
+    B, S = inst.sample_profiles(np.random.default_rng(5), 300)
+    assert_purchases_feasible(mech.Cfpp(inst, [0.5, 0.6, 0.4, 0.55], [0.4, 0.5, 0.3, 0.45], fea.size_floor(base, h)), B, S)
 
 
 WEIGHTS = [j / 4 for j in range(-4, 9)]
