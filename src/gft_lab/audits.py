@@ -45,8 +45,8 @@ def _mean_stderr(x: np.ndarray) -> tuple[float, float]:
 
 
 def _sample(inst: MarketInstance, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Profiles, then one coin per (sample, item): the stream a per-sample
-    `run(b, s, rng=rng)` loop draws, so coin-flipping mechanisms keep it."""
+    """Profiles, then one coin per (sample, item) from the same generator:
+    the coins a realized SAPP run takes."""
     rng = np.random.default_rng(seed)
     B, S = inst.sample_profiles(rng, samples)
     return B, S, rng.random((samples, inst.n))

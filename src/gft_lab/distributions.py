@@ -553,9 +553,11 @@ class IronedVirtual:
     """phi-tilde / tau-tilde as a nondecreasing function of the agent's value.
 
     ``grid_values`` are support points (all atoms for discrete inputs, a
-    quantile grid for ironed continuous ones) and ``grid_virtuals`` the ironed
-    virtual value on each. ``exact`` marks the case where ironing was the
-    identity and the closed-form unironed function is used directly.
+    quantile grid for continuous ones) and ``grid_virtuals`` the ironed
+    virtual value on each. ``exact`` marks a continuous distribution whose
+    raw virtual is already monotone on the grid, so the closed-form unironed
+    function is used directly; discrete inputs are always looked up on their
+    atoms and have ``exact`` False.
     """
 
     side: str
@@ -566,7 +568,7 @@ class IronedVirtual:
 
     def __call__(self, v):
         """The ironed virtual at v: a float for a scalar, an array for an array."""
-        if self.exact and self.dist.kind == "continuous":
+        if self.exact:
             fn = buyer_virtual if self.side == "buyer" else seller_virtual
             lo, hi = self.dist.support()
             return fn(self.dist, np.clip(v, lo, hi))
@@ -589,22 +591,20 @@ class IronedVirtual:
         g = np.asarray(self.grid_virtuals, dtype=float)
         return np.concatenate((g[:1], g)) if self.side == "buyer" else np.concatenate((g, g[-1:]))
 
-    def at_atoms(self) -> np.ndarray:
-        return np.asarray(self.grid_virtuals)
-
     def inverse(self, y) -> np.ndarray:
         """inf{v in the support : phi-tilde(v) >= y} elementwise over an
         array y; +inf where no support point reaches y.
 
-        Atoms and ironed grids: one searchsorted (a grid step sits 1e-9 off
-        its grid point, as in __call__). Closed form: interpolation on the
-        stored grid and SECANT_STEPS secant steps, which lands within a few
-        ulps of the cut but not always on it; callers needing the exact cut
-        refine it with mechanisms._threshold_search.
+        Atoms and ironed grids: one searchsorted, landing on the lowest atom
+        or float whose value reaches y (a grid step sits 1e-9 off its grid
+        point, as in __call__). Closed form: interpolation on the stored grid
+        and SECANT_STEPS secant steps, which lands within a few ulps of the
+        cut but not always on it; callers needing the exact cut refine it
+        with mechanisms._threshold_search.
         """
         y = np.asarray(y, dtype=float)
         lo, hi = self.dist.support()
-        if self.exact and self.dist.kind == "continuous":
+        if self.exact:
             shape, y = y.shape, y.ravel()
             phis, vals = self._knots
             k = np.clip(np.searchsorted(phis, y), 1, len(vals) - 1)
@@ -627,8 +627,8 @@ class IronedVirtual:
         if self.dist.kind == "continuous":
             if self.side == "buyer":
                 v = np.maximum(v - 1e-9, lo)
-            else:
-                v = np.minimum(self._grid[np.maximum(j - 1, 0)] + 1e-9, hi)
+            else:  # tau-tilde steps strictly above grid point + 1e-9: the next float
+                v = np.minimum(np.nextafter(self._grid[np.maximum(j - 1, 0)] + 1e-9, np.inf), hi)
             v = np.where(j > 0, v, lo)
         return np.where(j <= top, v, np.inf)
 
@@ -699,9 +699,7 @@ def iron(d: Dist, side: str) -> IronedVirtual:
         raise ValueError("side must be 'buyer' or 'seller'")
     if d.kind == "discrete":
         vals = np.asarray(d.values)
-        ironed = _iron_discrete(vals, np.asarray(d.probs), side)
-        exact = bool(np.allclose(_atom_virtuals(d, side), ironed, atol=1e-9, rtol=1e-9))
-        return IronedVirtual(side, d, tuple(vals), tuple(ironed), exact=exact)
+        return IronedVirtual(side, d, tuple(vals), tuple(_iron_discrete(vals, np.asarray(d.probs), side)), exact=False)
     # continuous: probe the raw virtual on an interior quantile grid
     vals = d.ppf((np.arange(IRON_GRID) + 0.5) / IRON_GRID)
     raw = (buyer_virtual if side == "buyer" else seller_virtual)(d, vals)

@@ -139,7 +139,7 @@ def _one_row(v) -> np.ndarray:
     return np.asarray(v, dtype=float).reshape(1, -1)
 
 
-def _run(self, b, s, rng=None, coins=None) -> Outcome:
+def _run(self, b, s, coins=None) -> Outcome:
     """One profile through `outcome_batch`."""
     B, S = _one_row(b), _one_row(s)
     X, pay_b, pay_S = self.outcome_batch(B, S, None if coins is None else _one_row(coins))
@@ -147,7 +147,7 @@ def _run(self, b, s, rng=None, coins=None) -> Outcome:
     return Outcome(traded, float(pay_b[0]), tuple(pay_S[0].tolist()), float(_gft_rows(X, B, S)[0]))
 
 
-def _realized_gft(self, B: np.ndarray, S: np.ndarray, rng=None, coins=None) -> np.ndarray:
+def _realized_gft(self, B: np.ndarray, S: np.ndarray, coins=None) -> np.ndarray:
     """Per-row GFT of a deterministic allocation; no payments are computed."""
     return _gft_rows(self.allocation(B, S), B, S)
 
@@ -398,7 +398,8 @@ class Fpp:
 
 
 class Cfpp(Fpp):
-    """Constrained posted prices: the purchase set must lie in `sub`.
+    """Constrained posted prices: the purchase set must lie in `sub`, every
+    set of which the market constraint must allow.
 
     Under a size-floor subconstraint the buyer takes the best floor-feasible
     set of willing sellers' items with positive total utility, else the
@@ -410,6 +411,8 @@ class Cfpp(Fpp):
         super().__init__(inst, theta_b, theta_s, "cfpp")
         if set(sub.ground) - set(inst.constraint.ground):
             raise ValueError("subconstraint ground exceeds market ground")
+        if not all(fea.is_feasible(inst.constraint, T) for T in fea.feasible_sets(sub)):
+            raise ValueError("subconstraint admits a set the market constraint forbids")
         self.sub = sub
 
     def allocation(self, B, S) -> np.ndarray:
@@ -576,17 +579,13 @@ class SappPriceMap:
                 self._atoms[i] = (v, d.tail(v) - p, p)
 
     def q(self, s) -> np.ndarray:
-        return self._entry(s)[0]
+        return self._entries(_one_row(s))[0][0]
 
     def theta(self, s) -> np.ndarray:
-        return self._entry(s)[1]
+        return self._entries(_one_row(s))[1][0]
 
     def alpha(self, s) -> np.ndarray:
-        return self._entry(s)[2]
-
-    def _entry(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        q, theta, alpha = self._entries(np.asarray(s, dtype=float).reshape(1, -1))
-        return q[0], theta[0], alpha[0]
+        return self._entries(_one_row(s))[2][0]
 
     def _entries(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(q, theta, alpha) rows for a (k, n) array of seller profiles, each
@@ -628,16 +627,18 @@ class SappPriceMap:
 
 
 def _validate_rule(inst: MarketInstance, rule: AllocationRule) -> None:
-    """Check the rule hypotheses on 48 profiles sampled with seed 7."""
+    """Check the rule hypotheses on 48 profiles sampled with seed 7, in one
+    rule call: the sampled costs, then per item i the same rows with s_i
+    raised towards the top of its support."""
     B, S = inst.sample_profiles(np.random.default_rng(7), 48)
-    X = rule(B, S)
+    trial = np.repeat(S[None], inst.n + 1, axis=0)
+    for i, d in enumerate(inst.seller_dists):
+        hi = d.support()[1]
+        trial[i + 1, :, i] = np.minimum(hi, S[:, i] + 0.25 * (hi - S[:, i]) + 1e-6)
+    X, *bumped = rule(B, trial)
     if np.any(X.sum(axis=-1) > 1.0 + TOL):
         raise ValueError("allocation rule serves more than one item")
-    for i in range(inst.n):
-        lo, hi = inst.seller_dists[i].support()
-        bumped = S.copy()
-        bumped[:, i] = np.minimum(hi, S[:, i] + 0.25 * (hi - S[:, i]) + 1e-6)
-        X2 = rule(B, bumped)
+    for i, X2 in enumerate(bumped):
         if np.any(X2[:, i] > X[:, i] + TOL):
             raise ValueError(f"rule not nonincreasing in the cost of item {i}")
         fell = X2 < X - TOL
@@ -678,13 +679,11 @@ class Sapp:
 
     # -- realized execution --
 
-    def _coins(self, B, coins, rng=None) -> np.ndarray:
-        """The given coins, else one rng draw per (row, item)."""
-        if coins is not None:
-            return np.asarray(coins, dtype=float)
-        if rng is None:
-            raise ValueError("a realized SAPP run needs coins or an rng")
-        return rng.random(B.shape)
+    @staticmethod
+    def _coins(coins) -> np.ndarray:
+        if coins is None:
+            raise ValueError("a realized SAPP run needs its coins")
+        return np.asarray(coins, dtype=float)
 
     def _realized(self, B, S, coins) -> tuple[np.ndarray, np.ndarray]:
         """(X, theta): the buyer buys the affordable item of largest surplus
@@ -695,7 +694,7 @@ class Sapp:
         return (np.arange(self.inst.n) == best) & afford.any(axis=1, keepdims=True), theta
 
     def outcome_batch(self, B, S, coins=None):
-        coins = self._coins(B, coins)
+        coins = self._coins(coins)
         X, theta = self._realized(B, S, coins)
         pay = _seller_thresholds(self.inst, X, S, lambda rows, St: self._realized(B[rows], St, coins[rows])[0], self._cut_guess(B, S))
         return X, item_sum(np.where(X, theta, 0.0)), pay
@@ -714,15 +713,11 @@ class Sapp:
 
         return guess
 
-    def run(self, b, s, rng: np.random.Generator | None = None, coins: np.ndarray | None = None) -> Outcome:
-        if coins is None and rng is not None:
-            coins = rng.random(self.inst.n)
-        return _run(self, b, s, coins=coins)
+    run = _run
 
-    def run_batch(self, B, S, rng: np.random.Generator | None = None, coins: np.ndarray | None = None) -> np.ndarray:
-        """Per-row realized GFT under the given coins, else drawn from rng; no
-        payments are computed."""
-        return _gft_rows(self._realized(B, S, self._coins(B, coins, rng))[0], B, S)
+    def run_batch(self, B, S, coins=None) -> np.ndarray:
+        """Per-row realized GFT under the given coins; no payments are computed."""
+        return _gft_rows(self._realized(B, S, self._coins(coins))[0], B, S)
 
     # -- exact coin-integrated machinery (discrete paths) --
 
@@ -744,9 +739,6 @@ class Sapp:
         coins (closed form)."""
         _, theta, alpha = self.pmap._entries(S)
         return self._beta_rows(B, theta, alpha)
-
-    def beta(self, b, s) -> np.ndarray:
-        return self.allocation(_one_row(b), _one_row(s))[0]
 
     def expected_gft_rows(self, B, S) -> np.ndarray:
         return np.vecdot(self.allocation(B, S), B - S)

@@ -374,22 +374,16 @@ def _caps(inst: MarketInstance, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _h_integral(d: dst.Dist, w: float) -> float:
-    """int_0^w quantile_d(u) du: exact for discrete d, the partial mean up to
-    quantile(d, w) for continuous d."""
+    """int_0^w quantile_d(u) du, w capped at 1: with x = quantile(d, w),
+    w x - E[(x - X)^+] for discrete d, the partial mean up to x for
+    continuous d."""
     if w <= 0.0:
         return 0.0
+    w = min(w, 1.0)
+    x = dst.quantile(d, w)
     if d.kind == "discrete":
-        total = 0.0
-        prev = 0.0
-        for v, pmass in zip(d.values, d.probs):
-            hi = min(w, prev + pmass)
-            if hi > prev:
-                total += v * (hi - prev)
-            prev += pmass
-            if prev >= w:
-                break
-        return total
-    return dst.partial_mean(d, dst.quantile(d, min(w, 1.0)))
+        return w * x - dst.expected_excess(d, x, "below")
+    return dst.partial_mean(d, x)
 
 
 def lower_bound_value(inst: MarketInstance, p: Sequence[float], q: Sequence[float]) -> float:

@@ -455,21 +455,12 @@ def verify_ub_chain(m: DiscreteMarket) -> dict:
         "sb_le_optb_plus_opts": sb <= ob + os_ + CHAIN_TOL,
         "mechanisms": {},
     }
-    mechanisms = []
     prices = sorted({float(v) for d in inst.buyer_dists + inst.seller_dists for v in d.values})
-    for p in prices:
-        pv = np.full(inst.n, p)
-        try:
-            mechanisms.append(Fpp(inst, pv, pv, name=f"fpp[{p:g}]"))
-        except ValueError:
-            pass
+    mechanisms = [Fpp(inst, np.full(inst.n, p), np.full(inst.n, p), name=f"fpp[{p:g}]") for p in prices]
     mechanisms.append(BuyerOffering(inst))
     if inst.n == 1:
         mechanisms.append(SellerOffering(inst))
-    try:
-        mechanisms.append(Sapp(inst, sapp_build(inst, reduction_rule(inst))))
-    except ValueError:
-        pass
+    mechanisms.append(Sapp(inst, sapp_build(inst, reduction_rule(inst))))
     for mech in mechanisms:
         g = audits.exact_gft(mech, inst)
         report["mechanisms"][getattr(mech, "name", type(mech).__name__)] = (g, g <= sb + CHAIN_TOL)

@@ -123,7 +123,7 @@ def sapp(m, b, s, coins):
     n = m.inst.n
 
     def winner(sv):
-        _, theta, alpha = m.pmap._entry(sv)
+        theta, alpha = m.pmap.theta(sv), m.pmap.alpha(sv)
         afford = (b > theta + TOL) | ((np.abs(b - theta) <= TOL) & (coins < alpha))
         return int(np.argmax(np.where(afford, b - theta, -np.inf))) if afford.any() else None, theta
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import gft_lab
-from gft_lab import audits, cli
+from gft_lab import audits, bounds, cli, oracle
 from gft_lab import distributions as dst
 from gft_lab import feasibility as fsb
 from gft_lab import instances
@@ -254,3 +254,47 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert lines[0] == lines[-1] == "False"
     assert any(line.startswith("best_fpp_gft,") for line in lines)
     assert "PASS" in out.stdout and "lowtrade-ratio-trend" in out.stdout
+
+
+def test_simulate_cfpp_refuses_a_sub_the_market_constraint_forbids(tmp_path, capsys):
+    u = dst.uniform(0.0, 1.0)
+    inst = instances.MarketInstance((u,) * 3, (u,) * 3, fsb.unit_demand(range(3)))
+    path = tmp_path / "ud3.json"
+    path.write_text(json.dumps(instances.instance_to_json(inst)))
+    prices = tmp_path / "p.json"
+    prices.write_text(json.dumps({"theta_b": [0.5] * 3, "theta_s": [0.4] * 3, "sub": fsb.constraint_to_json(fsb.k_uniform(2, range(3)))}))
+    code, out, err = run_cli(["simulate", "--instance", str(path), "--mechanism", "cfpp", "--prices", str(prices),
+                              "--samples", "100", "--seed", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "market constraint forbids" in err
+
+
+@pytest.mark.parametrize("rule", ["unlikely", "reduction"])
+def test_simulate_sapp_matches_audit_report(rule, capsys):
+    code, out, _ = run_cli(["simulate", "--example", "a2", "--param", "n=2", "--mechanism", "sapp", "--rule", rule,
+                            "--samples", "500", "--seed", "3", "--format", "csv"], capsys)
+    assert code == 0
+    (row,) = parse_csv(out)
+    inst = instances.make_example("a2", n=2)
+    made = mech.reduction_rule(inst) if rule == "reduction" else mech.unlikely_trade_rule(inst, bounds.hl_split(inst)[1])
+    want = audits.audit_report(mech.Sapp(inst, mech.sapp_build(inst, made)), inst, 500, 3).as_dict()
+    assert want["gft"] > 0.0
+    assert row == {k: cli._cell(v) for k, v in want.items()}
+
+
+def test_oracle_two_item_instance_reports_the_partition_check(tmp_path, capsys):
+    inst = mech.market(
+        [dst.discrete([0.5, 1.0], [0.5, 0.5]), dst.discrete([0.4, 0.9], [0.3, 0.7])],
+        [dst.discrete([0.1, 0.6], [0.5, 0.5])] * 2,
+        fsb.unit_demand(range(2)),
+    )
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(instances.instance_to_json(inst)))
+    code, out, _ = run_cli(["oracle", "--instance", str(path), "--format", "csv"], capsys)
+    assert code == 0
+    rows = {r["metric"]: r["value"] for r in parse_csv(out)}
+    check = oracle.opt_s_partition_check(oracle.DiscreteMarket(inst))
+    got = {k[len("opt_s_partition_"):]: v for k, v in rows.items() if k.startswith("opt_s_partition_")}
+    assert got == {label: cli._cell(good) for label, (_, _, good) in check.items()}
+    assert sorted(got) == ["keep0", "keep1"]

@@ -107,6 +107,50 @@ def test_trade_probability_with_wide_lognormal_seller():
         assert abs(got - qr.trade_probability(buyer, seller)) <= 1e-9
 
 
+def test_trade_probability_discrete_buyer_continuous_seller():
+    # sum over buyer atoms of p_a G(a), with G in closed form: atoms below,
+    # inside and above the seller's support
+    b = dst.discrete([0.2, 0.5, 0.9, 1.4], [0.1, 0.4, 0.3, 0.2])
+    for lo, hi in ((0.0, 1.0), (0.3, 0.8), (0.4, 1.2)):
+        want = math.fsum(p * min(1.0, max(0.0, (a - lo) / (hi - lo))) for a, p in zip(b.values, b.probs))
+        assert math.isclose(dst.trade_probability(b, dst.uniform(lo, hi)), want, rel_tol=1e-15, abs_tol=1e-15)
+    t = 3.0
+    want = math.fsum(p * (1.0 - math.exp(-a)) / (1.0 - math.exp(-t)) for a, p in zip(b.values, b.probs))
+    assert math.isclose(dst.trade_probability(b, dst.exponential_truncated(t)), want, rel_tol=1e-14)
+
+
+def _two_piece_seller():
+    """Mass 0.1 on [0, 1), then 0.9 on [1, 2]: the virtual cost s + G/g rises
+    to 2 below 1 and falls to 10/9 at 1, so the seller side irons."""
+    return dst.Dist(
+        kind="continuous",
+        cdf_fn=lambda v: np.where(v < 1.0, 0.1 * v, 0.1 + 0.9 * (v - 1.0)),
+        pdf_fn=lambda v: np.where((v >= 0.0) & (v <= 2.0), np.where(v < 1.0, 0.1, 0.9), 0.0),
+        quantile_fn=lambda q: np.where(q < 0.1, q / 0.1, 1.0 + (q - 0.1) / 0.9),
+        lo=0.0,
+        hi=2.0,
+        name="two-piece",
+    )
+
+
+def test_seller_inverse_on_an_ironed_continuous_grid():
+    # at each cut inside the support the ironed virtual cost reaches y and
+    # the float just below the cut does not
+    iv = dst.iron(_two_piece_seller(), "seller")
+    assert not iv.exact
+    g = np.asarray(iv.grid_virtuals)
+    levels = np.unique(g)
+    assert len(levels) < len(g)  # an ironed flat stretch
+    ys = np.concatenate((levels, levels - 1e-7, levels + 1e-7, np.linspace(g[0] - 0.5, g[-1] + 0.5, 401)))
+    cut = iv.inverse(ys)
+    inside = (cut > 0.0) & (cut < 2.0)
+    assert inside.sum() > len(levels)
+    assert np.all(iv(cut[inside]) >= ys[inside])
+    assert not np.any(iv(np.nextafter(cut[inside], -np.inf)) >= ys[inside])
+    assert np.all(iv(cut[cut == 0.0]) >= ys[cut == 0.0])
+    assert np.array_equal(np.isinf(cut), ys > g[-1])
+
+
 QUAD_FAMILIES = {
     "uniform": lambda: dst.uniform(0.0, 1.0),
     "uniform-negative": lambda: dst.uniform(-0.5, 1.5),
@@ -243,7 +287,7 @@ def test_iron_uniform_seller_is_2s():
 
 def test_iron_two_atom_buyer():
     iv = dst.iron(dst.discrete([1.0, 2.0], [0.5, 0.5]), "buyer")
-    got = iv.at_atoms()
+    got = np.asarray(iv.grid_virtuals)
     assert math.isclose(got[0], 0.0, abs_tol=1e-12)
     assert math.isclose(got[1], 2.0, abs_tol=1e-12)
 
@@ -254,7 +298,7 @@ def test_iron_is_identity_when_raw_virtuals_monotone():
     bd = instances.example_a3(6).buyer_dists[0]
     raw = [dst.buyer_virtual(bd, v) for v in bd.values]
     assert all(a <= b + 1e-12 for a, b in zip(raw, raw[1:]))
-    ironed = dst.iron(bd, "buyer").at_atoms()
+    ironed = np.asarray(dst.iron(bd, "buyer").grid_virtuals)
     assert np.allclose(ironed, raw, atol=1e-9)
 
 
@@ -266,7 +310,7 @@ def test_ironed_virtuals_nondecreasing():
         vals += np.arange(k) * 1e-3
         probs = rng.dirichlet(np.ones(k))
         for side in ("buyer", "seller"):
-            arr = dst.iron(dst.discrete(vals, probs), side).at_atoms()
+            arr = np.asarray(dst.iron(dst.discrete(vals, probs), side).grid_virtuals)
             assert all(a <= b + 1e-9 for a, b in zip(arr, arr[1:]))
 
 

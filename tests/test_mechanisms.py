@@ -84,6 +84,16 @@ def test_run_batch_matches_run():
     assert np.allclose(batch, loop, atol=1e-12)
 
 
+@pytest.mark.parametrize("sub", [fea.k_uniform(2, range(3)), fea.size_floor(fea.additive(range(3)), 2)])
+def test_cfpp_refuses_a_sub_the_market_constraint_forbids(sub):
+    # both subs admit pairs, which a unit-demand buyer may not buy
+    u = dst.uniform(0.0, 1.0)
+    inst = mech.market([u] * 3, [u] * 3, fea.unit_demand(range(3)))
+    with pytest.raises(ValueError, match="market constraint forbids"):
+        mech.Cfpp(inst, [0.5] * 3, [0.4] * 3, sub)
+    mech.Cfpp(inst, [0.5] * 3, [0.4] * 3, fea.unit_demand([0, 2]))
+
+
 def test_cfpp_floor_one_equals_plain_posted_prices():
     u = dst.uniform(0.0, 1.0)
     inst = mech.market([u, u], [u, u], fea.additive(range(2)))
@@ -194,7 +204,7 @@ def test_sapp_zero_rule_posts_top_and_never_trades():
     assert math.isclose(sp.pmap.theta(np.array([0.5]))[0], 1.0, abs_tol=1e-9)
     rng = np.random.default_rng(6)
     B, S = inst.sample_profiles(rng, 300)
-    assert all(sp.run(B[t], S[t], rng=rng).traded == () for t in range(300))
+    assert all(sp.run(B[t], S[t], coins=rng.random(1)).traded == () for t in range(300))
 
 
 def test_sapp_activation_map_bi_monotone():
@@ -461,14 +471,14 @@ def test_class_run_on_one_profile():
     assert isinstance(o, mech.Outcome)
 
 
-def test_sapp_realized_run_needs_coins_or_an_rng():
+def test_sapp_realized_run_needs_coins():
     inst = ud2a()
     sapp = mech.Sapp(inst, mech.sapp_build(inst, mech.reduction_rule(inst)))
-    with pytest.raises(ValueError, match="coins or an rng"):
+    with pytest.raises(ValueError, match="a realized SAPP run needs its coins"):
         sapp.run([2.0, 0.5], [0.0, 1.0])
-    with pytest.raises(ValueError, match="coins or an rng"):
+    with pytest.raises(ValueError, match="a realized SAPP run needs its coins"):
         sapp.run_batch(np.array([[2.0, 0.5]]), np.array([[0.0, 1.0]]))
-    assert sapp.run_batch(np.array([[2.0, 0.5]]), np.array([[0.0, 1.0]]), rng=np.random.default_rng(0)).shape == (1,)
+    assert sapp.run_batch(np.array([[2.0, 0.5]]), np.array([[0.0, 1.0]]), coins=np.random.default_rng(0).random((1, 2))).shape == (1,)
 
 
 def test_unlikely_trade_cut_has_no_guess_where_the_others_never_fall_short():

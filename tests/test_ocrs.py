@@ -425,3 +425,58 @@ def test_quantile_integral_matches_tight_quad(make):
     for w in (0.01, 0.25, 0.5, 0.99, 1.0):
         want = reference(dst.quantile(d, w))
         assert math.isclose(ocrs._h_integral(d, w), want, rel_tol=1e-13, abs_tol=0.0), w
+
+
+def test_discrete_quantile_integral_matches_exact_fractions():
+    # w x - E[(x - X)^+] at x = quantile(d, w), against the integral of the
+    # quantile function summed atom by atom in exact fractions of the same
+    # floats; positive atoms keep every term of the sum nonnegative
+    from fractions import Fraction
+
+    def exact(d, w):
+        total, prev, w = Fraction(0), Fraction(0), Fraction(w)
+        for v, p in zip(d.values, d.probs):
+            total += Fraction(v) * max(Fraction(0), min(w, prev + Fraction(p)) - prev)
+            prev += Fraction(p)
+        return total
+
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        k = int(rng.integers(1, 6))
+        vals = np.sort(rng.choice(np.arange(1, 17), size=k, replace=False)) / 8.0
+        mass = rng.integers(1, 6, size=k)
+        d = dst.discrete(vals.tolist(), (mass / mass.sum()).tolist())
+        for w in rng.integers(0, 65, size=4) / 64.0:
+            want = float(exact(d, w))
+            assert math.isclose(ocrs._h_integral(d, float(w)), want, rel_tol=1e-13, abs_tol=0.0), (d.values, d.probs, w)
+
+
+SIZES = [0.6, 0.3, 0.45, 0.25]
+
+
+@pytest.mark.parametrize(
+    "constraint, kind",
+    [
+        (fea.unit_demand(range(4)), "unit_demand"),
+        (fea.k_uniform(2, range(4)), "k_uniform"),
+        (fea.knapsack(SIZES), "knapsack"),
+        (fea.intersection(fea.k_uniform(2, range(4)), fea.knapsack(SIZES)), "compose[k_uniform,knapsack]"),
+    ],
+)
+def test_cfpp_prices_schemes_meet_their_claims_and_buy_feasibly(constraint, kind):
+    # the first result's path on each constraint: the scheme for the market's
+    # constraint, its exact selectability against its own claim (the knapsack
+    # classes are equalized, so there the two agree to rounding), and every
+    # drawn subconstraint accepted by Cfpp and bought within the market
+    u = dst.uniform(0.0, 1.0)
+    inst = mech.market([u] * 4, [u] * 4, constraint)
+    p = [0.5, 0.6, 0.55, 0.45]
+    cp = ocrs.cfpp_prices(inst, p, ocrs.optimize_q(inst, p), 0.25)
+    assert cp.ocrs.kind == kind
+    eta = cp.ocrs.claimed_eta(cp.activation)
+    assert all(ocrs.exact_selectability(cp.ocrs, cp.activation, i) >= eta - 1e-12 for i in range(4))
+    B, S = inst.sample_profiles(np.random.default_rng(12), 400)
+    for seed in range(6):
+        X = cp.mechanism(inst, seed).allocation(B, S)
+        assert X.any()
+        assert all(fea.is_feasible(inst.constraint, np.flatnonzero(x).tolist()) for x in X)

@@ -417,3 +417,24 @@ def test_local_rows_match_per_profile_reference_on_12_atoms():
     expost = oracle.second_best_lp(m, "expost")
     assert math.isclose(expost, lp_reference.second_best(m, "expost"), rel_tol=0.0, abs_tol=1e-9)
     assert math.isclose(oracle.opt_s_lp(m), lp_reference.opt_s(m), rel_tol=0.0, abs_tol=1e-9)
+
+
+def test_intersection_market_lp_sizes_and_chain(monkeypatch):
+    # an intersection's polytope rows are its members' rows, each LP has the
+    # nonzeros lp_nnz counts, and SB <= FB
+    both = fea.intersection(fea.unit_demand(range(2)), fea.knapsack([0.6, 0.5]))
+    assert fea.polytope_rows(both) == [({0: 1.0, 1: 1.0}, 1.0), ({0: 0.6, 1: 0.5}, 1.0)]
+    inst = mech.market([d([0.5, 1.0], [0.5, 0.5]), d([0.4, 0.9], [0.3, 0.7])], [d([0.1, 0.6], [0.5, 0.5])] * 2, both)
+    seen = []
+
+    def spy(c, *, constraints, **kwargs):
+        seen.append(constraints.A)
+        return milp(c, constraints=constraints, **kwargs)
+
+    monkeypatch.setattr(oracle, "milp", spy)
+    m = oracle.DiscreteMarket(inst)
+    sb = oracle.second_best_lp(m, "exante")
+    oracle.second_best_lp(m, "expost")
+    oracle.opt_s_lp(m)
+    assert [m.lp_nnz(kind) for kind in ("exante", "expost", "opt_s")] == [A.nnz for A in seen]
+    assert sb <= audits.first_best_gft(inst, "exact") + 1e-9

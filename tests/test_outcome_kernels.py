@@ -115,7 +115,13 @@ def _grid_rows(inst, limit=48):
 def test_kernels_match_reference_on_lattice_markets(case):
     inst, theta_b, theta_s, sub, coin = case
     B, S = _grid_rows(inst)
-    for m in (mech.Fpp(inst, theta_b, theta_s), mech.Cfpp(inst, theta_b, theta_s, sub)):
+    mechanisms = [mech.Fpp(inst, theta_b, theta_s)]
+    if all(fea.is_feasible(inst.constraint, T) for T in fea.feasible_sets(sub)):
+        mechanisms.append(mech.Cfpp(inst, theta_b, theta_s, sub))
+    else:  # a sub the market constraint does not contain is refused
+        with pytest.raises(ValueError, match="market constraint forbids"):
+            mech.Cfpp(inst, theta_b, theta_s, sub)
+    for m in mechanisms:
         assert_purchases_feasible(m, B, S)
         assert_rows_match(m, B, S, ref.posted)
     assert_rows_match(mech.BuyerOffering(inst), B, S, ref.buyer_offering)
@@ -397,7 +403,7 @@ def test_trade_willing_cut_matches_bisection(name, data):
 @pytest.mark.parametrize("side", ["buyer", "seller"])
 def test_inverse_returns_the_atom_where_the_ironed_virtual_reaches_y(m, side):
     iv = getattr(instances.example_a3(m), f"{side}_ironed")[0]
-    atoms, levels = np.asarray(iv.grid_values), iv.at_atoms()
+    atoms, levels = np.asarray(iv.grid_values), np.asarray(iv.grid_virtuals)
 
     def first_atom(ys):  # the lowest atom whose level reaches y, else inf
         return np.array([atoms[levels >= y][0] if np.any(levels >= y) else np.inf for y in ys])

@@ -71,7 +71,7 @@ def test_tables_match_per_profile_reference(case):
         for got, want in zip(rows, (sp.pmap.q(s), sp.pmap.theta(s), sp.pmap.alpha(s))):
             assert got[k].tobytes() == want.tobytes()
         for m, b in enumerate(B):
-            assert sp._table.beta[k, m].tobytes() == sp.beta(b, s).tobytes() == ref.beta(b, s).tobytes()
+            assert sp._table.beta[k, m].tobytes() == sp.allocation(np.array([b]), np.array([s]))[0].tobytes() == ref.beta(b, s).tobytes()
 
 
 def test_one_row_entry_matches_reference():
@@ -266,3 +266,18 @@ def test_validate_rule_accepts_broadcast_constant():
     assert const(np.zeros((3, 5, 2)), np.zeros((5, 2))).shape == (3, 5, 2)
     # phi(b) = 2b - 1 clears 0.2 with probability 0.4 on the fixed buyer sample
     assert math.isclose(pm.q(np.array([0.2, 0.2]))[0], 0.5 * 0.4, abs_tol=0.02)
+
+
+@pytest.mark.parametrize("make", [mech.reduction_rule, lambda inst: mech.unlikely_trade_rule(inst, range(inst.n))])
+def test_validate_rule_calls_the_rule_once(make):
+    # the sampled costs and every item's raised costs go through one call
+    inst = instances.random_instance(3, "uniform", seed=31)
+    rule = make(inst)
+    calls = []
+
+    def counted(b, s):
+        calls.append(np.broadcast_shapes(b.shape, s.shape))
+        return rule.fn(b, s)
+
+    mech.sapp_build(inst, mech.AllocationRule(rule.name, counted, rule.q_fn, rule.q_cut))
+    assert calls == [(inst.n + 1, 48, inst.n)]
