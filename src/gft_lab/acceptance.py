@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -431,7 +432,10 @@ def matching_reduction() -> tuple[bool, str]:
 
 
 def _brute_max_weight(c: fea.Constraint, w: dict[int, float]) -> float:
-    return max(sum(w.get(i, 0.0) for i in s) for s in fea.feasible_sets(c))
+    """The best total weight over every subset that `is_feasible` accepts,
+    enumerated here rather than through the constraint's table."""
+    sets = (s for r in range(len(c.ground) + 1) for s in combinations(c.ground, r) if fea.is_feasible(c, s))
+    return max(sum(w.get(i, 0.0) for i in s) for s in sets)
 
 
 def _brute_cases() -> list[fea.Constraint]:

@@ -1,5 +1,5 @@
 """Estimation and verification: GFT estimates, first-best accounting, budget
-balance, individual rationality, and seller incentive audits.
+balance and individual rationality audits.
 
 Monte Carlo checks quote mean and standard error so callers can apply
 three-sigma bands. Every audit is an array reduction of a mechanism's
@@ -29,7 +29,6 @@ __all__ = [
     "budget_audit",
     "BudgetReport",
     "ir_audit",
-    "dsic_audit_sellers",
     "AuditReport",
     "audit_report",
 ]
@@ -129,10 +128,6 @@ class BudgetReport:
     exante_slack: float
     exante_stderr: float
 
-    @property
-    def expost_ok(self) -> bool:
-        return self.expost_min_slack >= -1e-9
-
 
 def budget_audit(mechanism, inst: MarketInstance, samples: int = 10**4, seed: int = 0) -> BudgetReport:
     """Buyer payment minus total seller payments, ex post (min) and ex ante."""
@@ -149,44 +144,6 @@ def ir_audit(mechanism, inst: MarketInstance, samples: int = 4096, seed: int = 0
     X, pay_b, pay_S = mechanism.outcome_batch(B, S, coins)
     buyer = item_sum(np.where(X, B, 0.0)) - pay_b
     return _first_min(buyer), _first_min(np.where(X, pay_S - S, pay_S))
-
-
-def _deviation_grid(inst: MarketInstance, i: int) -> np.ndarray:
-    """Seller i's atoms, else the midpoints of 33 equal-mass cells of its cost."""
-    d = inst.seller_dists[i]
-    if d.kind == "discrete":
-        return np.asarray(d.values, dtype=float)
-    return d.ppf((np.arange(33) + 0.5) / 33)
-
-
-def dsic_audit_sellers(
-    mechanism,
-    inst: MarketInstance,
-    samples: int = 2000,
-    seed: int = 0,
-) -> float:
-    """Largest estimated expected gain from a unilateral seller misreport.
-
-    Prefers a mechanism-provided exact deviation scan on discrete instances;
-    otherwise Monte Carlo with common random numbers (shared profiles, and
-    shared coins for coin-flipping mechanisms) across deviations.
-    """
-    if inst.is_discrete and hasattr(mechanism, "exact_dsic_gain"):
-        return float(mechanism.exact_dsic_gain())
-    B, S, coins = _sample(inst, samples, seed)
-
-    def util(i: int, reports: np.ndarray) -> np.ndarray:
-        X, _, pay = mechanism.outcome_batch(B, reports, coins)
-        return np.where(X[:, i], pay[:, i] - S[:, i], pay[:, i])
-
-    worst = -np.inf
-    for i in range(inst.n):
-        truth = util(i, S)
-        for z in _deviation_grid(inst, i):
-            reports = S.copy()
-            reports[:, i] = z
-            worst = max(worst, float((util(i, reports) - truth).mean()))
-    return worst
 
 
 @dataclass(frozen=True)

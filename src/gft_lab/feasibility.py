@@ -5,27 +5,32 @@ Variants: additive, unit-demand, k-uniform, matroid (rank oracle), matching
 intersection, and size-floor (|S| >= h, the one sanctioned non-downward-closed
 family, used only as a purchase subconstraint).
 
-Exact solvers throughout: closed forms (`top_positive`) for additive,
-unit-demand and k-uniform weights and for a size floor over an additive base,
-the greedy for a matroid, and one depth-first branch and bound
-(`_branch_and_bound`) for knapsack, matching, intersection and the other size
-floors, at desk scale. Tie-breaking is global and deterministic: smallest
-total weight-attaining set by cardinality, then lexicographically smallest
-index tuple.
+Exact max-weight choices in two ways. A size cap (additive, unit-demand,
+k-uniform) is a closed form (`top_positive`). Every other variant reads its
+table: the feasible sets, sorted by (size, index tuple), as a bool incidence
+matrix built once per constraint object, by extending feasible sets only (a
+size floor keeps its base's sets of at least h items). One cap, `SET_CAP`,
+bounds a table's sets and the values computed per block of rows.
+
+The tie rule is global and deterministic: among the feasible sets whose total
+weight is within 1e-12 of the best, the fewest items, then the
+lexicographically smallest index tuple. The table applies it exactly. The one
+place it differs is `top_positive`, which keeps positive weights in
+(0, 1e-12] that the rule would drop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .distributions import item_argmax, item_max
 
-BRUTE_FORCE_LIMIT = 24  # capacity guard for exhaustive variants
-POLYTOPE_ENUM_LIMIT = 20
+SET_CAP = 2**20  # feasible sets in one table, and values in one block of rows
 MATROID_ROWS_LIMIT = 16  # 2^n rank rows (polytope, JSON rank table)
 
 __all__ = [
@@ -54,7 +59,7 @@ __all__ = [
 
 
 class CapacityError(RuntimeError):
-    """Ground set too large for an exact search on this variant."""
+    """Input too large for an exact computation: over a capacity guard."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,34 @@ class Constraint:
 
     def index_of(self, item: int) -> int:
         return self.ground.index(item)
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The (F, n) bool incidence matrix of every feasible set over the
+        ground, rows sorted by (size, index tuple), read-only. Cached on this
+        object, never by `==`: two matroids on one ground compare equal."""
+        if self.variant == "size_floor":
+            size = self.base._table.sum(axis=1)
+            M = self.base._table[(size == 0) | (size >= self.h)]
+        else:
+            after = {i: j + 1 for j, i in enumerate(self.ground)}
+            sets, level = [()], [()]
+            while level:
+                grown = []
+                for s in level:
+                    for i in self.ground[after[s[-1]] if s else 0:]:
+                        if _feasible(self, frozenset(s + (i,))):
+                            grown.append(s + (i,))
+                    if len(sets) + len(grown) > SET_CAP:
+                        raise CapacityError(f"{self.variant} has over {SET_CAP} feasible sets")
+                sets += grown
+                level = grown
+            sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+            items = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=int(sizes.sum()))
+            M = np.zeros((len(sets), len(self.ground)), dtype=bool)
+            M[np.repeat(np.arange(len(sets)), sizes), np.searchsorted(self.ground, items)] = True
+        M.flags.writeable = False
+        return M
 
 
 def _norm_ground(ground: Iterable[int]) -> tuple[int, ...]:
@@ -192,50 +225,28 @@ def _weights_dict(c: Constraint, w) -> dict[int, float]:
     return {i: float(x) for i, x in zip(c.ground, w)}
 
 
-def _better(cand: tuple[float, tuple[int, ...]], best: tuple[float, tuple[int, ...]]) -> bool:
-    """The tie rule: higher by more than 1e-12, else fewer items, else the
-    lexicographically smaller tuple."""
-    val, items = cand
-    bval, bitems = best
-    if val > bval + 1e-12:
-        return True
-    if val < bval - 1e-12:
-        return False
-    return (len(items), items) < (len(bitems), bitems)
-
-
 def max_weight_set(c: Constraint, w) -> tuple[tuple[int, ...], float]:
-    """Exact argmax_{S feasible} sum of weights; ties to the smallest set,
-    then lexicographic. Negative-weight items are never useful for
-    downward-closed variants and only enter under a size floor."""
+    """Exact argmax_{S feasible} sum of weights, under the tie rule: the
+    one-row view of max_weight_values. The value sums the chosen items'
+    weights in index order."""
     wd = _weights_dict(c, w)
-    k = size_cap(c)
-    if k is not None:
-        mask = top_positive(np.array([[wd[i] for i in c.ground]]), k)[0]
-        chosen = tuple(i for i, m in zip(c.ground, mask) if m)
-    elif c.variant == "matroid":
-        chosen = _greedy_matroid(c, wd)
-    elif c.variant == "size_floor" and c.base.variant == "additive":
-        chosen = _additive_floor(c, wd)
-    elif c.variant in ("knapsack", "matching", "intersection", "size_floor"):
-        chosen = _branch_and_bound(c, wd)
-    else:
-        raise ValueError(f"unknown variant {c.variant}")
-    total = sum(wd[i] for i in chosen)
-    return chosen, total
+    mask = max_weight_values(c, [[wd[i] for i in c.ground]])[1][0]
+    chosen = tuple(i for i, m in zip(c.ground, mask) if m)
+    return chosen, sum(wd[i] for i in chosen)
 
 
 def size_cap(c: Constraint) -> int | None:
     """The largest feasible set size when that size is c's only limit
-    (additive, unit-demand, k-uniform), else None: the variant needs a search."""
+    (additive, unit-demand, k-uniform), else None: the variant is searched
+    through its feasible-set table."""
     return {"additive": len(c.ground), "unit_demand": 1, "k_uniform": c.k}.get(c.variant)
 
 
 def max_weight_values(c: Constraint, W) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise max_weight_set over W, whose columns follow c.ground:
     (values, argmax mask); a -inf entry is an item no set may take.
-    Additive, unit-demand and k-uniform rows are closed forms with the same
-    tie rule; other variants fall back to one search per row."""
+    Additive, unit-demand and k-uniform rows are closed forms; other
+    variants read c's feasible-set table."""
     W = np.asarray(W, dtype=float)
     k = size_cap(c)
     if k is None:
@@ -260,15 +271,23 @@ def max_weight(c: Constraint, W) -> np.ndarray:
 
 
 def _searched(c: Constraint, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, argmax mask) of the rows of W by one max_weight_set each."""
-    m, n = W.shape
-    values = np.empty(m)
-    mask = np.zeros((m, n), dtype=bool)
-    col = {item: j for j, item in enumerate(c.ground)}
-    for t in range(m):
-        chosen, values[t] = max_weight_set(c, W[t])
-        mask[t, [col[i] for i in chosen]] = True
-    return values, mask
+    """(values, argmax mask) of the rows of W over c's feasible-set table, in
+    blocks of at most SET_CAP values: each set's value sums its items' weights
+    in index order, and each row takes the first set in (size, tuple) order
+    whose value is within 1e-12 of the row's best."""
+    M = c._table
+    step = max(1, SET_CAP // len(M))
+    values = np.empty(len(W))
+    first = np.empty(len(W), dtype=np.intp)
+    for lo in range(0, len(W), step):
+        block = W[lo:lo + step]
+        V = np.zeros((len(block), len(M)))
+        for i in range(M.shape[1]):
+            V += np.where(M[:, i], block[:, i:i + 1], 0.0)
+        j = np.argmax(V >= V.max(axis=1, keepdims=True) - 1e-12, axis=1)
+        first[lo:lo + step] = j
+        values[lo:lo + step] = V[np.arange(len(V)), j]
+    return values, M[first]
 
 
 def top_positive(W: np.ndarray, k: int) -> np.ndarray:
@@ -282,88 +301,6 @@ def top_positive(W: np.ndarray, k: int) -> np.ndarray:
         mask = np.zeros(W.shape, dtype=bool)
         np.put_along_axis(mask, np.argsort(-W, axis=1, kind="stable")[:, :k], True, axis=1)
     return mask & (W > 0)
-
-
-def _greedy_matroid(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
-    chosen: list[int] = []
-    cur = frozenset()
-    for i in sorted((i for i in c.ground if wd[i] > 0.0), key=lambda i: (-wd[i], i)):
-        if c.rank_fn(cur | {i}) == len(cur) + 1:
-            chosen.append(i)
-            cur = cur | {i}
-    return tuple(sorted(chosen))
-
-
-def _additive_floor(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
-    """The closed form of a size floor over an additive base: every positive
-    item if there are h of them, else the h best items when they beat nothing
-    (nothing when the ground has fewer than h items)."""
-    pos = tuple(i for i in c.ground if wd[i] > 0.0)
-    if len(pos) >= c.h:
-        return pos
-    if len(c.ground) < c.h:
-        return ()
-    cand = tuple(sorted(sorted(c.ground, key=lambda i: (-wd[i], i))[: c.h]))
-    return cand if _better((sum(wd[i] for i in cand), cand), (0.0, ())) else ()
-
-
-def _branch_and_bound(c: Constraint, wd: dict[int, float]) -> tuple[int, ...]:
-    """Depth-first search over take/skip of each item, asking `_feasible` at
-    every take; branches worse than the best set by more than 1e-12 are cut,
-    so ties keep exploring and the tie rule stays globally exact.
-
-    Downward-closed variants search their positive items, by density for a
-    knapsack (its fractional relaxation is the bound) and by weight otherwise
-    (the positive weight left is the bound). A size floor |S| >= h searches
-    every item of its base in index order, negative ones too since reaching
-    the floor may need them, records only sets of at least h items, and cuts
-    a branch once h is out of reach."""
-    floor, knap = c.variant == "size_floor", c.variant == "knapsack"
-    fc, h = (c.base, c.h) if floor else (c, 0)
-    size = lambda i: c.sizes[c.index_of(i)] if knap else 0.0
-    if floor:
-        items = list(c.ground)
-    elif knap:
-        items = sorted((i for i in c.ground if wd[i] > 0.0), key=lambda i: (-wd[i] / max(size(i), 1e-15), i))
-    else:
-        items = sorted((i for i in c.ground if wd[i] > 0.0), key=lambda i: (-wd[i], i))
-    if len(items) > BRUTE_FORCE_LIMIT:
-        raise CapacityError(f"{c.variant} search over {len(items)} items exceeds {BRUTE_FORCE_LIMIT}")
-    vals, sizes = [wd[i] for i in items], [size(i) for i in items]
-    rest = [sum(v for v in vals[j:] if v > 0.0) for j in range(len(vals) + 1)]
-    best = (0.0, ())
-
-    def bound(j: int, cap: float) -> float:
-        if not knap:
-            return rest[j]
-        out = 0.0
-        for t in range(j, len(items)):
-            if sizes[t] <= cap:
-                out += vals[t]
-                cap -= sizes[t]
-            else:
-                out += vals[t] * (cap / sizes[t]) if sizes[t] > 0 else 0.0
-                break
-        return out
-
-    def dfs(j: int, cap: float, acc: float, taken: list[int]) -> None:
-        nonlocal best
-        if len(taken) >= h:
-            cand = (acc, tuple(sorted(taken)))
-            if _better(cand, best):
-                best = cand
-        if j == len(items) or len(taken) + len(items) - j < h:
-            return
-        if acc + bound(j, cap) < best[0] - 1e-12:
-            return
-        if _feasible(fc, frozenset(taken) | {items[j]}):
-            taken.append(items[j])
-            dfs(j + 1, cap - sizes[j], acc + vals[j], taken)
-            taken.pop()
-        dfs(j + 1, cap, acc, taken)
-
-    dfs(0, 1.0, 0.0, [])
-    return best[1]
 
 
 # -- restriction -------------------------------------------------------------
@@ -393,16 +330,8 @@ def reindex_restrict(c: Constraint, T: Iterable[int]) -> Constraint:
 
 
 def feasible_sets(c: Constraint) -> list[frozenset[int]]:
-    """Every feasible set; capacity-guarded enumeration."""
-    if len(c.ground) > POLYTOPE_ENUM_LIMIT:
-        raise CapacityError(f"enumeration over {len(c.ground)} items exceeds {POLYTOPE_ENUM_LIMIT}")
-    out = []
-    for r in range(len(c.ground) + 1):
-        for comb in combinations(c.ground, r):
-            s = frozenset(comb)
-            if _feasible(c, s):
-                out.append(s)
-    return out
+    """Every feasible set, in (size, index tuple) order: the rows of c's table."""
+    return [frozenset(compress(c.ground, row)) for row in c._table.tolist()]
 
 
 def polytope_rows(c: Constraint) -> list[tuple[dict[int, float], float]]:
@@ -458,15 +387,11 @@ def _in_hull_lp(c: Constraint, x: np.ndarray, tol: float) -> bool:
     distribution over feasible sets dominates it coordinatewise."""
     from scipy.optimize import linprog
 
-    sets = feasible_sets(c)
-    a_ub = np.zeros((len(c.ground), len(sets)))
-    for j, s in enumerate(sets):
-        for i in s:
-            a_ub[c.index_of(i), j] = -1.0
-    a_eq = np.ones((1, len(sets)))
+    M = c._table
+    a_eq = np.ones((1, len(M)))
     res = linprog(
-        np.zeros(len(sets)),
-        A_ub=a_ub,
+        np.zeros(len(M)),
+        A_ub=np.where(M.T, -1.0, 0.0),
         b_ub=-(x - tol),
         A_eq=a_eq,
         b_eq=[1.0],

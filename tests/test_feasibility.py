@@ -7,6 +7,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gft_lab import feasibility as fea
 
@@ -42,6 +44,11 @@ def test_max_weight_examples():
     assert set(chosen) == {1, 2}
     assert math.isclose(val, 4.0, abs_tol=1e-12)
 
+    # {0, 1} beats {0} by 1e-13, within 1e-12: the smaller set, under a matroid as under a knapsack
+    w = {0: 0.5, 1: 1e-13}
+    assert fea.max_weight_set(fea.matroid_oracle(len, range(2)), w) == ((0,), 0.5)
+    assert fea.max_weight_set(fea.knapsack([0.5, 0.5]), w) == ((0,), 0.5)
+
 
 def test_max_weight_drops_negative_weights():
     chosen, val = fea.max_weight_set(fea.additive(range(3)), [1.0, -2.0, 0.5])
@@ -58,8 +65,9 @@ def test_max_weight_accepts_sparse_mapping():
 def brute_argmax(c, w):
     """max_weight_set's documented choice over every feasible set (the empty
     one included): the best value to 1e-12, then the fewest items, then the
-    lexicographically smallest tuple."""
-    sets = [tuple(sorted(s)) for s in fea.feasible_sets(c)]
+    lexicographically smallest tuple. The sets are every subset `is_feasible`
+    accepts, enumerated here rather than read from the constraint's table."""
+    sets = [s for r in range(len(c.ground) + 1) for s in combinations(c.ground, r) if fea.is_feasible(c, s)]
     vals = [sum(w[i] for i in s) for s in sets]
     top = max(vals)
     return min((len(s), s) for s, v in zip(sets, vals) if v >= top - 1e-12)[1]
@@ -113,6 +121,61 @@ def test_size_floor_max_weight_matches_brute_force():
                 chosen, val = fea.max_weight_set(c, w)
                 assert chosen == want and fea.is_feasible(c, chosen), (base.variant, h, x)
                 assert tuple(np.flatnonzero(m)) == want and value == val == sum(w[i] for i in want)
+
+
+@st.composite
+def searched_constraints(draw):
+    """A knapsack, matching, partition matroid or intersection of two of them
+    on up to 8 items, or a size floor over one of those or over additive."""
+    n = draw(st.integers(1, 8))
+    size = st.integers(0, 8).map(lambda k: k / 8) | st.floats(0.0, 1.0)
+    edge = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: e[0] != e[1])
+    part = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    caps = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
+    bases = {
+        "knapsack": lambda: fea.knapsack(draw(st.lists(size, min_size=n, max_size=n))),
+        "matching": lambda: fea.matching(draw(st.lists(edge, min_size=n, max_size=n))),
+        "matroid": lambda: fea.matroid_oracle(
+            lambda S: sum(min(caps[p], sum(part[i] == p for i in S)) for p in range(3)), range(n)
+        ),
+    }
+    kind = draw(st.sampled_from([*bases, "intersection", "additive"]))
+    if kind == "intersection":
+        a, b = draw(st.lists(st.sampled_from(list(bases)), min_size=2, max_size=2))
+        c = fea.intersection(bases[a](), bases[b]())
+    else:
+        c = fea.additive(range(n)) if kind == "additive" else bases[kind]()
+    h = draw(st.integers(1 if kind == "additive" else 0, n + 1))
+    return fea.size_floor(c, h) if h else c
+
+
+_lattice = st.builds(lambda k, e: k / 8 + e, st.integers(-3, 8), st.sampled_from([0.0, 0.0, 5e-13, -5e-13]))
+
+
+@settings(max_examples=150)
+@given(searched_constraints(), st.data())
+def test_table_choice_is_the_tie_rule_and_its_value_the_index_order_sum(c, data):
+    # 1/8-lattice weights tie exactly; +-5e-13 puts ties inside the 1e-12 window
+    weight = st.one_of(_lattice, _lattice, _lattice, st.just(-math.inf))
+    n = len(c.ground)
+    W = np.array(data.draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=1, max_size=6)))
+    values, mask = fea.max_weight_values(c, W)
+    for x, value, m in zip(W, values, mask):
+        w = dict(zip(c.ground, x.tolist()))
+        want = brute_argmax(c, w)
+        assert tuple(np.flatnonzero(m)) == want, (c.variant, x)
+        assert float(value).hex() == float(sum(w[i] for i in want)).hex()
+
+
+def test_tables_are_cached_per_object_not_per_value():
+    # rank_fn takes no part in ==, so the two matroids compare equal
+    a = fea.matroid_oracle(lambda S: min(1, len(S)), range(3))
+    b = fea.matroid_oracle(len, range(3))
+    assert a == b
+    assert len(fea.feasible_sets(a)) == 4 and len(fea.feasible_sets(b)) == 8
+    assert fea.max_weight_set(a, [1.0, 2.0, 1.0])[0] == (1,)
+    assert fea.max_weight_set(b, [1.0, 2.0, 1.0])[0] == (0, 1, 2)
+    assert a._table is a._table
 
 
 def test_size_floor_forces_minimum_cardinality():

@@ -94,6 +94,17 @@ def test_cfpp_refuses_a_sub_the_market_constraint_forbids(sub):
     mech.Cfpp(inst, [0.5] * 3, [0.4] * 3, fea.unit_demand([0, 2]))
 
 
+def test_cfpp_checks_a_sub_of_21_items_by_its_table():
+    # the cap counts feasible sets, not items: k_uniform(3) on 21 items has 1,562
+    u = dst.uniform(0.0, 1.0)
+    inst = mech.market([u] * 21, [u] * 21, fea.knapsack([0.25] * 21))
+    sub = fea.k_uniform(3, range(21))
+    mech.Cfpp(inst, [0.5] * 21, [0.4] * 21, sub)
+    assert len(fea.feasible_sets(sub)) == 1562
+    with pytest.raises(ValueError, match="subconstraint admits a set the market constraint forbids"):
+        mech.Cfpp(inst, [0.5] * 21, [0.4] * 21, fea.k_uniform(5, range(21)))
+
+
 def test_cfpp_floor_one_equals_plain_posted_prices():
     u = dst.uniform(0.0, 1.0)
     inst = mech.market([u, u], [u, u], fea.additive(range(2)))
