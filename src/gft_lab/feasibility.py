@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, combinations, compress
+from itertools import accumulate, chain, combinations, compress
+from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -81,7 +82,12 @@ class Constraint:
     def _table(self) -> np.ndarray:
         """The (F, n) bool incidence matrix of every feasible set over the
         ground, rows sorted by (size, index tuple), read-only. Cached on this
-        object, never by `==`: two matroids on one ground compare equal."""
+        object, never by `==`: two matroids on one ground compare equal. A
+        size cap k over n items is refused before enumerating when its
+        sum_{r<=k} C(n, r) sets exceed SET_CAP."""
+        k = size_cap(self)
+        if k is not None and any(t > SET_CAP for t in accumulate(comb(len(self.ground), r) for r in range(k + 1))):
+            raise CapacityError(f"{self.variant} has over {SET_CAP} feasible sets")
         if self.variant == "size_floor":
             size = self.base._table.sum(axis=1)
             M = self.base._table[(size == 0) | (size >= self.h)]

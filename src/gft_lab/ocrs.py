@@ -6,8 +6,8 @@ i satisfies Pr[S + i in F' for every F'-feasible S subseteq R \\ {i}] >= eta,
 with R the random active set. Schemes here are greedy: the subconstraint is
 drawn up front from a finite set of branches, and any arrival order gives the
 same guarantee. So eta depends only on the active pattern of the other
-elements and on the branch drawn, which is what both selectability
-computations enumerate.
+elements and on the branch drawn; both selectability computations read
+admission off the branch's feasible-set table (`_admitted`).
 
 Also hosts the constrained-posted-price glue: activation-calibrated seller
 prices and the Frank-Wolfe search for good activation vectors.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,9 +39,6 @@ __all__ = [
     "optimize_q",
     "lower_bound_value",
 ]
-
-_SUBSET_LIMIT = 18
-
 
 Branches = tuple[tuple[float, Constraint], ...]
 
@@ -134,13 +130,8 @@ def knapsack_ocrs(delta: float, sizes: Sequence[float]) -> GreedyOcrs:
     small = tuple(i for i in range(n) if sz[i] <= 0.5)
     big_set = frozenset(big)
     small_set = frozenset(small)
-
-    def _big_only(ground: Sequence[int]) -> Constraint:
-        return fea.matroid_oracle(lambda S: min(1, len(set(S) & big_set)), ground)
-
-    def _small_only(ground: Sequence[int]) -> Constraint:
-        free_small = fea.matroid_oracle(lambda S: len(set(S) & small_set), ground)
-        return fea.intersection(knap, free_small)
+    big_only = fea.matroid_oracle(lambda S: min(1, len(set(S) & big_set)), range(n))
+    small_only = fea.intersection(knap, fea.matroid_oracle(lambda S: len(set(S) & small_set), range(n)))
 
     def _bounds(q_hat: np.ndarray) -> tuple[float, float]:
         q = np.asarray(q_hat, dtype=float)
@@ -168,12 +159,11 @@ def knapsack_ocrs(delta: float, sizes: Sequence[float]) -> GreedyOcrs:
         if len(q_hat) != n:
             raise ValueError("activation vector length must match the sizes")
         rho = _rho(np.asarray(q_hat, dtype=float))
-        ground = range(n)
         if rho >= 1.0:
-            return ((1.0, _big_only(ground)),)
+            return ((1.0, big_only),)
         if rho <= 0.0:
-            return ((1.0, _small_only(ground)),)
-        return ((rho, _big_only(ground)), (1.0 - rho, _small_only(ground)))
+            return ((1.0, small_only),)
+        return ((rho, big_only), (1.0 - rho, small_only))
 
     def claimed(q_hat: np.ndarray) -> float:
         lb, ls = _bounds(q_hat)
@@ -214,18 +204,6 @@ def compose_ocrs(a: GreedyOcrs, b: GreedyOcrs) -> GreedyOcrs:
     return GreedyOcrs(f"compose[{a.kind},{b.kind}]", a.delta, base_for, branches, sampler, claimed)
 
 
-def _admits(sub: Constraint, others: tuple[int, ...], i: int) -> bool:
-    if not fea.is_feasible(sub, (i,)):
-        return False
-    if len(others) > _SUBSET_LIMIT:
-        raise CapacityError("active set too large for exhaustive admission check")
-    for r in range(1, len(others) + 1):
-        for S in combinations(others, r):
-            if fea.is_feasible(sub, S) and not fea.is_feasible(sub, S + (i,)):
-                return False
-    return True
-
-
 def _checked_activation(ocrs: GreedyOcrs, q_hat: Sequence[float], i: int) -> np.ndarray:
     q = np.asarray(q_hat, dtype=float)
     if not 0 <= i < len(q):
@@ -235,18 +213,28 @@ def _checked_activation(ocrs: GreedyOcrs, q_hat: Sequence[float], i: int) -> np.
     return q
 
 
-def _admission(branches: Branches, n: int, i: int) -> Callable[[int], bool]:
-    """admits(key): whether i is admissible under a key whose low n-1 bits are
-    the active pattern of the other elements, in index order, and whose high
-    bits are the branch index."""
-    others = [j for j in range(n) if j != i]
-    m = len(others)
-
-    def admits(key: int) -> bool:
-        active = tuple(j for t, j in enumerate(others) if key >> t & 1)
-        return _admits(branches[key >> m][1], active, i)
-
-    return admits
+def _admitted(sub: Constraint, i: int, active: np.ndarray) -> np.ndarray:
+    """Per row R of the bool matrix `active` (columns over sub's ground,
+    column i False): whether S + i is feasible for every feasible S within R.
+    Under a size cap k that is |R| < k; else no blocker, a row T of sub's
+    table without i whose T + i is not a row, may lie within R. As sub is
+    downward closed, U -> U - i maps the rows holding i into the others: the
+    empty set is a blocker when no row holds i, none is when as many rows
+    hold i as not, and else the blockers within R number the rows without i
+    within R less the rows U holding i whose U - i lies within R, counted in
+    blocks of at most SET_CAP entries."""
+    # 0/1 float32 matmuls count exactly (counts stay below 2^24)
+    k = fea.size_cap(sub)
+    if k is not None:
+        return active @ np.ones(active.shape[1], dtype=np.float32) < k
+    M = sub._table
+    held = np.count_nonzero(M[:, i])
+    if held == 0 or 2 * held == len(M):
+        return np.full(len(active), held > 0)
+    rest = (M & (np.arange(M.shape[1]) != i)).astype(np.float32)  # V - i
+    sign, size = np.where(M[:, i], np.float32(-1.0), np.float32(1.0)), rest.sum(axis=1, keepdims=True)
+    step = max(1, fea.SET_CAP // len(M))
+    return np.concatenate([sign @ (rest @ active[lo:lo + step].T == size) == 0 for lo in range(0, len(active), step)])
 
 
 def estimate_selectability(
@@ -259,47 +247,38 @@ def estimate_selectability(
     """Monte Carlo estimate of Pr[element i is admissible] with its stderr.
 
     Each sample draws the active set and, when the scheme has more than one
-    branch, a uniform that picks the branch. Admission is verified
-    exhaustively (every feasible subset of the other active elements still
-    admits i) once per distinct (active pattern, branch) key.
+    branch, a uniform that picks the branch. Admission is read from each
+    branch's feasible-set table for all samples at once (`_admitted`).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     q = _checked_activation(ocrs, q_hat, i)
-    n = len(q)
     branches = ocrs.branches(q)
     rng = np.random.default_rng(seed)
-    active = rng.random((samples, n)) < q
-    m = n - 1
-    # keys wider than int64 fall back to Python integers
-    dtype = np.int64 if m + (len(branches) - 1).bit_length() < 63 else object
-    keys = np.delete(active, i, axis=1).astype(dtype) @ np.array([1 << t for t in range(m)], dtype=dtype)
-    if len(branches) > 1:
-        keys = keys + _pick(branches, rng.random(samples)).astype(dtype) * (1 << m)
-    admits = _admission(branches, n, int(i))
-    distinct, counts = np.unique(keys, return_counts=True)
-    hits = sum(int(c) for key, c in zip(distinct, counts) if admits(int(key)))
-    eta = hits / samples
+    active = rng.random((samples, len(q))) < q
+    active[:, i] = False
+    pick = _pick(branches, rng.random(samples)) if len(branches) > 1 else 0
+    hits = sum(np.count_nonzero(_admitted(sub, i, active) & (pick == b)) for b, (_, sub) in enumerate(branches))
+    eta = int(hits) / samples
     return eta, math.sqrt(max(eta * (1.0 - eta), 1e-12) / samples)
 
 
 def exact_selectability(ocrs: GreedyOcrs, q_hat: Sequence[float], i: int) -> float:
-    """Pr[element i is admissible]: the sum over every active pattern of the
-    other elements and every branch of Pr[pattern] * Pr[branch] * admits."""
+    """Pr[element i is admissible]: Pr[branch] * Pr[pattern] summed over the
+    admitting (branch, active pattern of the others) pairs in that order, at
+    most SET_CAP of them; Pr[pattern] multiplies factors in index order."""
     q = _checked_activation(ocrs, q_hat, i)
-    n = len(q)
-    m = n - 1
-    if m > _SUBSET_LIMIT:
-        raise CapacityError(f"2^{m} active patterns exceed the exact enumeration limit 2^{_SUBSET_LIMIT}")
+    m = len(q) - 1
     branches = ocrs.branches(q)
-    q_others = np.delete(q, i)
-    admits = _admission(branches, n, int(i))
-    total = 0.0
-    for key in range(len(branches) << m):
-        if admits(key):
-            pr = math.prod(q_others[t] if key >> t & 1 else 1.0 - q_others[t] for t in range(m))
-            total += branches[key >> m][0] * pr
-    return float(total)
+    if len(branches) << m > fea.SET_CAP:
+        raise CapacityError(f"{len(branches)} x 2^{m} (branch, active pattern) pairs exceed SET_CAP = {fea.SET_CAP}")
+    active = np.zeros((1 << m, len(q)), dtype=bool)
+    pr = np.ones(1 << m)
+    for t, j in enumerate(np.delete(np.arange(len(q)), i)):  # bit t of a pattern: the t-th other element
+        active[:, j] = np.arange(1 << m) >> t & 1
+        pr = pr * np.where(active[:, j], q[j], 1.0 - q[j])
+    terms = [p * pr[_admitted(sub, i, active)] for p, sub in branches]
+    return float(dst._ordered_sum(np.concatenate([[0.0], *terms]), axis=0))
 
 
 # -- constrained posted prices from activation targets ---------------------------

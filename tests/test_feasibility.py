@@ -234,8 +234,10 @@ def test_in_scaled_polytope_knapsack():
 
 
 def test_feasible_sets_capacity_guard():
-    with pytest.raises(fea.CapacityError):
-        fea.feasible_sets(fea.additive(range(40)))
+    # size caps are refused by their count, sum_{r<=k} C(n, r), before enumerating
+    for c in (fea.additive(range(40)), fea.k_uniform(3, range(200))):
+        with pytest.raises(fea.CapacityError):
+            fea.feasible_sets(c)
 
 
 def test_json_round_trip():

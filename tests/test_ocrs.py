@@ -7,6 +7,7 @@ import dataclasses
 import math
 
 import numpy as np
+import ocrs_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,6 +232,15 @@ def test_branches_cover_the_sampler():
         assert set(fea.feasible_sets(scheme.subconstraint_sampler(q, seed))) in families
 
 
+def test_knapsack_branches_are_built_once_per_scheme():
+    # the same subconstraint objects on every call, so each table is built once
+    scheme = ocrs.knapsack_ocrs(0.25, [0.7, 0.3, 0.3])
+    first = scheme.branches(0.25 * np.array([0.5, 0.8, 0.8]))
+    again = scheme.branches(0.25 * np.array([0.2, 0.4, 0.1]))
+    assert len(first) == len(again) == 2
+    assert all(a is b for (_, a), (_, b) in zip(first, again))
+
+
 def _small_class_rho(sizes, q):
     """rho of a knapsack with one big item: its bound is 1, the small class's
     is the Markov bound."""
@@ -297,7 +307,7 @@ def test_estimate_agrees_with_exact_selectability(kind, n, delta, sizes, raw, se
 
 
 def test_estimate_selectability_wide_ground():
-    # 69 other elements do not fit an int64 pattern key
+    # 69 other elements: a size cap needs no table of the 2^69 patterns
     n = 70
     q = np.full(n, 0.004)
     eta, se = ocrs.estimate_selectability(ocrs.unit_demand_ocrs(0.5), q, 3, samples=2000, seed=9)
@@ -306,11 +316,77 @@ def test_estimate_selectability_wide_ground():
 
 
 def test_selectability_capacity_guards():
+    # exact enumeration is refused by its (branch, pattern) count before any
+    # pattern is built; a size cap admits every element of an additive scheme
+    # without enumerating anything
+    wide = ocrs._scheme_for(fea.additive(range(22)), 1.0)
+    with pytest.raises(CapacityError, match=r"2\^21"):
+        ocrs.exact_selectability(wide, np.ones(22), 0)
     scheme = ocrs._scheme_for(fea.additive(range(20)), 1.0)
-    with pytest.raises(CapacityError):
-        ocrs.estimate_selectability(scheme, np.ones(20), 0, samples=10, seed=0)
-    with pytest.raises(CapacityError):
-        ocrs.exact_selectability(scheme, np.ones(20), 0)
+    assert ocrs.estimate_selectability(scheme, np.ones(20), 0, samples=10, seed=0)[0] == 1.0
+
+
+@st.composite
+def admission_constraints(draw):
+    """A knapsack, matching, partition matroid or intersection of two of
+    them, or a unit-demand, k-uniform or additive constraint, on up to 7
+    items."""
+    n = draw(st.integers(1, 7))
+    size = st.integers(0, 8).map(lambda k: k / 8) | st.floats(0.0, 1.0)
+    edge = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: e[0] != e[1])
+    part = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    caps = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+    bases = {
+        "knapsack": lambda: fea.knapsack(draw(st.lists(size, min_size=n, max_size=n))),
+        "matching": lambda: fea.matching(draw(st.lists(edge, min_size=n, max_size=n))),
+        "matroid": lambda: fea.matroid_oracle(
+            lambda S: sum(min(caps[p], sum(part[i] == p for i in S)) for p in range(3)), range(n)
+        ),
+    }
+    kind = draw(st.sampled_from([*bases, "intersection", "unit_demand", "k_uniform", "additive"]))
+    if kind == "intersection":
+        a, b = draw(st.lists(st.sampled_from(list(bases)), min_size=2, max_size=2))
+        return fea.intersection(bases[a](), bases[b]())
+    if kind == "unit_demand":
+        return fea.unit_demand(range(n))
+    if kind == "k_uniform":
+        return fea.k_uniform(draw(st.integers(1, n)), range(n))
+    return fea.additive(range(n)) if kind == "additive" else bases[kind]()
+
+
+@settings(max_examples=120)
+@given(admission_constraints())
+def test_admission_matches_the_exhaustive_subset_check(c):
+    # every element against every active pattern of the others
+    n = len(c.ground)
+    patterns = np.arange(1 << n)[:, None] >> np.arange(n) & 1 == 1
+    for i in range(n):
+        active = patterns[~patterns[:, i]]
+        want = [ref.admits(c, tuple(np.flatnonzero(r).tolist()), i) for r in active]
+        assert ocrs._admitted(c, i, active).tolist() == want, (c.variant, i)
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(["knapsack", "compose-unit-demand", "compose-knapsack"]),
+    n=st.integers(1, 5),
+    delta=st.sampled_from([0.25, 0.5, 1.0]),
+    sizes=st.lists(st.floats(0.05, 0.95), min_size=10, max_size=10),
+    raw=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+)
+def test_exact_selectability_matches_the_reference_loop_bit_for_bit(kind, n, delta, sizes, raw):
+    # a composed target stays within the singletons' hull, which every
+    # intersection of knapsacks contains
+    a, b, x = sizes[:n], sizes[5:5 + n], np.array(raw[:n])
+    scheme = ocrs.knapsack_ocrs(delta, a)
+    load = float(np.dot(x, a))
+    if kind != "knapsack":
+        other = ocrs.unit_demand_ocrs(delta) if kind == "compose-unit-demand" else ocrs.knapsack_ocrs(delta, b)
+        scheme = ocrs.compose_ocrs(other, scheme)
+        load = float(x.sum())
+    q = 0.95 * delta * x / max(1.0, load)
+    for i in range(n):
+        assert ocrs.exact_selectability(scheme, q, i).hex() == ref.exact_selectability(scheme, q, i).hex()
 
 
 def bilateral_uniform(n=1):
