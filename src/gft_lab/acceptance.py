@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import audits, bounds, instances, ocrs, oracle
+from . import audits, bounds, instances, ocrs
 from . import distributions as dst
 from . import feasibility as fea
 from . import mechanisms as mech
@@ -346,6 +346,8 @@ def lp_oracle_chain() -> tuple[bool, str]:
     """Second-best LP dominated by first best and by the one-sided optima,
     strictly below first best on fine uniform grids, and above every
     implemented mechanism."""
+    from . import oracle
+
     t0 = time.perf_counter()
     d = dst.discrete
     fixtures: list[tuple[str, mech.MarketInstance, bool]] = [

@@ -12,7 +12,7 @@ import io
 import json
 import sys
 
-from . import acceptance, audits, bounds, instances, oracle
+from . import acceptance, audits, bounds, instances
 from . import feasibility as fea
 from . import mechanisms as mech
 from .feasibility import CapacityError
@@ -177,6 +177,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     inst = _load_instance(args)
     if not inst.is_discrete:
         raise CapacityError("continuous instance; discretize first")

@@ -20,7 +20,6 @@ from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf, erfinv
 
 ATOL = 1e-12
 
@@ -274,6 +273,7 @@ def lognormal(mu: float, sigma: float) -> Dist:
     """Lognormal truncated (numerically) to its central 1-1e-12 quantile range."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    from scipy.special import erf, erfinv
 
     def cdf_fn(v):
         z = (np.log(np.maximum(v, _TINY)) - mu) / (sigma * _SQRT2)

@@ -157,7 +157,6 @@ def _expected_gft(self, b, s) -> float:
 
 
 GUESS_ULPS = 32  # half-width, in floats, of the bracket tried around a guessed cut
-TREE_DEPTH = (2 * GUESS_ULPS).bit_length() - 1  # bisection levels a `trades` call decides: a guessed bracket closes in one
 
 
 def _order_key(x: np.ndarray) -> np.ndarray:
@@ -171,10 +170,6 @@ def _from_key(k: np.ndarray) -> np.ndarray:
     return np.where(k < 0, k ^ np.int64(0x7FFFFFFFFFFFFFFF), k).view(np.float64)
 
 
-def _mid_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a >> 1) + (b >> 1) + (a & b & 1)  # floor of the mean, no overflow
-
-
 def _bisect_floats(trades, idx: np.ndarray, near: np.ndarray, away: np.ndarray) -> np.ndarray:
     """Per row of idx, where `near` trades and `away` does not, the trading
     end of the adjacent pair of floats between them at which `trades` flips:
@@ -184,7 +179,7 @@ def _bisect_floats(trades, idx: np.ndarray, near: np.ndarray, away: np.ndarray) 
     live = np.arange(len(idx))
     while live.size:
         a, b = kn[live], ka[live]
-        mid = _mid_key(a, b)
+        mid = (a >> 1) + (b >> 1) + (a & b & 1)  # floor of the mean, no overflow
         keep = (mid != a) & (mid != b)
         live, mid = live[keep], mid[keep]
         if live.size:
@@ -193,37 +188,15 @@ def _bisect_floats(trades, idx: np.ndarray, near: np.ndarray, away: np.ndarray) 
     return _from_key(kn)
 
 
-def _bisect_tree(trades, idx: np.ndarray, near: np.ndarray, away: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The next TREE_DEPTH levels of `_bisect_floats` in one array call: the
-    narrowed (near, away) per row, so a bracket of 2^TREE_DEPTH floats (a
-    guessed one) comes back as the adjacent pair where `trades` flips.
-
-    The call evaluates, per row, the 2^TREE_DEPTH - 1 midpoints of a full
-    bisection tree between the bracket ends; the walk down that tree takes
-    the path one call per level would, so the result is the same even where
-    `trades` turns more than once. Once a bracket is adjacent floats its
-    midpoint is the end whose answer is known, so the walk keeps it. Only
-    guessed brackets take this path: on a wide one it would evaluate about
-    ten times as many reports as one level per call, which costs more than
-    it saves wherever `trades` is not one cheap array operation.
-    """
-    width = 1 << TREE_DEPTH
-    a, b = _order_key(near), _order_key(away)
-    # tree[:, j] is the key at position j of width; level l fills every
-    # (width >> l)-th position, halfway between the positions it splits
-    tree = np.empty((len(idx), width + 1), dtype=np.int64)
-    tree[:, 0], tree[:, width] = a, b
-    step = width
-    while step > 1:
-        tree[:, step // 2::step] = _mid_key(tree[:, :-1:step], tree[:, step::step])
-        step //= 2
-    ok = trades(np.repeat(idx, width - 1), _from_key(tree[:, 1:width].ravel())).reshape(len(idx), width - 1)
-    row, node = np.arange(len(idx)), np.full(len(idx), width // 2)
-    for level in range(TREE_DEPTH):
-        at, up = tree[row, node], ok[row, node - 1]
-        a, b = np.where(up, at, a), np.where(up, b, at)
-        node += np.where(up, width >> (level + 2), -(width >> (level + 2)))
-    return _from_key(a), _from_key(b)
+def _bisect_guessed(trades, idx: np.ndarray, near: np.ndarray, away: np.ndarray) -> np.ndarray:
+    """`_bisect_floats` on brackets of at most 2 * GUESS_ULPS floats with one
+    `trades` call, which answers every float inside each bracket (keys past a
+    narrower one's end clipped to it); the bisection reads those answers."""
+    kn, ka = _order_key(near), _order_key(away)
+    keys = kn[:, None] + np.where(ka > kn, 1, -1)[:, None] * np.arange(1, 2 * GUESS_ULPS)
+    keys = np.clip(keys, np.minimum(kn, ka)[:, None], np.maximum(kn, ka)[:, None])
+    ok = trades(np.repeat(idx, keys.shape[1]), _from_key(keys.ravel())).reshape(keys.shape)
+    return _bisect_floats(lambda r, v: ok[r, np.abs(_order_key(v) - kn[r]) - 1], np.arange(len(idx)), near, away)
 
 
 def _threshold_search(trades, t: np.ndarray, far=None, atoms=None, floor=None, guess=None) -> np.ndarray:
@@ -239,8 +212,8 @@ def _threshold_search(trades, t: np.ndarray, far=None, atoms=None, floor=None, g
     flips, found by `_bisect_floats` between t and far. A `guess` of the cut
     per row (NaN: none) only narrows that bracket: when the row trades
     GUESS_ULPS floats on t's side of the guess and not as many on far's side
-    (both probes in one call), one `_bisect_tree` call closes the bracket
-    between those two floats; the other rows bisect one level per call.
+    (both probes in one call), `_bisect_guessed` closes the bracket between
+    those two floats in one more call; the others bisect one level per call.
     """
     t = np.asarray(t, dtype=float)
     if atoms is not None:
@@ -256,6 +229,7 @@ def _threshold_search(trades, t: np.ndarray, far=None, atoms=None, floor=None, g
     out = np.array(np.broadcast_to(np.asarray(far, dtype=float), t.shape))
     idx = np.flatnonzero(~trades(np.arange(len(t)), out))
     near, away = t[idx], out[idx]
+    rest = np.ones(idx.size, dtype=bool)
     if guess is not None:
         g = np.asarray(guess, dtype=float)[idx]
         j = np.flatnonzero(~np.isnan(g))
@@ -267,23 +241,24 @@ def _threshold_search(trades, t: np.ndarray, far=None, atoms=None, floor=None, g
             gn, ga = _from_key(np.clip(kg - step, low, high)), _from_key(np.clip(kg + step, low, high))
             ok = trades(np.concatenate((idx[j], idx[j])), np.concatenate((gn, ga)))
             hit = ok[:j.size] & ~ok[j.size:]
-            j, gn, ga = j[hit], gn[hit], ga[hit]
+            j = j[hit]
             if j.size:
-                near[j], away[j] = _bisect_tree(trades, idx[j], gn, ga)
-    out[idx] = _bisect_floats(trades, idx, near, away)
+                out[idx[j]], rest[j] = _bisect_guessed(trades, idx[j], gn[hit], ga[hit]), False
+    out[idx[rest]] = _bisect_floats(trades, idx[rest], near[rest], away[rest])
     return out
 
 
-def _seller_thresholds(inst: MarketInstance, X: np.ndarray, S: np.ndarray, alloc, guess=None) -> np.ndarray:
-    """Seller payments: each traded seller's largest still-trading cost report,
-    every traded (row, seller) pair searched at once.
+def _thresholds(dists: Sequence[Dist], X: np.ndarray, V: np.ndarray, alloc, guess=None, up: bool = True) -> np.ndarray:
+    """Threshold payments of one side, reports V from dists: each traded
+    (row, item) pair's report nearest its support's top (`up`, sellers) or
+    bottom (buyers) at which it still trades, all pairs searched at once.
 
-    `alloc(rows, S_trial)` is the 0/1 allocation of those rows at trial seller
-    profiles; a pair trades at report v when its seller is allocated with v in
-    its own cost. Continuous sellers share one float search, each pair from
-    its cost towards its seller's upper support end; discrete sellers one
-    atom search by rank from the top atom. `guess(rows)`, when given, is a
-    (len(rows), n) guess of the continuous cuts (NaN: none).
+    `alloc(rows, V_trial)` is the 0/1 allocation of those rows at trial
+    reports; a pair trades at v when its item is allocated with v in its own
+    entry. Continuous items share one float search from each pair's report;
+    discrete items one atom search by rank from the far end (a seller's atoms
+    only those >= cost - TOL). `guess(rows)`, when given, is a (len(rows), n)
+    guess of the continuous cuts (NaN: none).
     """
     pay = np.zeros(X.shape)
     pr, pi = np.nonzero(X)
@@ -293,25 +268,24 @@ def _seller_thresholds(inst: MarketInstance, X: np.ndarray, S: np.ndarray, alloc
     def on(pairs):
         def trades(idx, v):
             r, i, k = pr[pairs[idx]], pi[pairs[idx]], np.arange(len(idx))
-            trial = S[r]
+            trial = V[r]
             trial[k, i] = v
             return alloc(r, trial)[k, i]
 
         return trades
 
-    s = S[pr, pi]
-    dists = inst.seller_dists
+    v = V[pr, pi]
     discrete = np.array([d.kind == "discrete" for d in dists])[pi]
     pairs = np.flatnonzero(discrete)
     if pairs.size:
         top = max(len(d.values) for d in dists)
-        atoms = np.array([np.pad(np.asarray(d.values, dtype=float)[::-1], (0, top - len(d.values)), constant_values=np.nan) for d in dists])
-        pay[pr[pairs], pi[pairs]] = _threshold_search(on(pairs), s[pairs], atoms=atoms[pi[pairs]], floor=s[pairs] - TOL)
+        atoms = np.array([np.pad(np.asarray(d.values, dtype=float)[::-1 if up else 1], (0, top - len(d.values)), constant_values=np.nan) for d in dists])
+        pay[pr[pairs], pi[pairs]] = _threshold_search(on(pairs), v[pairs], atoms=atoms[pi[pairs]], floor=v[pairs] - TOL if up else None)
     pairs = np.flatnonzero(~discrete)
     if pairs.size:
-        far = np.array([d.support()[1] for d in dists])[pi[pairs]]
+        far = np.array([d.support()[1 if up else 0] for d in dists])[pi[pairs]]
         g = None if guess is None else guess(pr[pairs])[np.arange(pairs.size), pi[pairs]]
-        pay[pr[pairs], pi[pairs]] = _threshold_search(on(pairs), s[pairs], far=far, guess=g)
+        pay[pr[pairs], pi[pairs]] = _threshold_search(on(pairs), v[pairs], far=far, guess=g)
     return pay
 
 
@@ -351,7 +325,9 @@ def _posted_allocation(c: Constraint, B, S, theta_b, theta_s) -> np.ndarray:
     downward-closed c, over the items of c.ground whose seller accepts theta_s
     and whose buyer affords theta_b, buying at equality: the positive-surplus
     items by max-weight, then zero-surplus ones in index order while the set
-    stays feasible (for a size cap, while there is room)."""
+    stays feasible: for a size cap while there is room, else one pass over
+    the item columns tests every row that can add i at once, T = X + i being
+    feasible exactly when `fea.max_weight` at weight 1 on T reaches |T|."""
     B = np.asarray(B, dtype=float)
     S = np.asarray(S, dtype=float)
     avail = np.isin(np.arange(B.shape[1]), c.ground) & (S <= theta_s + TOL) & (B >= theta_b - TOL)
@@ -367,8 +343,11 @@ def _posted_allocation(c: Constraint, B, S, theta_b, theta_s) -> np.ndarray:
         if room is not None:
             X |= zero & (np.cumsum(zero, axis=1) <= room - X.sum(axis=1, keepdims=True))
         else:
-            for t, i in zip(*np.nonzero(zero)):
-                X[t, i] = fea.is_feasible(c, np.flatnonzero(X[t]).tolist() + [i])
+            for i in np.flatnonzero(zero.any(axis=0)):
+                rows = np.flatnonzero(zero[:, i])
+                T = X[rows]
+                T[:, i] = True
+                X[rows, i] = fea.max_weight(c, np.where(T, 1.0, -np.inf)[:, c.ground]) == T.sum(axis=1)
     return X
 
 
@@ -509,24 +488,20 @@ def unlikely_trade_rule(inst: MarketInstance, L: Iterable[int]) -> AllocationRul
 
 
 def _prob_trade_willing(d: Dist, phi: IronedVirtual, s: np.ndarray) -> np.ndarray:
-    """Pr[b >= s and phi(b) >= s] for one item, elementwise over costs s."""
+    """Pr[b >= s and phi(b) >= s] for one item, elementwise over costs s; on
+    a continuous support through the cut where phi reaches y = s - TOL, the
+    guess phi.inverse(y) made exact by `_threshold_search` down from hi."""
     if d.kind == "discrete":
         v = np.asarray(d.values)
         keep = (v >= s[..., None] - TOL) & (phi(v) >= s[..., None] - TOL)
         return _ordered_sum(np.where(keep, d.probs, 0.0), axis=-1)
-    hi = d.support()[1]
+    lo, hi = d.support()
     y = s - TOL
     clears = phi(hi) >= y
     cut = np.full(y.shape, float(hi))
-    cut[clears] = _virtual_cut(phi, y[clears], cut[clears])
+    y = y[clears]
+    cut[clears] = _threshold_search(lambda idx, v: phi(v) >= y[idx], cut[clears], far=lo, guess=phi.inverse(y))
     return np.where(clears, d.tail(np.maximum(s, cut)), 0.0)
-
-
-def _virtual_cut(phi: IronedVirtual, y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per row, the lowest value of phi's continuous support whose ironed
-    virtual reaches y, searched down from t, which reaches it: the guess
-    phi.inverse(y) made exact by `_threshold_search`."""
-    return _threshold_search(lambda idx, v: phi(v) >= y[idx], t, far=phi.dist.support()[0], guess=phi.inverse(y))
 
 
 def reduction_rule(inst: MarketInstance) -> AllocationRule:
@@ -696,7 +671,7 @@ class Sapp:
     def outcome_batch(self, B, S, coins=None):
         coins = self._coins(coins)
         X, theta = self._realized(B, S, coins)
-        pay = _seller_thresholds(self.inst, X, S, lambda rows, St: self._realized(B[rows], St, coins[rows])[0], self._cut_guess(B, S))
+        pay = _thresholds(self.inst.seller_dists, X, S, lambda rows, St: self._realized(B[rows], St, coins[rows])[0], self._cut_guess(B, S))
         return X, item_sum(np.where(X, theta, 0.0)), pay
 
     def _cut_guess(self, B, S):
@@ -852,7 +827,7 @@ class BuyerOffering:
             Y = B[rows] - c
             return np.stack([iv.inverse(Y[:, i]) for i, iv in enumerate(self.inst.seller_ironed)], axis=-1)
 
-        pay = _seller_thresholds(self.inst, X, S, lambda rows, St: self.allocation(B[rows], St), None if k is None else guess)
+        pay = _thresholds(self.inst.seller_dists, X, S, lambda rows, St: self.allocation(B[rows], St), None if k is None else guess)
         return X, item_sum(np.where(X, tau, 0.0)), pay
 
     run = _run
@@ -877,15 +852,9 @@ class SellerOffering:
 
     def outcome_batch(self, B, S, coins=None):
         X = self.allocation(B, S)
-        d, phi = self.inst.buyer_dists[0], self.inst.buyer_ironed[0]
-        rows = np.flatnonzero(X[:, 0])
-        y = S[rows, 0] - TOL
-        price = np.zeros(len(X))
-        if d.kind == "discrete":
-            price[rows] = _threshold_search(lambda idx, v: phi(v) >= y[idx], B[rows, 0], atoms=d.values)
-        else:
-            price[rows] = _virtual_cut(phi, y, B[rows, 0])
-        return X, price, price[:, None]
+        phi = self.inst.buyer_ironed[0]
+        price = _thresholds(self.inst.buyer_dists, X, B, lambda rows, Bt: self.allocation(Bt, S[rows]), lambda rows: phi.inverse(S[rows] - TOL), up=False)
+        return X, price[:, 0], price
 
     run = _run
     run_batch = expected_gft_rows = _realized_gft

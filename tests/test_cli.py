@@ -256,6 +256,28 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert "PASS" in out.stdout and "lowtrade-ratio-trend" in out.stdout
 
 
+def test_cli_start_up_and_exact_runs_leave_scipy_unloaded():
+    # scipy loads only where it is used (the LP oracle, lognormal, the
+    # bilateral optimizers): not at start-up, nor on an exact SAPP run or
+    # the logsep exact suite
+    src = str(Path(gft_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, gft_lab.cli as c\n"
+        "def loaded(): print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "loaded()\n"
+        "c.main(['simulate', '--example', 'a3', '--mechanism', 'sapp', '--exact'])\n"
+        "loaded()\n"
+        "c.main(['selftest', '--only', 'logsep-exact-suite'])\n"
+        "loaded()"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert [line for line in lines if line.startswith("[")] == ["[]"] * 3
+    assert any(line.startswith("sapp[unlikely_trade([0])],") for line in lines)
+    assert "PASS logsep-exact-suite" in out.stdout
+
+
 def test_simulate_cfpp_refuses_a_sub_the_market_constraint_forbids(tmp_path, capsys):
     u = dst.uniform(0.0, 1.0)
     inst = instances.MarketInstance((u,) * 3, (u,) * 3, fsb.unit_demand(range(3)))

@@ -251,6 +251,51 @@ def test_cfpp_size_floor_kernel_matches_reference():
         assert_rows_match(cf, B, S, ref.posted)
 
 
+TIE_PRICES = [0.5, 0.75, 1.0]  # buyer values and prices on few atoms: zero surplus is common
+
+
+@st.composite
+def completion_cases(draw):
+    """A 4- or 5-item constraint with no size-cap closed form (on the whole
+    ground, or on the drawn items only), posted prices and buyer values on
+    TIE_PRICES, and rows of profiles."""
+    n = draw(st.integers(4, 5))
+    items = sorted(draw(st.sets(st.integers(0, n - 1), min_size=n - 1))) if draw(st.booleans()) else list(range(n))
+    size = st.sampled_from([0.25, 0.5, 0.75])
+    knapsack = fea.knapsack({i: draw(size) for i in items})
+    parts = [set(items[:2]), set(items[2:])]
+    caps = [draw(st.integers(1, 2)) for _ in parts]
+    c = draw(st.sampled_from([
+        knapsack,
+        fea.matching({i: tuple(draw(st.sets(st.integers(0, 3), min_size=2, max_size=2))) for i in items}),
+        fea.matroid_oracle(lambda T: sum(min(k, len(T & p)) for k, p in zip(caps, parts)), items),
+        fea.intersection(fea.k_uniform(3, items), knapsack),
+    ]))
+    rows = draw(st.integers(1, 16))
+    B = np.array(draw(st.lists(st.lists(st.sampled_from(TIE_PRICES), min_size=n, max_size=n), min_size=rows, max_size=rows)))
+    S = np.array(draw(st.lists(st.lists(st.sampled_from([0.0, 0.5]), min_size=n, max_size=n), min_size=rows, max_size=rows)))
+    theta_b = draw(st.lists(st.sampled_from(TIE_PRICES), min_size=n, max_size=n))
+    return c, B, S, theta_b
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(completion_cases())
+def test_zero_surplus_completion_matches_per_row_reference(case):
+    # the column pass over zero-surplus items adds each one where the row's
+    # purchase so far, completed items included, stays feasible: the
+    # reference's per-row `is_feasible` loop in index order, bit for bit
+    c, B, S, theta_b = case
+    n = B.shape[1]
+    u = dst.uniform(0.0, 1.0)
+    theta_s = [0.25] * n
+    mechanisms = [mech.Cfpp(mech.market([u] * n, [u] * n, fea.additive(range(n))), theta_b, theta_s, c)]
+    if c.ground == tuple(range(n)):
+        mechanisms.append(mech.Fpp(mech.market([u] * n, [u] * n, c), theta_b, theta_s))
+    for m in mechanisms:
+        for b, s, x in zip(B, S, m.allocation(B, S)):
+            assert tuple(np.flatnonzero(x)) == ref.posted(m, b, s)[0], (c, b, s)
+
+
 @pytest.mark.parametrize("base", [fea.additive(range(4)), fea.k_uniform(3, range(4)), fea.knapsack([0.3, 0.5, 0.4, 0.2])])
 @pytest.mark.parametrize("h", [1, 2, 3, 4])
 def test_size_floor_purchases_are_feasible(base, h):
@@ -459,7 +504,7 @@ def test_buyer_offering_on_example_a3_matches_reference():
     assert_rows_match(mech.BuyerOffering(inst), B, S, ref.buyer_offering)
 
 
-# -- the tree-batched float bisection ------------------------------------------
+# -- the float bisection and its guessed brackets -------------------------------
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 0.5, 1.0, 2.0, 3.0, -1.0, -2.0, 1e300, -1e300]
 MAX_KEY = int(mech._order_key(np.array([np.finfo(float).max]))[0])
@@ -488,26 +533,30 @@ def float_brackets(draw):
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.lists(float_brackets(), min_size=1, max_size=12))
-def test_tree_bisection_matches_one_level_per_call(rows):
-    # one tree call (as on a guessed bracket) and then one level per call:
-    # rows of different widths close at different tree levels or after it,
-    # and the walk must take the one-level-per-call path through every turn
+def test_guessed_bisection_matches_one_level_per_call(rows):
+    # the one-level-per-call bisection on every width, and the guessed path
+    # (one `trades` call over the bracket, then the bisection reading its
+    # answers) on every bracket of at most 2 * GUESS_ULPS floats: the same
+    # floats bit for bit, through every turn of the predicate
     kn, ka = (np.array(keys[::-1], dtype=np.int64) for keys in zip(*[r[:2] for r in rows]))
     up = ka > kn
     # flip keys per row, padded with keys no report passes on its way out
     flips = np.array([np.pad(f, (0, 9 - len(f)), constant_values=np.iinfo(np.int64).max if ka > kn else np.iinfo(np.int64).min) for kn, ka, f in rows[::-1]])
     idx = np.arange(len(rows)) + 3
+    calls = []
 
     def trades(idx, v):
+        calls.append(len(idx))
         k, f, u = mech._order_key(v)[:, None], flips[idx - 3], up[idx - 3]
         return np.where(u, (f <= k).sum(axis=1), (f >= k).sum(axis=1)) % 2 == 0
 
     near, away = mech._from_key(kn), mech._from_key(ka)
     assert trades(idx, near).all() and not trades(idx, away).any()
-    tn, ta = mech._bisect_tree(trades, idx, near.copy(), away.copy())
-    got = mech._bisect_floats(trades, idx, tn, ta)
     want = ref.bisect_floats(trades, idx, near.copy(), away.copy())
+    got = mech._bisect_floats(trades, idx, near.copy(), away.copy())
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # the tree call alone closes every bracket of at most 2^TREE_DEPTH floats
-    narrow = np.array([abs(a - n) <= 1 << mech.TREE_DEPTH for n, a, _ in rows[::-1]])
-    assert (np.abs(mech._order_key(ta) - mech._order_key(tn))[narrow] == 1).all()
+    narrow = np.abs(ka - kn) <= 2 * mech.GUESS_ULPS
+    calls.clear()
+    got = mech._bisect_guessed(trades, idx[narrow], near[narrow], away[narrow])
+    assert calls == [narrow.sum() * (2 * mech.GUESS_ULPS - 1)]
+    assert np.array_equal(got.view(np.int64), want[narrow].view(np.int64))
