@@ -187,8 +187,8 @@ def expected_positive_margin(inst: MarketInstance, i: int) -> float:
     phi = inst.buyer_ironed[i]
     db, ds = inst.buyer_dists[i], inst.seller_dists[i]
     if db.kind == "discrete":
-        excess = dst.expected_excess(ds, phi(np.asarray(db.values)), "below")
-        return float(_ordered_sum(np.asarray(db.probs) * excess, axis=0))
+        excess = dst.expected_excess(ds, phi(db.atoms), "below")
+        return float(_ordered_sum(db.masses * excess, axis=0))
     return _margin_integral(db, phi, ds)
 
 

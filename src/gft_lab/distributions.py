@@ -66,6 +66,12 @@ class Dist:
     shape. They fix the probability convention in one place: a continuous cdf
     is clamped to [0, 1]; an atom within ATOL of v counts as at v, and atom
     masses add in index order. No other module reads the closures.
+
+    A discrete Dist also holds its atoms as read-only float arrays, built
+    once: ``atoms``, ``masses`` and their running sum ``cum_masses`` (empty
+    for a continuous one). They are not fields, so equality, hashing and JSON
+    see only the tuples. ``ppf`` reads two more: the levels cum_masses[:-1]
+    then +inf, and the atoms then NaN, where a NaN level lands.
     """
 
     kind: str
@@ -78,6 +84,15 @@ class Dist:
     hi: float = 0.0
     name: str = ""
     params: tuple[tuple[str, float], ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        quantiles, masses = np.array((*self.values, math.nan), dtype=float), np.array(self.probs, dtype=float)
+        cum = masses.cumsum()
+        levels = np.concatenate((cum[:-1], [math.inf]))
+        for name, a in (("_quantiles", quantiles), ("masses", masses), ("cum_masses", cum), ("_levels", levels)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "atoms", quantiles[:-1])
 
     # -- elementwise probability queries ----------------------------------
 
@@ -99,7 +114,7 @@ class Dist:
         upper."""
         if self.kind == "discrete":
             x = np.asarray(v, dtype=float)[..., None]
-            out = _ordered_sum(np.where(counts(np.asarray(self.values), x), self.probs, 0.0), axis=-1)
+            out = _ordered_sum(np.where(counts(self.atoms, x), self.masses, 0.0), axis=-1)
         else:
             c = np.asarray(self.cdf_fn(v), dtype=float)
             c = np.where(c > 0.0, c, 0.0)
@@ -119,9 +134,7 @@ class Dist:
         NaN."""
         u = np.asarray(u, dtype=float)
         if self.kind == "discrete":
-            cum = np.cumsum(self.probs)
-            idx = np.minimum(np.searchsorted(cum, u - ATOL, side="left"), len(self.values) - 1)
-            out = np.where(np.isnan(u), np.nan, np.asarray(self.values)[idx])
+            out = self._quantiles[np.searchsorted(self._levels, u - ATOL, side="left")]
         else:
             out = np.clip(self.quantile_fn(np.clip(u, 0.0, 1.0)), self.lo, self.hi)
             if self.lo == 0.0 or self.hi == 0.0:
@@ -135,7 +148,7 @@ class Dist:
 
     def mean(self) -> float:
         if self.kind == "discrete":
-            return float(np.dot(self.values, self.probs))
+            return float(np.dot(self.atoms, self.masses))
         return partial_mean(self, self.hi)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
@@ -347,7 +360,7 @@ def upper_quantile(d: Dist, q: float) -> float:
     if not 0.0 < q <= 1.0:
         raise ValueError(f"upper quantile level {q} outside (0,1]")
     if d.kind == "discrete":
-        tails = 1.0 - np.concatenate(([0.0], np.cumsum(d.probs)[:-1]))
+        tails = 1.0 - np.concatenate(([0.0], d.cum_masses[:-1]))
         ok = np.nonzero(tails >= q - ATOL)[0]
         return d.values[int(ok[-1])]
     return d.ppf(1.0 - q)
@@ -424,9 +437,9 @@ def expected_excess(d: Dist, x, side: str):
         raise ValueError("side must be 'above' or 'below'")
     x = np.asarray(x, dtype=float)
     if d.kind == "discrete":
-        v = np.asarray(d.values)
+        v = d.atoms
         gap = v - x[..., None] if side == "above" else x[..., None] - v
-        return _scalar_or_array(_ordered_sum(np.where(gap <= 0.0, 0.0, gap * d.probs), axis=-1))  # NaN x gives NaN
+        return _scalar_or_array(_ordered_sum(np.where(gap <= 0.0, 0.0, gap * d.masses), axis=-1))  # NaN x gives NaN
     lo, hi = d.support()
     p = _panel_edges(_inside(scale_points(d), lo, hi))
     f = d.tail if side == "above" else d.cdf
@@ -482,9 +495,9 @@ def trade_probability(buyer: Dist, seller: Dist) -> float:
     `scale_points`.
     """
     if seller.kind == "discrete":
-        return float(np.dot(seller.probs, buyer.tail(np.asarray(seller.values))))
+        return float(np.dot(seller.masses, buyer.tail(seller.atoms)))
     if buyer.kind == "discrete":
-        return float(np.dot(buyer.probs, seller.cdf(np.asarray(buyer.values))))
+        return float(np.dot(buyer.masses, seller.cdf(buyer.atoms)))
     val = gauss_legendre(
         lambda s: seller.pdf(s) * buyer.tail(s),
         _inside([*buyer.support(), *scale_points(buyer), *scale_points(seller)], *seller.support()),
@@ -498,12 +511,13 @@ def trade_probability(buyer: Dist, seller: Dist) -> float:
 def _atom_virtuals(d: Dist, side: str) -> np.ndarray:
     """The raw virtuals at every atom of a discrete d (the conventions of
     buyer_virtual / seller_virtual)."""
-    v, p = np.asarray(d.values), np.asarray(d.probs)
+    v, p = d.atoms, d.masses
     out = v.copy()
+    gap = v[1:] - v[:-1]
     if side == "buyer":  # Pr[X > v_k], summed down from the top atom
-        out[:-1] -= np.diff(v) * np.cumsum(p[::-1])[::-1][1:] / p[:-1]
+        out[:-1] -= gap * np.cumsum(p[::-1])[::-1][1:] / p[:-1]
     else:  # Pr[X < v_k]
-        out[1:] += np.diff(v) * np.cumsum(p)[:-1] / p[1:]
+        out[1:] += gap * d.cum_masses[:-1] / p[1:]
     return out
 
 
@@ -511,7 +525,7 @@ def _virtual(d: Dist, v, side: str):
     """buyer_virtual / seller_virtual, elementwise over v."""
     if d.kind == "discrete":
         x = np.asarray(v, dtype=float)
-        hit = np.abs(np.asarray(d.values) - x[..., None]) <= 1e-9 * np.maximum(1.0, np.abs(x))[..., None]
+        hit = np.abs(d.atoms - x[..., None]) <= 1e-9 * np.maximum(1.0, np.abs(x))[..., None]
         found = hit.any(axis=-1)
         if not found.all():
             raise ValueError(f"{x[~found][0]} is not a support point")
@@ -548,23 +562,26 @@ IRON_GRID = 512  # discretization for continuous dists whose raw virtual is non-
 SECANT_STEPS = 5  # most refinements of the interpolated closed-form inverse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IronedVirtual:
     """phi-tilde / tau-tilde as a nondecreasing function of the agent's value.
 
     ``grid_values`` are support points (all atoms for discrete inputs, a
     quantile grid for continuous ones) and ``grid_virtuals`` the ironed
-    virtual value on each. ``exact`` marks a continuous distribution whose
-    raw virtual is already monotone on the grid, so the closed-form unironed
-    function is used directly; discrete inputs are always looked up on their
-    atoms and have ``exact`` False.
+    virtual value on each, both read-only float arrays. ``exact`` marks a
+    continuous distribution whose raw virtual is already monotone on the
+    grid, so the closed-form unironed function is used directly; discrete
+    inputs are always looked up on their atoms and have ``exact`` False.
     """
 
     side: str
     dist: Dist
-    grid_values: tuple[float, ...]
-    grid_virtuals: tuple[float, ...]
+    grid_values: np.ndarray
+    grid_virtuals: np.ndarray
     exact: bool
+
+    def __post_init__(self):
+        self.grid_values.flags.writeable = self.grid_virtuals.flags.writeable = False
 
     def __call__(self, v):
         """The ironed virtual at v: a float for a scalar, an array for an array."""
@@ -574,21 +591,17 @@ class IronedVirtual:
             return fn(self.dist, np.clip(v, lo, hi))
         if self.side == "buyer":
             # value of the largest grid point <= v (grid covers the support)
-            out = self._lookup[np.searchsorted(self._grid, v + 1e-9, side="right")]
+            out = self._lookup[np.searchsorted(self.grid_values, v + 1e-9, side="right")]
         else:
-            out = self._lookup[np.searchsorted(self._grid, v - 1e-9, side="left")]
+            out = self._lookup[np.searchsorted(self.grid_values, v - 1e-9, side="left")]
         return _scalar_or_array(out)
-
-    @cached_property
-    def _grid(self) -> np.ndarray:
-        return np.asarray(self.grid_values, dtype=float)
 
     @cached_property
     def _lookup(self) -> np.ndarray:
         """grid_virtuals indexed by the searchsorted position: padded with the
         first entry (buyer, position 0 is below the grid) or the last (seller,
         position len is above it), so no index needs clamping."""
-        g = np.asarray(self.grid_virtuals, dtype=float)
+        g = self.grid_virtuals
         return np.concatenate((g[:1], g)) if self.side == "buyer" else np.concatenate((g, g[-1:]))
 
     def inverse(self, y) -> np.ndarray:
@@ -622,13 +635,13 @@ class IronedVirtual:
                 live = live[nxt != b]
             return np.where(y <= phis[0], lo, np.where(y > phis[-1], np.inf, x1)).reshape(shape)
         j = np.searchsorted(self._rising, y, side="left")
-        top = len(self._grid) - 1
-        v = self._grid[np.minimum(j, top)]
+        top = len(self.grid_values) - 1
+        v = self.grid_values[np.minimum(j, top)]
         if self.dist.kind == "continuous":
             if self.side == "buyer":
                 v = np.maximum(v - 1e-9, lo)
             else:  # tau-tilde steps strictly above grid point + 1e-9: the next float
-                v = np.minimum(np.nextafter(self._grid[np.maximum(j - 1, 0)] + 1e-9, np.inf), hi)
+                v = np.minimum(np.nextafter(self.grid_values[np.maximum(j - 1, 0)] + 1e-9, np.inf), hi)
             v = np.where(j > 0, v, lo)
         return np.where(j <= top, v, np.inf)
 
@@ -636,14 +649,14 @@ class IronedVirtual:
     def _rising(self) -> np.ndarray:
         """Running max of grid_virtuals: its first entry >= y is the first grid
         point whose virtual reaches y, even where rounding dips."""
-        return np.maximum.accumulate(np.asarray(self.grid_virtuals, dtype=float))
+        return np.maximum.accumulate(self.grid_virtuals)
 
     @cached_property
     def _knots(self) -> tuple[np.ndarray, np.ndarray]:
         """(phi-tilde, value) at lo, the stored grid and hi, the first kept
         nondecreasing for np.interp."""
         lo, hi = self.dist.support()
-        vals = np.concatenate(([lo], self._grid, [hi]))
+        vals = np.concatenate(([lo], self.grid_values, [hi]))
         return np.maximum.accumulate(self(vals)), vals
 
 
@@ -654,37 +667,32 @@ def _iron_discrete(values: np.ndarray, probs: np.ndarray, side: str) -> np.ndarr
     plus the origin; segment slopes read off phi-tilde at each atom. Seller:
     lower convex hull of (cum_k, cum_k*v_k). Monotone-chain, ties kept left.
     """
-    k = len(values)
+    cums = np.cumsum(probs)  # Pr[X <= v_k]
     if side == "buyer":
-        tails = 1.0 - np.concatenate(([0.0], np.cumsum(probs)[:-1]))  # Pr[X >= v_k]
+        tails = 1.0 - np.concatenate(([0.0], cums[:-1]))  # Pr[X >= v_k]
         xs = np.concatenate(([0.0], tails[::-1]))  # increasing quantile axis
         ys = np.concatenate(([0.0], (tails * values)[::-1]))
         hull_y = _hull(xs, ys, upper=True)
         # slope over [tail_{k+1}, tail_k] is phi-tilde(v_k); reverse back
-        slopes = np.diff(hull_y) / np.diff(xs)
-        return slopes[::-1].copy()
-    cums = np.cumsum(probs)  # Pr[X <= v_k]
+        return ((hull_y[1:] - hull_y[:-1]) / (xs[1:] - xs[:-1]))[::-1].copy()
     xs = np.concatenate(([0.0], cums))
     ys = np.concatenate(([0.0], cums * values))
     hull_y = _hull(xs, ys, upper=False)
-    return (np.diff(hull_y) / np.diff(xs)).copy()
+    return (hull_y[1:] - hull_y[:-1]) / (xs[1:] - xs[:-1])
 
 
 def _hull(xs: np.ndarray, ys: np.ndarray, upper: bool) -> np.ndarray:
     """y-values of the upper concave (or lower convex) hull sampled at xs."""
-    pts: list[tuple[float, float]] = []
+    hx: list[float] = []
+    hy: list[float] = []
     sign = 1.0 if upper else -1.0
-    for x, y in zip(xs, sign * ys):
-        while len(pts) >= 2:
-            (x1, y1), (x2, y2) = pts[-2], pts[-1]
-            # pop while the middle point is not above the chord
-            if (y2 - y1) * (x - x1) <= (y - y1) * (x2 - x1) + 1e-15:
-                pts.pop()
-            else:
-                break
-        pts.append((x, y))
-    hx = np.array([p[0] for p in pts])
-    hy = np.array([p[1] for p in pts])
+    for x, y in zip(xs.tolist(), (sign * ys).tolist()):  # Python floats: the same IEEE steps, faster
+        # pop while the middle point is not above the chord
+        while len(hx) >= 2 and (hy[-1] - hy[-2]) * (x - hx[-2]) <= (y - hy[-2]) * (hx[-1] - hx[-2]) + 1e-15:
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(y)
     return sign * np.interp(xs, hx, hy)
 
 
@@ -698,16 +706,15 @@ def iron(d: Dist, side: str) -> IronedVirtual:
     if side not in ("buyer", "seller"):
         raise ValueError("side must be 'buyer' or 'seller'")
     if d.kind == "discrete":
-        vals = np.asarray(d.values)
-        return IronedVirtual(side, d, tuple(vals), tuple(_iron_discrete(vals, np.asarray(d.probs), side)), exact=False)
+        return IronedVirtual(side, d, d.atoms, _iron_discrete(d.atoms, d.masses, side), exact=False)
     # continuous: probe the raw virtual on an interior quantile grid
     vals = d.ppf((np.arange(IRON_GRID) + 0.5) / IRON_GRID)
     raw = (buyer_virtual if side == "buyer" else seller_virtual)(d, vals)
     if np.all(np.diff(raw) >= -1e-9):
-        return IronedVirtual(side, d, tuple(vals), tuple(raw), exact=True)
+        return IronedVirtual(side, d, vals, raw, exact=True)
     probs = np.full(IRON_GRID, 1.0 / IRON_GRID)
     ironed = _iron_discrete(vals, probs, side)
-    return IronedVirtual(side, d, tuple(vals), tuple(ironed), exact=False)
+    return IronedVirtual(side, d, vals, ironed, exact=False)
 
 
 # -- quantile ladders and the pair check ------------------------------------

@@ -116,10 +116,14 @@ def equal_mass_discretize(d: Dist, grid: int = 64) -> Dist:
 
 def example_a2_discretized(n: int, t: float, C: float = 1.0, eps: float = 0.01, grid: int = 64) -> MarketInstance:
     """The thin-market family with item 0 replaced by its equal-mass
-    discretization, so exact enumeration applies."""
+    discretization, so exact enumeration applies. A grid so coarse that
+    item 0 cannot trade (every buyer atom below every seller atom) is
+    refused."""
     cont = example_a2(n, t, C, eps)
     buyers = [equal_mass_discretize(cont.buyer_dists[0], grid)] + list(cont.buyer_dists[1:])
     sellers = [equal_mass_discretize(cont.seller_dists[0], grid)] + list(cont.seller_dists[1:])
+    if dst.trade_probability(buyers[0], sellers[0]) <= 0.0:
+        raise ValueError(f"a2d with n={n}, t={t}, grid={grid}: every buyer atom of item 0 lies below every seller atom, so it cannot trade; use a finer grid")
     return market(buyers, sellers, fea.additive(range(n)))
 
 

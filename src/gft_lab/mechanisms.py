@@ -29,7 +29,7 @@ import numpy as np
 
 from . import distributions as dst
 from . import feasibility as fea
-from .distributions import Dist, IronedVirtual, _ordered_sum, item_argmax, item_sum
+from .distributions import Dist, IronedVirtual, _ordered_sum, item_argmax, item_max, item_sum
 from .feasibility import Constraint
 
 TOL = 1e-9
@@ -100,7 +100,10 @@ class MarketInstance:
         entry of V, items on the last axis."""
         ironed = getattr(self, f"{side}_ironed")
         V = np.asarray(V, dtype=float)
-        return np.stack([ironed[i](V[..., i]) for i in range(self.n)], axis=-1)
+        out = np.empty(V.shape)
+        for i, iv in enumerate(ironed):
+            out[..., i] = iv(V[..., i])
+        return out
 
     def sample_profiles(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
         b = np.column_stack([d.sample(rng, m) for d in self.buyer_dists])
@@ -279,7 +282,7 @@ def _thresholds(dists: Sequence[Dist], X: np.ndarray, V: np.ndarray, alloc, gues
     pairs = np.flatnonzero(discrete)
     if pairs.size:
         top = max(len(d.values) for d in dists)
-        atoms = np.array([np.pad(np.asarray(d.values, dtype=float)[::-1 if up else 1], (0, top - len(d.values)), constant_values=np.nan) for d in dists])
+        atoms = np.array([np.pad(d.atoms[::-1 if up else 1], (0, top - len(d.atoms)), constant_values=np.nan) for d in dists])
         pay[pr[pairs], pi[pairs]] = _threshold_search(on(pairs), v[pairs], atoms=atoms[pi[pairs]], floor=v[pairs] - TOL if up else None)
     pairs = np.flatnonzero(~discrete)
     if pairs.size:
@@ -297,16 +300,18 @@ def _product_grid(dists: Sequence[Dist]) -> tuple[np.ndarray, np.ndarray]:
     atoms (the `itertools.product` order), and their probabilities."""
     if any(d.kind != "discrete" for d in dists):
         raise ValueError("exact enumeration needs discrete distributions")
-    shape = [len(d.values) for d in dists]
+    n, shape = len(dists), [len(d.atoms) for d in dists]
     size = math.prod(shape)
     if size > PRODUCT_GRID_CAP:
         raise fea.CapacityError(f"profile grid exceeds {PRODUCT_GRID_CAP} points")
-    grids = np.empty(shape + [len(dists)])
-    probs = np.ones(shape)
-    for j, (d, idx) in enumerate(zip(dists, np.indices(shape, sparse=True))):
-        grids[..., j] = np.asarray(d.values, dtype=float)[idx]
-        probs *= np.asarray(d.probs, dtype=float)[idx]
-    return grids.reshape(size, len(dists)), probs.reshape(size)
+    grid = np.empty(shape + [n])
+    probs = 1.0
+    for j, d in enumerate(dists):  # item j's atoms along axis j, broadcast over the others
+        axis = [1] * n
+        axis[j] = -1
+        grid[..., j] = d.atoms.reshape(axis)
+        probs = probs * d.masses.reshape(axis)
+    return grid.reshape(size, n), probs.reshape(size)
 
 
 def buyer_grid(inst: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -492,9 +497,8 @@ def _prob_trade_willing(d: Dist, phi: IronedVirtual, s: np.ndarray) -> np.ndarra
     a continuous support through the cut where phi reaches y = s - TOL, the
     guess phi.inverse(y) made exact by `_threshold_search` down from hi."""
     if d.kind == "discrete":
-        v = np.asarray(d.values)
-        keep = (v >= s[..., None] - TOL) & (phi(v) >= s[..., None] - TOL)
-        return _ordered_sum(np.where(keep, d.probs, 0.0), axis=-1)
+        keep = (d.atoms >= s[..., None] - TOL) & (phi(d.atoms) >= s[..., None] - TOL)
+        return _ordered_sum(np.where(keep, d.masses, 0.0), axis=-1)
     lo, hi = d.support()
     y = s - TOL
     clears = phi(hi) >= y
@@ -509,8 +513,7 @@ def reduction_rule(inst: MarketInstance) -> AllocationRule:
     surplus is nonnegative (ties to the lowest index)."""
     def fn(b: np.ndarray, s: np.ndarray) -> np.ndarray:
         d = inst.virtuals(b, "buyer") - s
-        best = np.argmax(d, axis=-1)[..., None]
-        serve = (np.arange(inst.n) == best) & (np.take_along_axis(d, best, axis=-1) >= -TOL)
+        serve = (np.arange(inst.n) == item_argmax(d)[..., None]) & (item_max(d) >= -TOL)[..., None]
         return serve.astype(float)
 
     return AllocationRule("reduction", fn)
@@ -550,8 +553,7 @@ class SappPriceMap:
         self._atoms = {}  # per discrete buyer item: atoms, Pr[b > atom], (positive) mass at atom
         for i, d in enumerate(inst.buyer_dists):
             if d.kind == "discrete":
-                v, p = np.asarray(d.values), np.asarray(d.probs)
-                self._atoms[i] = (v, d.tail(v) - p, p)
+                self._atoms[i] = (d.atoms, d.tail(d.atoms) - d.masses, d.masses)
 
     def q(self, s) -> np.ndarray:
         return self._entries(_one_row(s))[0][0]
@@ -575,21 +577,30 @@ class SappPriceMap:
         s = S[:, None, :]
         return self.rule(self._bgrid, s) * (self._bphi >= s - TOL)
 
-    def _q_rows(self, S: np.ndarray) -> np.ndarray:
-        """q over the buyer rows: probability-weighted on a grid, else the
+    def _blocks(self, S: np.ndarray) -> list[np.ndarray]:
+        """The seller rows S in blocks of at most SAPP_ROWS_BYTES per (k, |B|, n)
+        intermediate."""
+        step = max(1, SAPP_ROWS_BYTES // (self._bgrid.size * 8))
+        return [S[k:k + step] for k in range(0, len(S) or 1, step)]
+
+    def _q_rows(self, kept: np.ndarray) -> np.ndarray:
+        """q from a block's `_kept`: probability-weighted on a grid, else the
         equally weighted mean of the fixed sample."""
         if self._bprobs is None:
-            return _ordered_sum(self._kept(S), axis=1) / len(self._bgrid)
-        return _ordered_sum(self._kept(S) * self._bprobs[:, None], axis=1)
+            return _ordered_sum(kept, axis=1) / len(self._bgrid)
+        return _ordered_sum(kept * self._bprobs[:, None], axis=1)
 
     def rows(self, S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(q, theta, alpha) for a (k, n) array of seller profiles, each (k, n)."""
         S = np.asarray(S, dtype=float)
         if self._bgrid is None:
             q = np.clip(np.broadcast_to(self.rule.q_fn(S), S.shape), 0.0, 1.0)
-        else:  # seller rows in blocks of at most SAPP_ROWS_BYTES per intermediate
-            step = max(1, SAPP_ROWS_BYTES // (self._bgrid.size * 8))
-            q = np.concatenate([self._q_rows(S[k:k + step]) for k in range(0, len(S) or 1, step)])
+        else:
+            q = np.concatenate([self._q_rows(self._kept(blk)) for blk in self._blocks(S)])
+        return (q, *self._prices(q))
+
+    def _prices(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, alpha) of q rows."""
         theta = np.empty_like(q)
         alpha = np.zeros_like(q)
         for i, d in enumerate(self.inst.buyer_dists):
@@ -598,29 +609,30 @@ class SappPriceMap:
                 values, above, mass = self._atoms[i]
                 k = np.searchsorted(values, theta[:, i])
                 alpha[:, i] = np.clip((q[:, i] / 2.0 - above[k]) / mass[k], 0.0, 1.0)
-        return q, theta, alpha
+        return theta, alpha
 
 
 def _validate_rule(inst: MarketInstance, rule: AllocationRule) -> None:
     """Check the rule hypotheses on 48 profiles sampled with seed 7, in one
     rule call: the sampled costs, then per item i the same rows with s_i
-    raised towards the top of its support."""
+    raised towards the top of its support. Every item is checked at once;
+    the first failing item is reported."""
     B, S = inst.sample_profiles(np.random.default_rng(7), 48)
+    hi, items = np.array([d.support()[1] for d in inst.seller_dists]), np.arange(inst.n)
     trial = np.repeat(S[None], inst.n + 1, axis=0)
-    for i, d in enumerate(inst.seller_dists):
-        hi = d.support()[1]
-        trial[i + 1, :, i] = np.minimum(hi, S[:, i] + 0.25 * (hi - S[:, i]) + 1e-6)
-    X, *bumped = rule(B, trial)
+    trial[items + 1, :, items] = np.minimum(hi, S + 0.25 * (hi - S) + 1e-6).T
+    out = rule(B, trial)
+    X, bumped = out[0], out[1:]  # bumped[i]: the rows with s_i raised
     if np.any(X.sum(axis=-1) > 1.0 + TOL):
         raise ValueError("allocation rule serves more than one item")
-    for i, X2 in enumerate(bumped):
-        if np.any(X2[:, i] > X[:, i] + TOL):
+    rose = (bumped[items, :, items] > X.T + TOL).any(axis=1)
+    fell = bumped < X - TOL
+    fell[items, :, items] = False
+    for i in np.flatnonzero(rose | fell.any(axis=(1, 2)))[:1]:
+        if rose[i]:
             raise ValueError(f"rule not nonincreasing in the cost of item {i}")
-        fell = X2 < X - TOL
-        fell[:, i] = False
-        if fell.any():
-            j = np.argwhere(fell)[0][1]
-            raise ValueError(f"rule not nondecreasing in item {i}'s cost for item {j}")
+        j = np.argwhere(fell[i])[0][1]
+        raise ValueError(f"rule not nondecreasing in item {i}'s cost for item {j}")
 
 
 def sapp_build(inst: MarketInstance, rule: AllocationRule) -> SappPriceMap:
@@ -641,6 +653,7 @@ class _SappTable(NamedTuple):
     theta: np.ndarray
     beta: np.ndarray  # (|S|, |B|, n) coin-integrated purchase probabilities
     xhat: np.ndarray  # (|S|, n) interim allocation E_b[beta]
+    surplus: np.ndarray  # (|S|, |B|) the rule's kept items' phi(b) - s, summed over items
 
 
 class Sapp:
@@ -701,13 +714,13 @@ class Sapp:
         """Purchase probabilities over rows (items last; B, theta, alpha broadcast),
         coins integrated: the sure-afford item of largest surplus (lowest index
         on ties), else boundary item i with alpha_i times Pr[no earlier coin sold]."""
-        sure = B > theta + TOL
-        best = np.argmax(np.where(sure, B - theta, -np.inf), axis=-1)[..., None]
-        coin = np.where(np.abs(B - theta) <= TOL, alpha, 0.0)
-        live = np.cumprod(1.0 - coin, axis=-1)
-        live = np.concatenate((np.ones_like(live[..., :1]), live[..., :-1]), axis=-1)
-        won = (np.arange(B.shape[-1]) == best).astype(float)
-        return np.where(sure.any(axis=-1, keepdims=True), won, coin * live)
+        sure, gain = B > theta + TOL, B - theta
+        won = np.arange(B.shape[-1]) == item_argmax(np.where(sure, gain, -np.inf))[..., None]
+        coin = np.where(np.abs(gain) <= TOL, alpha, 0.0)
+        live = np.ones(coin.shape)  # Pr[no earlier coin sold], a running product over the item columns
+        for j in range(1, B.shape[-1]):
+            live[..., j] = live[..., j - 1] * (1.0 - coin[..., j - 1])
+        return np.where(item_max(sure)[..., None], won, coin * live)
 
     def allocation(self, B, S) -> np.ndarray:
         """Purchase probabilities per row, integrating only over the boundary
@@ -722,7 +735,8 @@ class Sapp:
 
     @cached_property
     def _table(self) -> _SappTable:
-        """Beta over the full seller x buyer grid, built once."""
+        """Beta over the full seller x buyer grid, built once; q and the rule
+        surplus come from one rule evaluation per block of seller rows."""
         inst = self.inst
         if not inst.is_discrete:
             raise ValueError("exact SAPP accounting needs a fully discrete instance")
@@ -730,11 +744,18 @@ class Sapp:
         if nbytes > SAPP_TABLE_BYTES:
             raise fea.CapacityError(f"SAPP table needs {nbytes} bytes, over {SAPP_TABLE_BYTES}")
         S, pS = seller_grid(inst)
-        B, pB = self.pmap._bgrid, self.pmap._bprobs
-        q, theta, alpha = self.pmap.rows(S)
+        pmap = self.pmap
+        B, pB = pmap._bgrid, pmap._bprobs
+        q, surplus = [], []
+        for blk in pmap._blocks(S):
+            kept = pmap._kept(blk)
+            q.append(pmap._q_rows(kept))
+            surplus.append(np.vecdot(kept, pmap._bphi - blk[:, None, :]))
+        q = np.concatenate(q)
+        theta, alpha = pmap._prices(q)
         beta = self._beta_rows(B, theta[:, None, :], alpha[:, None, :])
         xhat = _ordered_sum(pB[:, None] * beta, axis=1)
-        return _SappTable(S, pS, B, pB, q, theta, beta, xhat)
+        return _SappTable(S, pS, B, pB, q, theta, beta, xhat, np.concatenate(surplus))
 
     def exact_report(self):
         """Single-pass exact expectations over a fully discrete instance.
@@ -745,7 +766,8 @@ class Sapp:
         """
         t = self._table
         S = t.S[:, None, :]
-        tau = np.column_stack([dst.seller_virtual(d, t.S[:, i]) for i, d in enumerate(self.inst.seller_dists)])[:, None, :]
+        atom = np.unravel_index(np.arange(len(t.S)), [len(d.atoms) for d in self.inst.seller_dists])  # per item, each row's atom
+        tau = np.column_stack([dst._atom_virtuals(d, "seller")[k] for d, k in zip(self.inst.seller_dists, atom)])[:, None, :]
         w = np.outer(t.pS, t.pB)
 
         def total(per_profile) -> float:  # weighted, summed over (s, b) in row-major order
@@ -753,8 +775,8 @@ class Sapp:
 
         gft = total(np.vecdot(t.beta, t.B - S))
         buyer_pay = total(np.vecdot(t.beta, t.theta[:, None, :]))
-        seller_pay = total(_ordered_sum(t.beta * tau, axis=-1))
-        rule_term = total(np.vecdot(self.pmap._kept(t.S), self.pmap._bphi - S))
+        seller_pay = total(item_sum(t.beta * tau))
+        rule_term = total(t.surplus)
         return {
             "gft": gft,
             "buyer_payment": buyer_pay,
@@ -778,7 +800,7 @@ class Sapp:
         shape = tuple(len(d.values) for d in inst.seller_dists) + (len(t.B),)
         worst = -np.inf
         for i, d in enumerate(inst.seller_dists):
-            atoms = np.asarray(d.values, dtype=float)
+            atoms = d.atoms
             others = [inst.seller_dists[j] for j in range(inst.n) if j != i]
             opr = _product_grid(others)[1] if others else np.ones(1)
             # betas[r, z]: seller i's purchase probability at report atoms[z],
@@ -787,9 +809,9 @@ class Sapp:
             w = np.outer(opr, t.pB).ravel()
             diffs = betas - np.concatenate((betas[:, 1:], np.zeros((len(betas), 1))), axis=1)  # Pr[threshold = z]
             pay_tail = np.cumsum((diffs * atoms)[:, ::-1], axis=1)[:, ::-1]
-            # util[a, z]: truthful cost atoms[a], reported atoms[z]; one
-            # truthful atom at a time keeps the block at the table's size
-            util = np.array([_ordered_sum(w[:, None] * (pay_tail - a * betas), axis=0) for a in atoms])
+            # util[a, z]: truthful cost atoms[a], reported atoms[z]; n truthful
+            # atoms at a time keep the block at the table's size
+            util = np.concatenate([_ordered_sum(w[:, None] * (pay_tail - atoms[k:k + inst.n, None, None] * betas), axis=1) for k in range(0, len(atoms), inst.n)])
             worst = max(worst, float((util - np.diag(util)[:, None]).max()))
         return worst
 

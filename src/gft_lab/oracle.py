@@ -240,8 +240,7 @@ def _seller_rows(m: DiscreteMarket, base: np.ndarray, first: int, i: int, pay: i
     block, or free when pay is None; and its IR/BIC rows over them: cost type
     t's value of reporting r is PS[i](r) - atoms[t]*XS[i](r)."""
     inst = m.inst
-    atoms = np.array(inst.seller_dists[i].values)
-    g = np.array(inst.seller_dists[i].probs)
+    atoms, g = inst.seller_dists[i].atoms, inst.seller_dists[i].masses
     mi = len(atoms)
     stride_i = math.prod(len(d.values) for d in inst.seller_dists[i + 1 :])
     nb, ns = base.shape

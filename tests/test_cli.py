@@ -305,6 +305,18 @@ def test_simulate_sapp_matches_audit_report(rule, capsys):
     assert row == {k: cli._cell(v) for k, v in want.items()}
 
 
+@pytest.mark.parametrize("mechanism", ["sapp", "buyer_offering"])
+def test_simulate_refuses_a_trade_free_a2d_grid(mechanism, capsys):
+    # grid=8 leaves the discretized item 0 without trade: a configuration
+    # error naming the grid, for every mechanism
+    code, out, err = run_cli(["simulate", "--example", "a2d", "--param", "n=2", "--param", "grid=8",
+                              "--mechanism", mechanism, "--exact"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "a2d with n=2, t=6.0, grid=8: every buyer atom of item 0 lies below every seller atom" in err
+    assert "use a finer grid" in err
+
+
 def test_oracle_two_item_instance_reports_the_partition_check(tmp_path, capsys):
     inst = mech.market(
         [dst.discrete([0.5, 1.0], [0.5, 0.5]), dst.discrete([0.4, 0.9], [0.3, 0.7])],

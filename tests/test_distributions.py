@@ -2,6 +2,7 @@
 Tests for the distribution toolkit: builders, quantiles, trade probability,
 virtual value transforms, ironing, quantile ladders, and the pair check.
 """
+import dataclasses
 import math
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dist_reference as ref
 import quad_reference as qr
 from gft_lab import bounds
 from gft_lab import distributions as dst
@@ -546,3 +548,87 @@ def test_only_distributions_reads_the_closures():
                 assert attr not in text, f"{path.name} reads {attr}"
     assert not any(hasattr(mech, name) for name in ("_cdf", "_prob_below"))
     assert not hasattr(dst.Dist, "mass")
+
+
+# -- the atom arrays against the tuple-based kernels ----------------------------
+
+# atoms on a coarse lattice, anywhere, or within ATOL of a lattice point
+_ATOM = st.one_of(
+    st.integers(-8, 8).map(lambda k: k / 4),
+    st.floats(-3.0, 3.0),
+    st.tuples(st.integers(-8, 8), st.sampled_from([-1.0, -0.5, 0.5, 1.0])).map(lambda t: t[0] / 4 + t[1] * dst.ATOL),
+)
+
+
+@st.composite
+def small_discrete(draw, max_atoms=6):
+    """A discrete Dist of 1 to max_atoms atoms: masses from integer weights
+    (cumulative masses often land on round levels) or from floats."""
+    vals = sorted(draw(st.lists(_ATOM, min_size=1, max_size=max_atoms, unique=True)))
+    k = len(vals)
+    weights = draw(st.one_of(st.lists(st.integers(1, 4), min_size=k, max_size=k), st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    return dst.discrete(vals, [w / sum(weights) for w in weights])
+
+
+def _near(points, width):
+    """Each point, the points `width` either side of it, and the floats next
+    to all three."""
+    out = []
+    for p in points:
+        for q in (p - width, p, p + width):
+            out += [np.nextafter(q, -math.inf), q, np.nextafter(q, math.inf)]
+    return out
+
+
+def _hexes(x):
+    return [float(v).hex() for v in np.ravel(x)]
+
+
+@given(d=small_discrete(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_discrete_queries_match_the_tuple_kernels_bit_for_bit(d, data):
+    special = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -0.5, 1.5]
+    levels = _near(np.cumsum(d.probs), dst.ATOL) + special
+    levels += data.draw(st.lists(st.floats(0.0, 1.0), max_size=8))
+    values = _near(d.values, dst.ATOL) + special + data.draw(st.lists(st.floats(-4.0, 4.0), max_size=8))
+    for got, want, xs in (
+        (d.ppf, ref.ppf, levels),
+        (d.cdf, ref.cdf, values),
+        (d.below, ref.below, values),
+        (d.tail, ref.tail, values),
+    ):
+        assert _hexes(got(np.array(xs))) == _hexes(want(d, xs))
+        assert [got(x).hex() for x in xs[:12]] == _hexes(want(d, xs[:12]))
+
+
+@given(small_discrete(max_atoms=8))
+@settings(max_examples=150, deadline=None)
+def test_discrete_ironing_matches_the_tuple_kernel_bit_for_bit(d):
+    for side in ("buyer", "seller"):
+        want = ref.iron_discrete(np.asarray(d.values), np.asarray(d.probs), side)
+        assert _hexes(dst._iron_discrete(d.atoms, d.masses, side)) == _hexes(want)
+        iv = dst.iron(d, side)
+        assert _hexes(iv.grid_virtuals) == _hexes(want)
+        assert iv.grid_values.tolist() == list(d.values)
+
+
+def test_atom_and_ironing_arrays_are_read_only():
+    d = dst.discrete([0.0, 0.5, 1.0], [0.2, 0.3, 0.5])
+    ironed = [dst.iron(x, side) for x in (d, dst.uniform(0.0, 1.0), dst.lognormal(0.0, 2.5)) for side in ("buyer", "seller")]
+    for a in [d.atoms, d.masses, d.cum_masses] + [a for iv in ironed for a in (iv.grid_values, iv.grid_virtuals)]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7.0
+    assert d.atoms.tolist() == [0.0, 0.5, 1.0] and d.masses.tolist() == [0.2, 0.3, 0.5]
+
+
+def test_atom_arrays_follow_the_tuples_and_stay_out_of_equality():
+    d = dst.discrete([0.0, 0.5, 1.0], [0.2, 0.3, 0.5])
+    moved = dataclasses.replace(d, values=(1.0, 2.0, 4.0), probs=(0.5, 0.25, 0.25))
+    assert moved.atoms.tolist() == [1.0, 2.0, 4.0] and moved.masses.tolist() == [0.5, 0.25, 0.25]
+    assert moved.cum_masses.tolist() == [0.5, 0.75, 1.0]
+    assert (moved.ppf(0.6), moved.cdf(2.0), moved.tail(2.0)) == (2.0, 0.75, 0.5)
+    twin = dst.discrete([0.0, 0.5, 1.0], [0.2, 0.3, 0.5])
+    assert twin is not d and twin == d and hash(twin) == hash(d)
+    assert dst.dist_from_json(dst.dist_to_json(d)) == d
+    assert d != moved
+    assert {f.name for f in dataclasses.fields(d)}.isdisjoint({"atoms", "masses", "cum_masses"})

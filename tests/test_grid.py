@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dist_reference as ref
 from gft_lab import audits, bounds
 from gft_lab import distributions as dst
 from gft_lab import feasibility as fea
@@ -38,6 +39,28 @@ def test_cap_checked_before_any_grid_is_built(monkeypatch):
     for call in calls:
         with pytest.raises(fea.CapacityError):
             call()
+
+
+@st.composite
+def item_dists(draw):
+    """1 to 4 discrete items of 1 to 6 atoms each, masses from integer or
+    float weights."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        vals = sorted(draw(st.lists(st.one_of(st.sampled_from(LATTICE), st.floats(-2.0, 2.0)), min_size=1, max_size=6, unique=True)))
+        w = draw(st.one_of(st.lists(st.integers(1, 5), min_size=len(vals), max_size=len(vals)),
+                           st.lists(st.floats(0.01, 1.0), min_size=len(vals), max_size=len(vals))))
+        out.append(dst.discrete(vals, [x / sum(w) for x in w]))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(item_dists())
+def test_product_grid_matches_the_index_grid_bit_for_bit(dists):
+    grid, probs = mech._product_grid(dists)
+    want_grid, want_probs = ref.product_grid(dists)
+    assert grid.shape == want_grid.shape and grid.tobytes() == want_grid.tobytes()
+    assert probs.shape == want_probs.shape and probs.tobytes() == want_probs.tobytes()
 
 
 def _constraint(kind: str, n: int, k: int) -> fea.Constraint:

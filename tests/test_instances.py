@@ -70,6 +70,25 @@ def test_thin_market_discretization():
     )
 
 
+@pytest.mark.parametrize("n, grid", [(2, 16), (4, 16), (2, 64), (4, 64)])
+def test_thin_market_discretization_is_item_0_discretized(n, grid):
+    # grids on which item 0 trades build the family as always: the continuous
+    # family with item 0 swapped for its equal-mass discretization
+    cont = instances.example_a2(n, 6.0)
+    inst = instances.example_a2_discretized(n, 6.0, grid=grid) if grid != 64 else instances.make_example("a2d", n=n)
+    assert inst.buyer_dists[0] == instances.equal_mass_discretize(cont.buyer_dists[0], grid)
+    assert inst.seller_dists[0] == instances.equal_mass_discretize(cont.seller_dists[0], grid)
+    assert inst.buyer_dists[1:] == cont.buyer_dists[1:] and inst.seller_dists[1:] == cont.seller_dists[1:]
+    assert inst.constraint == fea.additive(range(n))
+
+
+def test_thin_market_discretization_refuses_a_grid_without_trade():
+    # with n=2 and grid=8 every buyer atom of item 0 (at most 2.74) lies below
+    # every seller atom (at least 3.26), while the continuous pair trades
+    with pytest.raises(ValueError, match=r"a2d with n=2, t=6.0, grid=8: every buyer atom .* use a finer grid"):
+        instances.example_a2_discretized(2, 6.0, grid=8)
+
+
 def test_equal_mass_discretize_uniform():
     g = instances.equal_mass_discretize(dst.uniform(0.0, 1.0), grid=10)
     assert len(g.values) == 10

@@ -131,6 +131,29 @@ def test_kernels_match_reference_on_lattice_markets(case):
     assert_rows_match(sp, B, S, ref.sapp, coins=np.tile(coin, (len(B), 1)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(lattice_markets())
+def test_exact_report_matches_a_fresh_rule_pass_and_seller_virtual(case):
+    # the report reads the rule surplus stored with the table and each grid
+    # entry's virtual cost by atom index; the reference evaluates the rule
+    # again and matches every cost to its atom with seller_virtual
+    inst = case[0]
+    for rule in (mech.reduction_rule(inst), mech.unlikely_trade_rule(inst, range(inst.n))):
+        sp = mech.Sapp(inst, mech.sapp_build(inst, rule))
+        rep, t, pm = sp.exact_report(), sp._table, sp.pmap
+        w = np.outer(t.pS, t.pB)
+
+        def total(per_profile):
+            return float(dst._ordered_sum((w * per_profile).ravel(), axis=0))
+
+        tau = np.column_stack([dst.seller_virtual(d, t.S[:, i]) for i, d in enumerate(inst.seller_dists)])[:, None, :]
+        rule_term = total(np.vecdot(pm._kept(t.S), pm._bphi - t.S[:, None, :]))
+        seller_pay = total(dst._ordered_sum(t.beta * tau, axis=-1))
+        assert rep["rule_virtual_surplus"].hex() == rule_term.hex()
+        assert rep["seller_payments"].hex() == seller_pay.hex()
+        assert rep["wbb_slack"].hex() == (rep["buyer_payment"] - seller_pay).hex()
+
+
 @pytest.mark.parametrize("constraint", ["unit_demand", "additive", "k_uniform"])
 def test_kernels_match_reference_on_continuous_samples(constraint):
     inst = instances.random_instance(3, "uniform", seed=31, constraint=constraint)

@@ -167,7 +167,7 @@ def _regime(name):
     if name == "a1":
         inst = instances.example_a1(4.0)
     elif name == "a2d":
-        inst = instances.example_a2_discretized(4, 6.0, grid=8)
+        inst = instances.example_a2_discretized(4, 6.0, grid=16)  # grid=8 leaves item 0 no trade, which a2d refuses
     else:
         inst = instances.example_a2(4, 6.0)
     if name == "a2-unlikely":
