@@ -15,7 +15,7 @@ pair check) use the upper quantile; seller-side ones use the lower quantile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from typing import Callable, Sequence
 
@@ -93,6 +93,11 @@ class Dist:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         object.__setattr__(self, "atoms", quantiles[:-1])
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor, whose __post_init__ makes
+        the copy's arrays read-only."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     # -- elementwise probability queries ----------------------------------
 
@@ -524,12 +529,14 @@ def _atom_virtuals(d: Dist, side: str) -> np.ndarray:
 def _virtual(d: Dist, v, side: str):
     """buyer_virtual / seller_virtual, elementwise over v."""
     if d.kind == "discrete":
-        x = np.asarray(v, dtype=float)
-        hit = np.abs(d.atoms - x[..., None]) <= 1e-9 * np.maximum(1.0, np.abs(x))[..., None]
-        found = hit.any(axis=-1)
+        x, a = np.asarray(v, dtype=float), d.atoms
+        k = np.searchsorted(a, x)
+        lo, hi = np.maximum(k - 1, 0), np.minimum(k, len(a) - 1)
+        k = np.where(x - a[lo] <= a[hi] - x, lo, hi)  # the nearer atom, the lower on ties
+        found = np.abs(a[k] - x) <= 1e-9 * np.maximum(1.0, np.abs(x))
         if not found.all():
             raise ValueError(f"{x[~found][0]} is not a support point")
-        return _scalar_or_array(_atom_virtuals(d, side)[hit.argmax(axis=-1)])
+        return _scalar_or_array(_atom_virtuals(d, side)[k])
     f = d.pdf(v)
     bad = np.asarray(f) <= 0
     if bad.any():
@@ -542,7 +549,8 @@ def buyer_virtual(d: Dist, b):
     """Myerson buyer virtual value phi(b) = b - (1-F(b))/f(b), elementwise.
 
     Discrete convention: phi(v_k) = v_k - (v_{k+1}-v_k) * Pr[X > v_k] / f(v_k),
-    with phi = value at the top atom; b must be atoms (to 1e-9 relative).
+    with phi = value at the top atom. Each b reads the nearest atom (the lower
+    on ties), which must lie within 1e-9 * max(1, |b|) of it.
     """
     return _virtual(d, b, "buyer")
 
@@ -551,7 +559,8 @@ def seller_virtual(d: Dist, s):
     """Myerson seller virtual cost tau(s) = s + G(s)/g(s), elementwise.
 
     Discrete convention: tau(v_k) = v_k + (v_k - v_{k-1}) * Pr[X < v_k] / g(v_k),
-    with tau = value at the bottom atom; s must be atoms (to 1e-9 relative).
+    with tau = value at the bottom atom. Each s reads the nearest atom (the
+    lower on ties), which must lie within 1e-9 * max(1, |s|) of it.
     """
     return _virtual(d, s, "seller")
 
@@ -582,6 +591,8 @@ class IronedVirtual:
 
     def __post_init__(self):
         self.grid_values.flags.writeable = self.grid_virtuals.flags.writeable = False
+
+    __reduce__ = Dist.__reduce__
 
     def __call__(self, v):
         """The ironed virtual at v: a float for a scalar, an array for an array."""

@@ -191,17 +191,6 @@ def _bisect_floats(trades, idx: np.ndarray, near: np.ndarray, away: np.ndarray) 
     return _from_key(kn)
 
 
-def _bisect_guessed(trades, idx: np.ndarray, near: np.ndarray, away: np.ndarray) -> np.ndarray:
-    """`_bisect_floats` on brackets of at most 2 * GUESS_ULPS floats with one
-    `trades` call, which answers every float inside each bracket (keys past a
-    narrower one's end clipped to it); the bisection reads those answers."""
-    kn, ka = _order_key(near), _order_key(away)
-    keys = kn[:, None] + np.where(ka > kn, 1, -1)[:, None] * np.arange(1, 2 * GUESS_ULPS)
-    keys = np.clip(keys, np.minimum(kn, ka)[:, None], np.maximum(kn, ka)[:, None])
-    ok = trades(np.repeat(idx, keys.shape[1]), _from_key(keys.ravel())).reshape(keys.shape)
-    return _bisect_floats(lambda r, v: ok[r, np.abs(_order_key(v) - kn[r]) - 1], np.arange(len(idx)), near, away)
-
-
 def _threshold_search(trades, t: np.ndarray, far=None, atoms=None, floor=None, guess=None) -> np.ndarray:
     """Per row, the report nearest `far` at which the row still trades,
     searched from its own trading report t (Myerson's threshold payment).
@@ -212,11 +201,11 @@ def _threshold_search(trades, t: np.ndarray, far=None, atoms=None, floor=None, g
     trading atom wins, else t; one array call per atom rank over the rows
     still open. On a continuous support (`far` one float or one per row),
     far itself when it trades, else the last trading float before `trades`
-    flips, found by `_bisect_floats` between t and far. A `guess` of the cut
-    per row (NaN: none) only narrows that bracket: when the row trades
-    GUESS_ULPS floats on t's side of the guess and not as many on far's side
-    (both probes in one call), `_bisect_guessed` closes the bracket between
-    those two floats in one more call; the others bisect one level per call.
+    flips, found by `_bisect_floats`. A `guess` of the cut per row (NaN:
+    none) only narrows the bracket: when the row trades GUESS_ULPS floats on
+    t's side of the guess and not as many on far's side (both probes in one
+    call), those two floats bracket it; every other row keeps (t, far). One
+    `_bisect_floats` call then closes all brackets.
     """
     t = np.asarray(t, dtype=float)
     if atoms is not None:
@@ -232,7 +221,6 @@ def _threshold_search(trades, t: np.ndarray, far=None, atoms=None, floor=None, g
     out = np.array(np.broadcast_to(np.asarray(far, dtype=float), t.shape))
     idx = np.flatnonzero(~trades(np.arange(len(t)), out))
     near, away = t[idx], out[idx]
-    rest = np.ones(idx.size, dtype=bool)
     if guess is not None:
         g = np.asarray(guess, dtype=float)[idx]
         j = np.flatnonzero(~np.isnan(g))
@@ -244,10 +232,8 @@ def _threshold_search(trades, t: np.ndarray, far=None, atoms=None, floor=None, g
             gn, ga = _from_key(np.clip(kg - step, low, high)), _from_key(np.clip(kg + step, low, high))
             ok = trades(np.concatenate((idx[j], idx[j])), np.concatenate((gn, ga)))
             hit = ok[:j.size] & ~ok[j.size:]
-            j = j[hit]
-            if j.size:
-                out[idx[j]], rest[j] = _bisect_guessed(trades, idx[j], gn[hit], ga[hit]), False
-    out[idx[rest]] = _bisect_floats(trades, idx[rest], near[rest], away[rest])
+            near[j[hit]], away[j[hit]] = gn[hit], ga[hit]
+    out[idx] = _bisect_floats(trades, idx, near, away)
     return out
 
 

@@ -2,8 +2,10 @@
 Tests for the distribution toolkit: builders, quantiles, trade probability,
 virtual value transforms, ironing, quantile ladders, and the pair check.
 """
+import copy
 import dataclasses
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -619,6 +621,36 @@ def test_atom_and_ironing_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 7.0
     assert d.atoms.tolist() == [0.0, 0.5, 1.0] and d.masses.tolist() == [0.2, 0.3, 0.5]
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_copies_keep_read_only_arrays(clone):
+    d = dst.discrete([0.0, 0.5, 1.0], [0.2, 0.3, 0.5])
+    twin = clone(d)
+    assert twin == d and hash(twin) == hash(d)
+    ironed = dst.iron(d, "buyer")
+    other = clone(ironed)
+    assert _hexes(other.grid_virtuals) == _hexes(ironed.grid_virtuals)
+    assert _hexes(other(d.atoms)) == _hexes(ironed(d.atoms))
+    for a in (twin.atoms, twin.masses, twin.cum_masses, other.grid_values, other.grid_virtuals):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7.0
+
+
+def test_deep_copied_continuous_dist_answers_cdf():
+    u = dst.uniform(0.0, 2.0)
+    assert copy.deepcopy(u).cdf(0.5) == u.cdf(0.5) == 0.25
+
+
+def test_discrete_virtuals_read_the_nearest_atom():
+    # two atoms 5e-10 apart, inside the 1e-9 match tolerance of each other
+    d = dst.discrete([1.0, 1.0 + 5e-10, 2.0], [0.25, 0.25, 0.5])
+    for fn, side in ((dst.buyer_virtual, "buyer"), (dst.seller_virtual, "seller")):
+        want = dst._atom_virtuals(d, side)
+        assert [fn(d, x).hex() for x in d.values] == _hexes(want)
+        assert fn(d, 1.0 + 2.5e-10).hex() == want[0].hex()  # a tie reads the lower atom
+        with pytest.raises(ValueError, match="not a support point"):
+            fn(d, 1.5)
 
 
 def test_atom_arrays_follow_the_tuples_and_stay_out_of_equality():

@@ -554,32 +554,97 @@ def float_brackets(draw):
     return kn, ka, np.array(sorted(flips), dtype=np.int64)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.lists(float_brackets(), min_size=1, max_size=12))
-def test_guessed_bisection_matches_one_level_per_call(rows):
-    # the one-level-per-call bisection on every width, and the guessed path
-    # (one `trades` call over the bracket, then the bisection reading its
-    # answers) on every bracket of at most 2 * GUESS_ULPS floats: the same
-    # floats bit for bit, through every turn of the predicate
-    kn, ka = (np.array(keys[::-1], dtype=np.int64) for keys in zip(*[r[:2] for r in rows]))
+def _parity_trades(rows):
+    """Rows as in `float_brackets`, their reports at rows 3.. of a batch:
+    (idx, near, away, trades), where trades(idx, v) holds where an even
+    number of a row's flip keys lie between near and v."""
+    kn = np.array([r[0] for r in rows], dtype=np.int64)
+    ka = np.array([r[1] for r in rows], dtype=np.int64)
     up = ka > kn
     # flip keys per row, padded with keys no report passes on its way out
-    flips = np.array([np.pad(f, (0, 9 - len(f)), constant_values=np.iinfo(np.int64).max if ka > kn else np.iinfo(np.int64).min) for kn, ka, f in rows[::-1]])
-    idx = np.arange(len(rows)) + 3
-    calls = []
+    flips = np.array([np.pad(f, (0, 9 - len(f)), constant_values=np.iinfo(np.int64).max if a > n else np.iinfo(np.int64).min) for n, a, f in rows])
 
     def trades(idx, v):
-        calls.append(len(idx))
         k, f, u = mech._order_key(v)[:, None], flips[idx - 3], up[idx - 3]
         return np.where(u, (f <= k).sum(axis=1), (f >= k).sum(axis=1)) % 2 == 0
 
+    idx = np.arange(len(rows)) + 3
     near, away = mech._from_key(kn), mech._from_key(ka)
     assert trades(idx, near).all() and not trades(idx, away).any()
+    return idx, near, away, trades
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(float_brackets(), min_size=1, max_size=12))
+def test_bisection_matches_one_level_per_call(rows):
+    # on every width, the same floats bit for bit as the reference, through
+    # every turn of the predicate
+    idx, near, away, trades = _parity_trades(rows)
     want = ref.bisect_floats(trades, idx, near.copy(), away.copy())
     got = mech._bisect_floats(trades, idx, near.copy(), away.copy())
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    narrow = np.abs(ka - kn) <= 2 * mech.GUESS_ULPS
-    calls.clear()
-    got = mech._bisect_guessed(trades, idx[narrow], near[narrow], away[narrow])
-    assert calls == [narrow.sum() * (2 * mech.GUESS_ULPS - 1)]
-    assert np.array_equal(got.view(np.int64), want[narrow].view(np.int64))
+
+
+@st.composite
+def guessed_brackets(draw):
+    """A `float_brackets` row and a guess of its cut: NaN, on a flip, a few
+    floats off one, more than GUESS_ULPS off one, or outside the bracket."""
+    kn, ka, flips = draw(float_brackets())
+    f = int(draw(st.sampled_from(flips.tolist())))
+    kind = draw(st.sampled_from(["nan", "flip", "few", "wide", "outside"]))
+    if kind == "nan":
+        return kn, ka, flips, np.nan
+    if kind == "flip":
+        key = f
+    elif kind == "few":
+        key = f + draw(st.integers(-4, 4))
+    elif kind == "wide":
+        key = f + draw(st.sampled_from([1, -1])) * draw(st.integers(mech.GUESS_ULPS + 1, 4 * mech.GUESS_ULPS))
+    else:  # beyond far, or before t
+        m = draw(st.integers(1, 100)) * (1 if ka > kn else -1)
+        key = draw(st.sampled_from([ka + m, kn - m]))
+    key = min(max(key, -MAX_KEY), MAX_KEY)
+    return kn, ka, flips, float(mech._from_key(np.array([key]))[0])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(guessed_brackets(), min_size=1, max_size=12))
+def test_threshold_search_closes_guessed_brackets_by_bisection(rows):
+    # a guess whose two probes hold (trading GUESS_ULPS floats on t's side of
+    # it, not on far's, both clipped into the bracket) gives the reference
+    # bisection on the probe bracket; any other guess, on (t, far). No
+    # `trades` call carries more than twice the search's rows.
+    idx, near, away, trades = _parity_trades([r[:3] for r in rows])
+    guess = np.array([r[3] for r in rows])
+    lo, hi = near.copy(), away.copy()
+    for j, (kn, ka, _, g) in enumerate(rows):
+        if not np.isnan(g):
+            step = mech.GUESS_ULPS if ka > kn else -mech.GUESS_ULPS
+            clip = lambda k: min(max(k, min(kn, ka)), max(kn, ka))
+            kg = clip(int(mech._order_key(np.array([g]))[0]))
+            gn, ga = mech._from_key(np.array([clip(kg - step), clip(kg + step)]))
+            if trades(idx[j:j + 1], gn[None])[0] and not trades(idx[j:j + 1], ga[None])[0]:
+                lo[j], hi[j] = gn, ga
+    want = ref.bisect_floats(trades, idx, lo, hi)
+    calls = []
+
+    def counted(i, v):
+        calls.append(len(i))
+        return trades(i + 3, v)
+
+    got = mech._threshold_search(counted, near, far=away, guess=guess)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert max(calls) <= 2 * len(rows)
+
+
+def test_buyer_offering_trial_rows_stay_within_twice_the_traded_pairs():
+    # 2,000 rows of a 16-item k-uniform(3) market: no `allocation` call
+    # carries more than the guess probes' two trial rows per traded pair
+    base = instances.random_instance(16, "uniform", seed=16)
+    inst = mech.market(base.buyer_dists, base.seller_dists, fea.k_uniform(3, range(16)))
+    B, S = inst.sample_profiles(np.random.default_rng(0), 2000)
+    bo, calls = mech.BuyerOffering(inst), []
+    alloc = bo.allocation
+    bo.allocation = lambda Bt, St: calls.append(len(Bt)) or alloc(Bt, St)
+    X = bo.outcome_batch(B, S)[0]
+    assert calls and max(calls) <= 2 * X.sum()
