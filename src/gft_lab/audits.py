@@ -3,11 +3,11 @@ balance and individual rationality audits.
 
 Monte Carlo checks quote mean and standard error so callers can apply
 three-sigma bands. Every audit is an array reduction of a mechanism's
-kernels: Monte Carlo paths call `run_batch` or `outcome_batch` once on all
-samples (with one coin per sample and item), and exact paths evaluate
-`expected_gft_rows`, which integrates coins, on the profile grid.
-`_grid_expectation` is the one reducer over that grid; the exact first best
-and `bounds.opt_b` / `bounds.brustle_sd_upper` use it too.
+kernels: Monte Carlo paths draw once (with one coin per sample and item)
+and run each row once through `run_batch` or `outcome_batch`, and exact
+paths evaluate `expected_gft_rows`, which integrates coins, on the profile
+grid. `_grid_expectation` is the one reducer over that grid; the exact
+first best and `bounds.opt_b` / `bounds.brustle_sd_upper` use it too.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import feasibility as fea
 from .distributions import _ordered_sum, item_sum
-from .mechanisms import MarketInstance, buyer_grid, seller_grid
+from .mechanisms import MarketInstance, _gft_rows, buyer_grid, seller_grid
 
 __all__ = [
     "estimate_gft",
@@ -129,21 +129,27 @@ class BudgetReport:
     exante_stderr: float
 
 
-def budget_audit(mechanism, inst: MarketInstance, samples: int = 10**4, seed: int = 0) -> BudgetReport:
-    """Buyer payment minus total seller payments, ex post (min) and ex ante."""
-    B, S, coins = _sample(inst, samples, seed)
-    _, pay_b, pay_S = mechanism.outcome_batch(B, S, coins)
+def _budget(pay_b: np.ndarray, pay_S: np.ndarray) -> BudgetReport:
     slack = pay_b - item_sum(pay_S)
     mean, err = _mean_stderr(slack)
     return BudgetReport(float(slack.min()), mean, err)
 
 
+def _ir(B, S, X, pay_b, pay_S) -> tuple[float, float]:
+    buyer = item_sum(np.where(X, B, 0.0)) - pay_b
+    return _first_min(buyer), _first_min(np.where(X, pay_S - S, pay_S))
+
+
+def budget_audit(mechanism, inst: MarketInstance, samples: int = 10**4, seed: int = 0) -> BudgetReport:
+    """Buyer payment minus total seller payments, ex post (min) and ex ante."""
+    B, S, coins = _sample(inst, samples, seed)
+    return _budget(*mechanism.outcome_batch(B, S, coins)[1:])
+
+
 def ir_audit(mechanism, inst: MarketInstance, samples: int = 4096, seed: int = 0) -> tuple[float, float]:
     """Minimum ex-post utility slack over samples: (buyer, worst seller)."""
     B, S, coins = _sample(inst, samples, seed)
-    X, pay_b, pay_S = mechanism.outcome_batch(B, S, coins)
-    buyer = item_sum(np.where(X, B, 0.0)) - pay_b
-    return _first_min(buyer), _first_min(np.where(X, pay_S - S, pay_S))
+    return _ir(B, S, *mechanism.outcome_batch(B, S, coins))
 
 
 @dataclass(frozen=True)
@@ -166,12 +172,18 @@ AuditReport.CSV_FIELDS = tuple(f.name for f in fields(AuditReport))
 
 
 def audit_report(mechanism, inst: MarketInstance, samples: int = 10**4, seed: int = 0, exact: bool = False) -> AuditReport:
+    """One draw at `seed`, each row run once: the first k = min(samples, 10^4)
+    rows through `outcome_batch`, whose payments give the budget and IR, the
+    rest through `run_batch`. GFT is over all rows (`estimate_gft`'s stream),
+    or `exact_gft` with `exact`, when only the k rows are drawn."""
+    k = min(samples, 10**4)
+    B, S, coins = _sample(inst, k if exact else samples, seed)
+    X, pay_b, pay_S = mechanism.outcome_batch(B[:k], S[:k], coins[:k])
+    bud, (bir, sir) = _budget(pay_b, pay_S), _ir(B[:k], S[:k], X, pay_b, pay_S)
     if exact:
         gft, err = exact_gft(mechanism, inst), 0.0
     else:
-        gft, err = estimate_gft(mechanism, inst, samples, seed)
-    bud = budget_audit(mechanism, inst, min(samples, 10**4), seed + 1)
-    bir, sir = ir_audit(mechanism, inst, min(samples, 4096), seed + 2)
+        rest = [mechanism.run_batch(B[k:], S[k:], coins=coins[k:])] if samples > k else []
+        gft, err = _mean_stderr(np.concatenate([_gft_rows(X, B[:k], S[:k]), *rest]))
     name = getattr(mechanism, "name", type(mechanism).__name__)
     return AuditReport(name, gft, err, bud.expost_min_slack, bud.exante_slack, bud.exante_stderr, bir, sir, exact)
-

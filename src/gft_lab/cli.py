@@ -273,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "samples", 1) < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         return args.fn(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,7 +96,10 @@ class Dist:
 
     def __reduce__(self):
         """Pickle and copy through the constructor, whose __post_init__ makes
-        the copy's arrays read-only."""
+        the copy's arrays read-only; a builtin continuous family through
+        `builtin`, so no closure is pickled."""
+        if getattr(self, "kind", None) == "continuous" and self.name in _BUILTINS:
+            return partial(builtin, self.name, **dict(self.params)), ()
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     # -- elementwise probability queries ----------------------------------

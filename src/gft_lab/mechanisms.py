@@ -106,6 +106,8 @@ class MarketInstance:
         return out
 
     def sample_profiles(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+        if m < 1:
+            raise ValueError(f"samples must be at least 1, got {m}")
         b = np.column_stack([d.sample(rng, m) for d in self.buyer_dists])
         s = np.column_stack([d.sample(rng, m) for d in self.seller_dists])
         return b, s

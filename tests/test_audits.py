@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsic_reference import dsic_audit_sellers, expost_ok
-from gft_lab import audits
+from gft_lab import audits, bounds
 from gft_lab import distributions as dst
 from gft_lab import feasibility as fea
 from gft_lab import instances
@@ -162,3 +164,125 @@ def test_audit_report_round_trip():
     assert row["exact"] is True
     assert math.isclose(row["gft_stderr"], 0.0, abs_tol=1e-12)
 
+
+
+# -- one draw, one pass --------------------------------------------------------
+
+
+def one_pass_case(name):
+    """A mechanism of each kind on a market of its own: posted prices on a
+    five-item uniform market, buyer-offering on the continuous bilateral a1,
+    seller-offering on the discrete a3, unlikely-rule SAPP on a2."""
+    if name == "fpp":
+        inst = instances.random_instance(5, "uniform", seed=2024, constraint="unit_demand")
+        p = [0.5 * sum(dd.support()) for dd in inst.buyer_dists]
+        return inst, mech.Fpp(inst, p, [min(pi, 0.5 * sum(dd.support())) for pi, dd in zip(p, inst.seller_dists)])
+    if name == "buyer_offering":
+        inst = instances.example_a1(4.0)
+        return inst, mech.BuyerOffering(inst)
+    if name == "seller_offering":
+        inst = instances.example_a3(8)
+        return inst, mech.SellerOffering(inst)
+    inst = instances.example_a2(4, 6.0)
+    return inst, mech.Sapp(inst, mech.sapp_build(inst, mech.unlikely_trade_rule(inst, bounds.hl_split(inst)[1])))
+
+
+def hexes(*values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("samples", [40, 10**4, 12000])
+@pytest.mark.parametrize("name", ["fpp", "buyer_offering", "seller_offering", "sapp"])
+def test_audit_report_columns_equal_the_single_audits(name, samples):
+    inst, m = one_pass_case(name)
+    rep = audits.audit_report(m, inst, samples=samples, seed=21)
+    assert hexes(rep.gft, rep.gft_stderr) == hexes(*audits.estimate_gft(m, inst, samples, 21))
+    if samples <= 10**4:
+        bud = audits.budget_audit(m, inst, samples, 21)
+        ir = audits.ir_audit(m, inst, samples, 21)
+        got = (rep.expost_budget_min, rep.exante_budget, rep.exante_budget_stderr, rep.buyer_ir_min, rep.seller_ir_min)
+        assert hexes(*got) == hexes(bud.expost_min_slack, bud.exante_slack, bud.exante_stderr, *ir)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("samples", [40, 10**4, 12000])
+def test_audit_report_runs_each_drawn_row_once(samples, exact, monkeypatch):
+    inst = ud2a()
+    m = mech.Fpp(inst, [1.0, 0.9], [0.5, 0.6])
+    calls = {"_sample": [], "outcome_batch": [], "run_batch": []}
+
+    def count(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name].append(args[1] if name == "_sample" else len(args[0]))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(audits, "_sample", count("_sample", audits._sample))
+    m.outcome_batch = count("outcome_batch", m.outcome_batch)
+    m.run_batch = count("run_batch", m.run_batch)
+    audits.audit_report(m, inst, samples=samples, seed=22, exact=exact)
+    k = min(samples, 10**4)
+    assert calls["_sample"] == [k if exact else samples]
+    assert calls["outcome_batch"] == [k]
+    assert len(calls["run_batch"]) <= (0 if exact else 1)
+    assert sum(calls["outcome_batch"] + calls["run_batch"]) == calls["_sample"][0]
+
+
+def test_sample_counts_below_one_are_refused():
+    inst = ud2a()
+    m = mech.Fpp(inst, [1.0, 0.9], [0.5, 0.6])
+    for call in (
+        lambda: audits.estimate_gft(m, inst, samples=0, seed=1),
+        lambda: audits.audit_report(m, inst, samples=0, seed=1),
+        lambda: audits.audit_report(m, inst, samples=-1, seed=1, exact=True),
+        lambda: audits.first_best_gft(inst, "mc", samples=0, seed=1),
+    ):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            call()
+
+
+LATTICE = [k / 4 for k in range(9)]
+
+
+@st.composite
+def lattice_markets(draw, max_n):
+    """A market of 1..max_n items on a quarter lattice, each item able to trade."""
+    n = draw(st.integers(1, max_n))
+
+    def dist():
+        k = draw(st.integers(2, 3))
+        vals = draw(st.lists(st.sampled_from(LATTICE), min_size=k, max_size=k, unique=True))
+        w = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+        return d(vals, [x / sum(w) for x in w])
+
+    items = []
+    while len(items) < n:
+        b, s = dist(), dist()
+        if dst.trade_probability(b, s) > 0.0:
+            items.append((b, s))
+    constraint = draw(st.sampled_from([fea.unit_demand, fea.additive]))(range(n))
+    return mech.market([b for b, _ in items], [s for _, s in items], constraint)
+
+
+@pytest.mark.parametrize("kind", ["fpp", "buyer_offering", "seller_offering", "sapp-reduction", "sapp-unlikely"])
+@given(data=st.data())
+@settings(max_examples=20)
+def test_exact_and_monte_carlo_gft_agree(kind, data):
+    inst = data.draw(lattice_markets(1 if kind == "seller_offering" else 3))
+    n = inst.n
+    if kind == "fpp":
+        p = data.draw(st.lists(st.sampled_from(LATTICE), min_size=n, max_size=n))
+        m = mech.Fpp(inst, p, p)
+    elif kind == "buyer_offering":
+        m = mech.BuyerOffering(inst)
+    elif kind == "seller_offering":
+        m = mech.SellerOffering(inst)
+    elif kind == "sapp-reduction":
+        m = mech.Sapp(inst, mech.sapp_build(inst, mech.reduction_rule(inst)))
+    else:
+        L = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        m = mech.Sapp(inst, mech.sapp_build(inst, mech.unlikely_trade_rule(inst, L)))
+    exact = audits.audit_report(m, inst, samples=3000, seed=23, exact=True)
+    mc = audits.audit_report(m, inst, samples=3000, seed=23)
+    assert abs(mc.gft - exact.gft) <= 5.0 * mc.gft_stderr + 1e-12

@@ -85,6 +85,17 @@ def test_simulate_requires_seed_for_monte_carlo(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--example", "a1", "--mechanism", "buyer_offering", "--seed", "1"],
+    ["bounds", "--example", "a1", "--seed", "1"],
+], ids=["simulate", "bounds"])
+def test_sample_counts_below_one_are_config_errors(command, samples, capsys):
+    code, out, err = run_cli(command + ["--samples", samples], capsys)
+    assert (code, out) == (2, "")
+    assert f"--samples must be at least 1, got {samples}" in err
+
+
 def test_simulate_rejects_unknown_mechanism(capsys):
     code, _, err = run_cli(
         ["simulate", "--example", "a3", "--param", "m=6",

@@ -19,6 +19,7 @@ import quad_reference as qr
 from gft_lab import bounds
 from gft_lab import distributions as dst
 from gft_lab import feasibility as fea
+from gft_lab import instances
 from gft_lab import mechanisms as mech
 
 
@@ -640,6 +641,44 @@ def test_copies_keep_read_only_arrays(clone):
 def test_deep_copied_continuous_dist_answers_cdf():
     u = dst.uniform(0.0, 2.0)
     assert copy.deepcopy(u).cdf(0.5) == u.cdf(0.5) == 0.25
+
+
+CONTINUOUS_FAMILIES = {
+    "uniform": lambda: dst.uniform(0.2, 1.7),
+    "exponential_truncated": lambda: dst.exponential_truncated(4.0),
+    "exponential_truncated_reversed": lambda: dst.exponential_truncated_reversed(3.0),
+    "lognormal": lambda: dst.lognormal(0.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CONTINUOUS_FAMILIES))
+def test_builtin_continuous_dists_pickle(family):
+    d = CONTINUOUS_FAMILIES[family]()
+    twin = pickle.loads(pickle.dumps(d))
+    lo, hi = d.support()
+    v = np.linspace(lo - 0.5, hi + 0.5, 41)
+    u = np.linspace(0.0, 1.0, 41)
+    assert (twin.name, twin.params, twin.support()) == (d.name, d.params, d.support())
+    assert _hexes(twin.cdf(v)) == _hexes(d.cdf(v)) and _hexes(twin.ppf(u)) == _hexes(d.ppf(u))
+
+
+@pytest.mark.parametrize("example", [lambda: instances.example_a1(4.0), lambda: instances.example_a2(4, 6.0)], ids=["a1", "a2"])
+def test_continuous_markets_and_their_ironed_virtuals_pickle(example):
+    inst = example()
+    twin = pickle.loads(pickle.dumps(inst))
+    u = np.linspace(0.0, 1.0, 17)
+    for d, t in zip(inst.buyer_dists + inst.seller_dists, twin.buyer_dists + twin.seller_dists):
+        v = np.linspace(*d.support(), 17)
+        assert _hexes(t.cdf(v)) == _hexes(d.cdf(v)) and _hexes(t.ppf(u)) == _hexes(d.ppf(u))
+    for iv, it in zip(inst.buyer_ironed, pickle.loads(pickle.dumps(inst.buyer_ironed))):
+        v = np.linspace(*iv.dist.support(), 17)
+        assert _hexes(it(v)) == _hexes(iv(v)) and _hexes(it.grid_virtuals) == _hexes(iv.grid_virtuals)
+
+
+def test_raw_closure_dist_still_refuses_pickle():
+    d = dst.Dist(kind="continuous", cdf_fn=lambda v: v, pdf_fn=lambda v: 1.0 + 0.0 * v, quantile_fn=lambda q: q, lo=0.0, hi=1.0)
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(d)
 
 
 def test_discrete_virtuals_read_the_nearest_atom():
