@@ -17,7 +17,7 @@ import numpy as np
 
 from . import distributions as dst
 from . import feasibility as fea
-from .distributions import Dist, _ordered_sum, item_max, item_sum
+from .distributions import Dist, _ordered_sum, _zero_unless, item_max, item_sum
 from . import audits
 from .audits import _mean_stderr
 from .mechanisms import Fpp, MarketInstance
@@ -83,13 +83,18 @@ def benchmark_decomposition(inst: MarketInstance, samples: int = 10**4, seed: in
     B, S = inst.sample_profiles(rng, samples)
     diff = B - S
     fb_vals, star = fea.max_weight_values(inst.constraint, diff)
-    t1 = item_sum(np.where(star & (S < np.asarray(x)), diff, 0.0))
-    t2 = item_sum(np.where(star & (S >= np.asarray(y)), diff, 0.0))
+    t1 = item_sum(_zero_unless(diff.copy(), star & (S < np.asarray(x))))
+    t2 = item_sum(_zero_unless(diff, star & (S >= np.asarray(y))))
+
+    # one (depth, samples, n) buffer, item-major like the profiles, filled
+    # in place for each term: B - P where S <= P, then P - S where B >= P,
+    # 0 elsewhere; max_weight returns fresh C-ordered (depth, samples) rows
+    W = np.empty((depth, n, samples)).transpose(0, 2, 1)
 
     def ladder_terms(prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         P = prices[:, None, :]  # (depth, 1, n) against the (samples, n) profiles
-        lo = fea.max_weight(inst.constraint, np.where(S <= P, B - P, 0.0))
-        hi = fea.max_weight(inst.constraint, np.where(B >= P, P - S, 0.0))
+        lo = fea.max_weight(inst.constraint, _zero_unless(np.subtract(B, P, out=W), S <= P))
+        hi = fea.max_weight(inst.constraint, _zero_unless(np.subtract(P, S, out=W), B >= P))
         return lo, hi
 
     t3, t4 = ladder_terms(theta_b)
@@ -146,8 +151,8 @@ def prophet_threshold(inst: MarketInstance, p: Sequence[float], samples: int = 1
     p = np.asarray(p, dtype=float)
     rng = np.random.default_rng(seed)
     B, S = inst.sample_profiles(rng, samples)
-    v = np.where(B >= p, np.maximum(p - S, 0.0), 0.0)
-    m = item_max(v)
+    v = np.subtract(p, S, out=S)  # S's buffer, read no more: (p - S)^+ where B >= p, else 0
+    m = item_max(_zero_unless(np.maximum(v, 0.0, out=v), B >= p))
     emax, err = _mean_stderr(m)
     xi = emax / 2.0
     return ProphetResult(xi, emax, err, p.copy(), p - xi)

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import item_argmax, item_max
+from .distributions import item_argmax
 
 SET_CAP = 2**20  # feasible sets in one table, and values in one block of rows
 MATROID_ROWS_LIMIT = 16  # 2^n rank rows (polytope, JSON rank table)
@@ -262,17 +262,27 @@ def max_weight_values(c: Constraint, W) -> tuple[np.ndarray, np.ndarray]:
 
 def max_weight(c: Constraint, W) -> np.ndarray:
     """The values of max_weight_values alone, over the last axis of W with
-    any leading axes."""
+    any leading axes.
+
+    The sums over the item axis run on a C-ordered array of the positive
+    parts, so an item-major W gives the bits of a row-major one. One item
+    of capacity is a fold over the columns into one C-ordered array, from
+    max(W[..., 0], 0): the bits of item_max(np.maximum(W, 0)), without
+    that array. np.maximum returns its second operand when two zeros tie,
+    so the running max goes second and no -0.0 of W gets in."""
     W = np.asarray(W, dtype=float)
     k = size_cap(c)
     if k is None:
         return _searched(c, W.reshape(-1, W.shape[-1]))[0].reshape(W.shape[:-1])
     n = W.shape[-1]
-    pos = np.maximum(W, 0.0)
+    if k == 1:
+        best = np.maximum(W[..., 0], 0.0, out=np.empty(W.shape[:-1]))
+        for j in range(1, n):
+            np.maximum(W[..., j], best, out=best)
+        return best
+    pos = np.maximum(W, 0.0, order="C")
     if k >= n:
         return pos.sum(axis=-1)
-    if k == 1:
-        return item_max(pos)
     return np.partition(pos, n - k, axis=-1)[..., n - k:].sum(axis=-1)
 
 
@@ -301,10 +311,12 @@ def top_positive(W: np.ndarray, k: int) -> np.ndarray:
     index: max_weight_set's choice under a k-uniform constraint."""
     if k >= W.shape[1]:
         return W > 0
-    if k == 1:
-        mask = np.arange(W.shape[1]) == item_argmax(W)[:, None]
+    if k == 1:  # one column at a time, so the mask takes W's memory layout
+        best, mask = item_argmax(W), np.empty_like(W, dtype=bool)
+        for j in range(W.shape[1]):
+            np.equal(best, j, out=mask[:, j])
     else:
-        mask = np.zeros(W.shape, dtype=bool)
+        mask = np.zeros_like(W, dtype=bool)
         np.put_along_axis(mask, np.argsort(-W, axis=1, kind="stable")[:, :k], True, axis=1)
     return mask & (W > 0)
 
@@ -390,20 +402,17 @@ def in_scaled_polytope(c: Constraint, q, delta: float) -> bool:
 
 def _in_hull_lp(c: Constraint, x: np.ndarray, tol: float) -> bool:
     """LP feasibility for downward-closed families: x is in the hull iff some
-    distribution over feasible sets dominates it coordinatewise."""
-    from scipy.optimize import linprog
+    distribution over feasible sets dominates it coordinatewise: one row per
+    item, -(its sets' mass) <= -(x_i - tol), then total mass 1, masses >= 0.
+    Solved through `milp` with no integer variables (HiGHS, as `linprog`
+    calls it, with less set-up per call)."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     M = c._table
-    a_eq = np.ones((1, len(M)))
-    res = linprog(
-        np.zeros(len(M)),
-        A_ub=np.where(M.T, -1.0, 0.0),
-        b_ub=-(x - tol),
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=(0, None),
-        method="highs",
-    )
+    A = np.vstack((np.where(M.T, -1.0, 0.0), np.ones((1, len(M)))))
+    lo = np.append(np.full(len(x), -np.inf), 1.0)
+    hi = np.append(-(x - tol), 1.0)
+    res = milp(np.zeros(len(M)), constraints=LinearConstraint(A, lo, hi), bounds=Bounds(0.0, np.inf))
     return res.status == 0
 
 

@@ -3,13 +3,25 @@ distributions kept their atoms as arrays: each rebuilds numpy arrays from the
 Dist's `values`/`probs` tuples on every call, the profile grid comes from
 `np.indices`, and the hull's monotone chain runs on numpy scalars. The array
 forms in `distributions` and `mechanisms._product_grid` must match them bit
-for bit.
+for bit. So must `distributions._panel_edges` match `panel_edges`, its loop
+of one np.linspace or np.geomspace call per segment.
 """
 import math
 
 import numpy as np
 
-from gft_lab.distributions import ATOL, _ordered_sum
+from gft_lab.distributions import ATOL, PANELS_PER_DECADE, SEGMENT_PANELS, _ordered_sum
+
+
+def panel_edges(edges):
+    e = np.unique(np.asarray(edges, dtype=float))
+    cuts = [e[:1]]
+    for a, b in zip(e[:-1], e[1:]):
+        if a > 0.0 and b > 10.0 * a:
+            cuts.append(np.geomspace(a, b, math.ceil(PANELS_PER_DECADE * math.log10(b / a)) + 1)[1:])
+        else:
+            cuts.append(np.linspace(a, b, SEGMENT_PANELS + 1)[1:])
+    return np.concatenate(cuts)
 
 
 def product_grid(dists):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -238,6 +238,38 @@ def test_gauss_legendre_is_exact_on_piecewise_polynomials():
     assert math.isclose(dst.gauss_legendre(lambda x: np.abs(x - 0.3), [-1.0, 0.3, 2.0]), (1.3**2 + 1.7**2) / 2.0, rel_tol=1e-14)
     # geometric panels over ten decades
     assert math.isclose(dst.gauss_legendre(lambda x: 1.0 / x, [1e-5, 1e5]), math.log(1e10), rel_tol=1e-12)
+
+
+# zero, -0.0, subnormals, decades from 1e-30 to 1e30, negatives and plain floats
+EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-323, 2.5e-323, 1e-310, 1e-300]),
+    st.integers(-30, 30).map(lambda k: 10.0**k),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-12, 1e12),
+)
+
+
+@st.composite
+def edge_sets(draw):
+    v = draw(st.lists(EDGE_VALUES, max_size=12))
+    if v and draw(st.booleans()):  # gaps of one float
+        x = draw(st.sampled_from(v))
+        v += [math.nextafter(x, math.inf), math.nextafter(x, -math.inf)]
+    if v:
+        v += draw(st.lists(st.sampled_from(v), max_size=3))  # repeated edges
+    positive = sorted(set(x for x in v if x > 0.0))
+    # past ~308 decades b / a overflows, and both forms raise alike
+    assume(all(math.log10(b) - math.log10(a) < 300.0 for a, b in zip(positive, positive[1:])))
+    return v
+
+
+@settings(max_examples=200)
+@given(edge_sets())
+@example([0.0, 5e-324, 1e-323])  # a step of (b - a) / 2 that rounds to 0
+@example([1e-310, 1e-300, 1e-280, -2.0, -2.0])
+def test_panel_edges_match_the_per_segment_loop(edges):
+    got, want = dst._panel_edges(edges), ref.panel_edges(edges)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
 
 
 def test_trade_probability_discrete_matches_double_sum():

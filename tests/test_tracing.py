@@ -1,8 +1,10 @@
 """
 The perfbench tracer patches gft_lab names at run time, so a rename in
 `src/` silently turns its counters to 0. This loads the tracer from its path,
-runs an exact grid audit and a SAPP exact report under it, and checks that
-the grid counters move and that every patched attribute is put back.
+runs an exact grid audit, a SAPP exact report and a Monte Carlo GFT estimate
+on a continuous market under it, and checks that the grid and sampling
+counters move (sampled batches must keep drawing through `Dist.sample`) and
+that every patched attribute is put back.
 """
 import importlib.util
 from pathlib import Path
@@ -29,8 +31,11 @@ def test_tracer_counts_grid_work_and_restores_every_patch():
         inst = instances.example_a3(6)
         audits.exact_gft(mech.BuyerOffering(inst), inst)
         mech.Sapp(inst, mech.sapp_build(inst, mech.reduction_rule(inst))).exact_report()
+        cont = instances.random_instance(3, "uniform", seed=1)
+        audits.estimate_gft(mech.BuyerOffering(cont), cont, samples=50, seed=2)
     finally:
         tracer.uninstall()
     assert tracer.counts["mechanisms.grid.points"] > 0
     assert tracer.counts["audits.exact_gft.profiles"] > 0
+    assert tracer.counts["distributions.sample.values"] > 0
     assert all(_current(owner, attr) is fn for owner, attr, fn in saved)
