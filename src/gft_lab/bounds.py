@@ -86,10 +86,9 @@ def benchmark_decomposition(inst: MarketInstance, samples: int = 10**4, seed: in
     t1 = item_sum(_zero_unless(diff.copy(), star & (S < np.asarray(x))))
     t2 = item_sum(_zero_unless(diff, star & (S >= np.asarray(y))))
 
-    # one (depth, samples, n) buffer, item-major like the profiles, filled
-    # in place for each term: B - P where S <= P, then P - S where B >= P,
-    # 0 elsewhere; max_weight returns fresh C-ordered (depth, samples) rows
-    W = np.empty((depth, n, samples)).transpose(0, 2, 1)
+    # one (depth, samples, n) buffer, filled in place for each term: B - P
+    # where S <= P, then P - S where B >= P, 0 elsewhere
+    W = np.empty((depth, samples, n))
 
     def ladder_terms(prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         P = prices[:, None, :]  # (depth, 1, n) against the (samples, n) profiles

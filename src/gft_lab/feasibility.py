@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import item_argmax
+from .distributions import item_argmax, item_max
 
 SET_CAP = 2**20  # feasible sets in one table, and values in one block of rows
 MATROID_ROWS_LIMIT = 16  # 2^n rank rows (polytope, JSON rank table)
@@ -262,25 +262,17 @@ def max_weight_values(c: Constraint, W) -> tuple[np.ndarray, np.ndarray]:
 
 def max_weight(c: Constraint, W) -> np.ndarray:
     """The values of max_weight_values alone, over the last axis of W with
-    any leading axes.
-
-    The sums over the item axis run on a C-ordered array of the positive
-    parts, so an item-major W gives the bits of a row-major one. One item
-    of capacity is a fold over the columns into one C-ordered array, from
-    max(W[..., 0], 0): the bits of item_max(np.maximum(W, 0)), without
-    that array. np.maximum returns its second operand when two zeros tie,
-    so the running max goes second and no -0.0 of W gets in."""
+    any leading axes. One item of capacity is max(item_max(W), 0): the
+    bits of item_max(np.maximum(W, 0)), +0.0 where no weight is positive,
+    since np.maximum returns its second operand when two zeros tie."""
     W = np.asarray(W, dtype=float)
     k = size_cap(c)
     if k is None:
         return _searched(c, W.reshape(-1, W.shape[-1]))[0].reshape(W.shape[:-1])
-    n = W.shape[-1]
     if k == 1:
-        best = np.maximum(W[..., 0], 0.0, out=np.empty(W.shape[:-1]))
-        for j in range(1, n):
-            np.maximum(W[..., j], best, out=best)
-        return best
-    pos = np.maximum(W, 0.0, order="C")
+        return np.maximum(item_max(W), 0.0)
+    n = W.shape[-1]
+    pos = np.maximum(W, 0.0)
     if k >= n:
         return pos.sum(axis=-1)
     return np.partition(pos, n - k, axis=-1)[..., n - k:].sum(axis=-1)
@@ -311,12 +303,10 @@ def top_positive(W: np.ndarray, k: int) -> np.ndarray:
     index: max_weight_set's choice under a k-uniform constraint."""
     if k >= W.shape[1]:
         return W > 0
-    if k == 1:  # one column at a time, so the mask takes W's memory layout
-        best, mask = item_argmax(W), np.empty_like(W, dtype=bool)
-        for j in range(W.shape[1]):
-            np.equal(best, j, out=mask[:, j])
+    if k == 1:
+        mask = np.arange(W.shape[1]) == item_argmax(W)[:, None]
     else:
-        mask = np.zeros_like(W, dtype=bool)
+        mask = np.zeros(W.shape, dtype=bool)
         np.put_along_axis(mask, np.argsort(-W, axis=1, kind="stable")[:, :k], True, axis=1)
     return mask & (W > 0)
 

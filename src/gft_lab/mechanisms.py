@@ -100,32 +100,16 @@ class MarketInstance:
         entry of V, items on the last axis."""
         ironed = getattr(self, f"{side}_ironed")
         V = np.asarray(V, dtype=float)
-        out = np.empty_like(V)  # V's memory layout, so item-major batches stay item-major
+        out = np.empty(V.shape)
         for i, iv in enumerate(ironed):
             out[..., i] = iv(V[..., i])
         return out
 
     def sample_profiles(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """m buyer rows and m seller rows, (m, n) each: one `Dist.sample`
-        call per item, the buyers' in item order and then the sellers'.
-
-        The batches are item-major (Fortran order): each item's column is
-        contiguous, which is how the item-axis kernels (`item_sum`,
-        `item_max`, ...) and the per-item quantile and virtual calls read
-        them, and elementwise results keep that layout. numpy's reductions
-        over the item axis do not give the bits of a row-major batch:
-        `np.vecdot` from 5 items and `sum(axis=-1)` from 8 add in another
-        order when that axis is not contiguous. Every such reduction a
-        sampled batch reaches reads a C-ordered operand; the batch-kernels
-        comment in this module lists them."""
         if m < 1:
             raise ValueError(f"samples must be at least 1, got {m}")
-        b = np.empty((m, self.n), order="F")
-        for i, d in enumerate(self.buyer_dists):
-            b[:, i] = d.sample(rng, m)
-        s = np.empty((m, self.n), order="F")
-        for i, d in enumerate(self.seller_dists):
-            s[:, i] = d.sample(rng, m)
+        b = np.column_stack([d.sample(rng, m) for d in self.buyer_dists])
+        s = np.column_stack([d.sample(rng, m) for d in self.seller_dists])
         return b, s
 
 
@@ -149,21 +133,6 @@ class Outcome:
 # -> (X, buyer payments, seller payments) with X the realized allocation. The
 # per-profile methods below are views of them; each class binds them in its own
 # namespace, where perfbench/tracing.py wraps them.
-#
-# Sampled batches are item-major (Fortran order, see
-# `MarketInstance.sample_profiles`), profile grids row-major, and every kernel
-# gives the same bits on both. Elementwise numpy follows either layout, and
-# the item kernels (`item_sum`, `item_max`, `item_argmax`, the one-hot mask of
-# `fea.top_positive`) work a column at a time. numpy's own reductions over
-# the item axis do not: on a non-contiguous item axis `np.vecdot` (from 5
-# items) and `sum(axis=-1)` (from 8) add in another order. So every such
-# reduction a sampled batch reaches reads a C-ordered operand:
-# `fea.max_weight`'s sums under a size cap (on `np.maximum(W, 0, order="C")`),
-# the ladder terms of `bounds.benchmark_decomposition` (their (depth,
-# samples) rows come out of max_weight C-ordered, then sum over depth and
-# average over samples) and `_validate_rule`'s sums of the rule's allocation.
-# The np.vecdot calls (`Sapp.expected_gft_rows`, the exact SAPP table) see
-# grid rows or single profiles only.
 
 
 def _gft_rows(X: np.ndarray, B: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -345,31 +314,30 @@ def seller_grid(inst: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _posted_allocation(c: Constraint, B, S, theta_b, theta_s) -> np.ndarray:
-    """The utility-maximizing purchase per row at prices theta_b under the
-    downward-closed c, over the items of c.ground whose seller accepts theta_s
+    """The utility-maximizing purchase per row at prices theta_b under c,
+    over the items of c.ground whose seller accepts theta_s
     and whose buyer affords theta_b, buying at equality: the positive-surplus
     items by max-weight, then zero-surplus ones in index order while the set
     stays feasible: for a size cap while there is room, else one pass over
     the item columns tests every row that can add i at once, T = X + i being
     feasible exactly when `fea.max_weight` at weight 1 on T reaches |T|.
 
-    The one float array is the surplus B - theta_b, with +0.0 on the items
-    not available. A zero weight is never bought: the closed forms take
-    positive weights only, and the table's first best set holds no zero
-    item, since dropping one leaves a feasible set as good and smaller. So
-    the purchase is the one -inf there would give."""
+    An item not available weighs -inf in the table search, which no set may
+    take: a constraint that is not downward-closed (`size_floor`) could
+    otherwise fill a set with it at weight 0. The size-cap mask takes
+    positive weights only, so there +0.0 bars the item alike."""
     B = np.asarray(B, dtype=float)
     S = np.asarray(S, dtype=float)
     avail = (S <= theta_s + TOL) & (B >= theta_b - TOL)
     if len(c.ground) < B.shape[1]:
         avail[:, ~np.isin(np.arange(B.shape[1]), c.ground)] = False
-    w = _zero_unless(B - theta_b, avail)
+    w = B - theta_b
     room = fea.size_cap(c)
     if room is None:
         X = np.zeros(B.shape, dtype=bool)
-        X[:, c.ground] = fea.max_weight_values(c, w[:, c.ground])[1]
+        X[:, c.ground] = fea.max_weight_values(c, np.where(avail, w, -np.inf)[:, c.ground])[1]
     else:  # max_weight_values' mask, without the row values it would also compute
-        X = fea.top_positive(w, room)
+        X = fea.top_positive(_zero_unless(w, avail), room)
     zero = avail & (w >= -TOL) & (w <= TOL) & ~X  # |w| <= TOL, without a float temporary
     if zero.any():
         if room is not None:
@@ -648,7 +616,7 @@ def _validate_rule(inst: MarketInstance, rule: AllocationRule) -> None:
     hi, items = np.array([d.support()[1] for d in inst.seller_dists]), np.arange(inst.n)
     trial = np.repeat(S[None], inst.n + 1, axis=0)
     trial[items + 1, :, items] = np.minimum(hi, S + 0.25 * (hi - S) + 1e-6).T
-    out = np.ascontiguousarray(rule(B, trial))  # B is item-major; the sums below add row-major
+    out = rule(B, trial)
     X, bumped = out[0], out[1:]  # bumped[i]: the rows with s_i raised
     if np.any(X.sum(axis=-1) > 1.0 + TOL):
         raise ValueError("allocation rule serves more than one item")

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import outcome_reference as ref
 from gft_lab import audits, bounds
@@ -350,88 +349,27 @@ def test_max_weight_values_match_max_weight_set(kind, rows):
     assert np.array_equal(fea.max_weight(c, np.stack([W, W[::-1]])), np.stack([values, values[::-1]]))
 
 
-# ties, zeros of both signs, and values whose sums round differently by order
-LAYOUT_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.1, 1.0 / 3.0, 0.7, 1e-3, 1e16]
-VARIANTS = ["additive", "unit_demand", "k_uniform", "matroid", "knapsack", "matching", "intersection", "size_floor"]
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]), min_size=12, max_size=12), min_size=1, max_size=8))
+@example(2, [[-1.0, -0.0] + [0.0] * 10])
+def test_unit_capacity_max_weight_is_the_positive_parts_max_bit_for_bit(n, rows):
+    # +0.0, never -0.0, where no weight is positive, on rows and on a stack
+    W = np.array(rows)[:, :n]
+    for c in (fea.unit_demand(range(n)), fea.k_uniform(1, range(n))):
+        for V in (W, np.stack([W, -W])):
+            want = dst.item_max(np.maximum(V, 0.0))
+            assert [x.hex() for x in fea.max_weight(c, V).ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
 
 
-@st.composite
-def layout_cases(draw):
-    n, kind = draw(st.integers(1, 12)), draw(st.sampled_from(VARIANTS))
-    g = range(n)
-    sizes = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]), min_size=n, max_size=n))
-    c = {
-        "additive": lambda: fea.additive(g),
-        "unit_demand": lambda: fea.unit_demand(g),
-        "k_uniform": lambda: fea.k_uniform(draw(st.integers(1, n)), g),
-        "matroid": lambda: fea.matroid_oracle(lambda T, r=draw(st.integers(1, 3)): min(len(T), r), g),
-        "knapsack": lambda: fea.knapsack(sizes),
-        "matching": lambda: fea.matching([(i, i + 1) for i in g]),
-        "intersection": lambda: fea.intersection(fea.k_uniform(2, g), fea.knapsack(sizes)),
-        "size_floor": lambda: fea.size_floor(fea.additive(g), draw(st.integers(1, n))),
-    }[kind]()
-    rows = arrays(np.float64, (draw(st.integers(1, 24)), n), elements=st.sampled_from(LAYOUT_VALUES), fill=st.nothing())
-    B, S = draw(rows), draw(rows)
-    if draw(st.booleans()):  # rows that repeat
-        B[-1], S[-1] = B[0], S[0]
-    theta_s = draw(arrays(np.float64, n, elements=st.sampled_from(LAYOUT_VALUES)))
-    theta_b = np.maximum(theta_s, draw(arrays(np.float64, n, elements=st.sampled_from(LAYOUT_VALUES))))
-    return c, B, S, theta_b, theta_s
-
-
-def _hexes(x):
-    x = np.asarray(x)
-    return [float(v).hex() for v in x.ravel().tolist()] if x.dtype.kind == "f" else x.tolist()
-
-
-def _layouts(*arrays2d):
-    """The row-major arrays, then item-major copies of the same rows."""
-    return [np.ascontiguousarray(a) for a in arrays2d], [np.asfortranarray(a) for a in arrays2d]
-
-
-def _layout_case(c, rows, seed):
-    """A fixed case: rows of LAYOUT_VALUES drawn from a seeded generator."""
-    rng, n = np.random.default_rng(seed), len(c.ground)
-    B, S = rng.choice(LAYOUT_VALUES, (rows, n)), rng.choice(LAYOUT_VALUES, (rows, n))
-    theta_s = rng.choice(LAYOUT_VALUES, n)
-    return c, B, S, np.maximum(theta_s, rng.choice(LAYOUT_VALUES, n)), theta_s
-
-
-@settings(max_examples=150, deadline=None)
-@given(layout_cases())
-@example(_layout_case(fea.additive(range(9)), 24, 0))  # numpy's item sums move from 8 items
-@example(_layout_case(fea.k_uniform(9, range(12)), 24, 1))
-@example(_layout_case(fea.unit_demand(range(12)), 24, 2))
-@example((fea.unit_demand(range(2)), np.array([[-1.0, -0.0]]), np.zeros((1, 2)), np.zeros(2), np.zeros(2)))  # a -0.0 after the max
-def test_kernels_give_the_same_bits_on_row_and_item_major_rows(case):
-    # sampled batches are item-major (Fortran order), grids row-major: every
-    # kernel a batch reaches gives the same float.hex on both, as does
-    # max_weight on a (2, rows, n) stack laid out item-major per level
-    c, B, S, theta_b, theta_s = case
-    k = fea.size_cap(c)
-    kernels = [dst.item_sum, dst.item_max, dst.item_argmax, lambda W: fea.max_weight(c, W), lambda W: fea.max_weight_values(c, W)]
-    if k is not None:
-        kernels.append(lambda W: fea.top_positive(W, k))
-    (Wc,), (Wf,) = _layouts(B - S)
-    for f in kernels:
-        got_c, got_f = f(Wc), f(Wf)
-        for a, b in zip(*((got_c, got_f) if isinstance(got_c, tuple) else ((got_c,), (got_f,)))):
-            assert _hexes(a) == _hexes(b)
-    if k == 1:  # the closed form's bits: +0.0, never -0.0, where no weight is positive
-        assert _hexes(fea.max_weight(c, Wc)) == _hexes(dst.item_max(np.maximum(Wc, 0.0)))
-    stack = np.stack([Wc, Wc[::-1]])
-    assert _hexes(fea.max_weight(c, stack)) == _hexes(fea.max_weight(c, stack.transpose(0, 2, 1).copy().transpose(0, 2, 1)))
-    if c.variant == "size_floor":  # a purchase subconstraint only, never a market's
-        return
-    inst = mech.market([dst.uniform(-1.0, 2.0)] * len(c.ground), [dst.uniform(-1.0, 2.0)] * len(c.ground), c)
-    bo = mech.BuyerOffering(inst)
-    (Bc, Sc), (Bf, Sf) = _layouts(B, S)
-    for run in (
-        lambda B, S: mech._posted_allocation(c, B, S, theta_b, theta_s),
-        bo.allocation,
-        lambda B, S: mech._gft_rows(bo.allocation(B, S), B, S),
-    ):
-        assert _hexes(run(Bc, Sc)) == _hexes(run(Bf, Sf))
+def test_posted_prices_never_buy_an_unavailable_item_to_reach_a_size_floor():
+    # item 1 is unaffordable (b = 0.1 < 0.5): under a size floor of 2 the
+    # buyer can buy both items or none, so buys none, not item 1 at weight 0
+    inst = mech.market([dst.uniform(0.0, 1.0)] * 2, [dst.uniform(0.0, 1.0)] * 2, fea.size_floor(fea.additive([0, 1]), 2))
+    fpp = mech.Fpp(inst, [0.5, 0.5], [0.4, 0.4])
+    B, S = np.array([[1.0, 0.1], [1.0, 0.9]]), np.array([[0.1, 0.1], [0.1, 0.1]])
+    assert fpp.allocation(B, S).tolist() == [[False, False], [True, True]]
+    out = fpp.run(B[0], S[0])
+    assert out.traded == () and out.buyer_payment == 0.0
 
 
 # audit and decomposition outputs of three benchmark task shapes, recorded
