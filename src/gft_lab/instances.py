@@ -9,6 +9,7 @@ validates its defining tail identity before converting to floats.
 
 from __future__ import annotations
 
+import inspect
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -263,25 +264,22 @@ def instance_from_json(obj: dict) -> MarketInstance:
     return market(buyers, sellers, fea.constraint_from_json(obj["constraint"]))
 
 
+# each family's builder: its keyword names and defaults are the parameters it accepts
+_EXAMPLES = {
+    "a1": lambda t=10.0: example_a1(float(t)),
+    "a2": lambda n=4, t=6.0, C=1.0, eps=0.01: example_a2(int(n), float(t), float(C), float(eps)),
+    "a2d": lambda n=4, t=6.0, C=1.0, eps=0.01, grid=64: example_a2_discretized(int(n), float(t), float(C), float(eps), int(grid)),
+    "a3": lambda m=8: example_a3(int(m)),
+}
+
+
 def make_example(name: str, **params) -> MarketInstance:
+    """A named family with its parameters; an unknown name or key is refused."""
     name = name.lower()
-    if name == "a1":
-        return example_a1(float(params.get("t", 10.0)))
-    if name == "a2":
-        return example_a2(
-            int(params.get("n", 4)),
-            float(params.get("t", 6.0)),
-            float(params.get("C", 1.0)),
-            float(params.get("eps", 0.01)),
-        )
-    if name == "a2d":
-        return example_a2_discretized(
-            int(params.get("n", 4)),
-            float(params.get("t", 6.0)),
-            float(params.get("C", 1.0)),
-            float(params.get("eps", 0.01)),
-            int(params.get("grid", 64)),
-        )
-    if name == "a3":
-        return example_a3(int(params.get("m", 8)))
-    raise ValueError(f"unknown example {name!r} (expected a1, a2, a2d, a3)")
+    if name not in _EXAMPLES:
+        raise ValueError(f"unknown example {name!r} (expected {', '.join(_EXAMPLES)})")
+    accepted = list(inspect.signature(_EXAMPLES[name]).parameters)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(f"unknown parameter(s) {', '.join(unknown)} for example {name}; it accepts {', '.join(accepted)}")
+    return _EXAMPLES[name](**params)

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import distributions as dst
 from . import feasibility as fea
-from .distributions import Dist, IronedVirtual, _ordered_sum, _zero_unless, item_argmax, item_max, item_sum
+from .distributions import GL_NODES, SEGMENT_PANELS, Dist, IronedVirtual, _gl_nodes, _ordered_sum, _zero_unless, item_argmax, item_max, item_sum
 from .feasibility import Constraint
 
 TOL = 1e-9
@@ -422,7 +422,8 @@ class AllocationRule:
     `fn` takes b and s with items on the last axis and any leading shapes that
     broadcast (one profile is the one-row case); calling the rule broadcasts the
     result to that shape, so a constant `fn` works too. `q_fn` maps seller rows
-    to q(s) the same way, and `q_cut(S, q)`, where q_fn has a closed-form
+    to q(s) the same way (see `SappPriceMap`); it is required once a buyer is
+    not discrete. `q_cut(S, q)`, where q_fn has a closed-form
     inverse, gives per entry the own cost at which q_i(s) falls to q[..., i],
     the other costs held (NaN where it has none)."""
 
@@ -503,22 +504,95 @@ def _prob_trade_willing(d: Dist, phi: IronedVirtual, s: np.ndarray) -> np.ndarra
     return np.where(clears, d.tail(np.maximum(s, cut)), 0.0)
 
 
+def _phi_levels(d: Dist, phi: IronedVirtual) -> tuple[np.ndarray, np.ndarray] | None:
+    """The values phi(b) takes and their masses when there are finitely many:
+    one per atom of a discrete buyer, or one per level of a continuous buyer
+    ironed on its grid, which starts at the grid point less 1e-9 where phi
+    steps (as phi is evaluated); None for a closed-form phi."""
+    if d.kind == "discrete":
+        return phi(d.atoms), d.masses
+    if phi.exact:
+        return None
+    g = phi.grid_virtuals
+    steps = np.flatnonzero(g[1:] != g[:-1]) + 1
+    starts = np.concatenate(([0.0], d.cdf(phi.grid_values[steps] - 1e-9), [1.0]))
+    return g[np.concatenate(([0], steps))], np.diff(starts)
+
+
 def reduction_rule(inst: MarketInstance) -> AllocationRule:
     """Serve the item with the highest ironed-virtual-value surplus when that
-    surplus is nonnegative (ties to the lowest index)."""
+    surplus is nonnegative (ties to the lowest index).
+
+    Buyer values are independent, so with Z_j = phi_j(b_j) - s_j its q_fn is
+    q_i(s) = E[1[Z_i >= -TOL] 1[phi_i(b_i) >= s_i - TOL] prod_{j<i} Pr[Z_j <
+    Z_i] prod_{j>i} Pr[Z_j <= Z_i]]. Where phi takes finitely many values
+    (`_phi_levels`), the expectation and the factors are sums over them, in
+    the rule's own float expression, so ties go as the rule sends them; for a
+    closed-form phi_i, Gauss-Legendre in b_i's quantile from the cut at
+    s_i - TOL up to 1, with each row's panel edges where Z_i reaches a mark of
+    some item."""
+    phi, dists, n = inst.buyer_ironed, inst.buyer_dists, inst.n
+
     def fn(b: np.ndarray, s: np.ndarray) -> np.ndarray:
         d = inst.virtuals(b, "buyer") - s
-        serve = (np.arange(inst.n) == item_argmax(d)[..., None]) & (item_max(d) >= -TOL)[..., None]
+        serve = (np.arange(n) == item_argmax(d)[..., None]) & (item_max(d) >= -TOL)[..., None]
         return serve.astype(float)
 
-    return AllocationRule("reduction", fn)
+    @cache
+    def tables() -> tuple[list, list]:
+        """Per item, `_phi_levels`, and the virtuals where Pr[phi_j(b_j) < y]
+        jumps or kinks in y: its levels, else phi_j at the support ends."""
+        levels = [_phi_levels(d, p) for d, p in zip(dists, phi)]
+        marks = [np.unique(t[0]) if t else phi[j](np.array(dists[j].support())) for j, t in enumerate(levels)]
+        return levels, marks
+
+    def beaten(j: int, z: np.ndarray, s: np.ndarray, strict: bool) -> np.ndarray:
+        """Pr[Z_j < z] (strict) or Pr[Z_j <= z] per entry of the (k, m) z, costs s (k,)."""
+        t = tables()[0][j]
+        if t is None:
+            return dists[j].below(phi[j].inverse(z + s[:, None]))
+        total = np.zeros(z.shape)  # a running sum in level order, as `_ordered_sum` adds
+        for a, p in zip(*t):
+            zj = a - s[:, None]
+            total += np.where(zj < z if strict else zj <= z, p, 0.0)
+        return total
+
+    def served(i: int, S: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The w-weighted sum of item i's integrand over its virtuals v, (k, m) or (m,)."""
+        z = v - S[:, i, None]
+        keep = np.where((z >= -TOL) & (v >= S[:, i, None] - TOL), w, 0.0)
+        factors = (beaten(j, z, S[:, j], j < i) for j in range(n) if j != i)
+        return _ordered_sum(math.prod(factors, start=keep), axis=-1)
+
+    def q_item(i: int, S: np.ndarray) -> np.ndarray:
+        levels, marks = tables()
+        if levels[i] is not None:
+            return served(i, S, *levels[i])
+        d = dists[i]
+        y = np.concatenate([marks[j] - S[:, j, None] + S[:, i, None] for j in range(n)], axis=1)  # phi_i where Z_i meets a mark
+        lo = d.cdf(phi[i].inverse(S[:, i, None] - TOL))
+        cuts = np.clip(d.cdf(phi[i].inverse(y)), lo, 1.0)
+        u = np.sort(np.concatenate((lo, cuts, np.ones(lo.shape)), axis=1), axis=1)
+        p = np.linspace(u[:, :-1], u[:, 1:], SEGMENT_PANELS + 1, axis=-1)
+        nodes, weights = _gl_nodes(p[..., :-1], p[..., 1:])
+        return served(i, S, phi[i](d.ppf(nodes.reshape(len(S), -1))), weights.reshape(len(S), -1))
+
+    def q_fn(S: np.ndarray) -> np.ndarray:
+        flat = np.asarray(S, dtype=float).reshape(-1, n)
+        # blocks of rows whose b_i nodes (SEGMENT_PANELS panels of GL_NODES
+        # on each segment, one segment past each mark) fit SAPP_ROWS_BYTES
+        nodes = GL_NODES * SEGMENT_PANELS * (1 + sum(map(len, tables()[1])))
+        step = max(1, SAPP_ROWS_BYTES // (8 * nodes))
+        q = [np.stack([q_item(i, flat[k:k + step]) for i in range(n)], axis=-1) for k in range(0, len(flat) or 1, step)]
+        return np.concatenate(q).reshape(np.shape(S))
+
+    return AllocationRule("reduction", fn, q_fn)
 
 
 # -- seller-adjusted posted prices ---------------------------------------------
 
 SAPP_TABLE_BYTES = 2**26  # largest (|S|, |B|, n) float table; an audit peaks near 6x it (470 MB at 63 MB)
-SAPP_ROWS_BYTES = 2**23  # largest (k, |B|, n) block `SappPriceMap.rows` averages q over at once
-SAPP_BUYER_SAMPLE = 4096  # buyer profiles, seed 0, that q averages over for continuous buyers without q_fn
+SAPP_ROWS_BYTES = 2**23  # largest block of seller rows x buyer rows (or reduction q_fn nodes) q is computed over at once
 
 
 class SappPriceMap:
@@ -528,23 +602,22 @@ class SappPriceMap:
     quantile at 1 - q_i(s)/2, and alpha_i(s) the boundary-coin probability
     calibrated so Pr[afford i] = q_i(s)/2 exactly on discrete grids.
 
-    `rows` computes all three for an array of seller profiles. The map keeps
-    no state: a row's prices depend on that row alone (the buyer rows q
-    averages over are fixed at construction), so a row priced alone equals
-    the same row priced in any batch.
+    q is exact: a sum over the buyer grid when every buyer is discrete, else
+    the rule's `q_fn`; a rule without one is refused on a market with a
+    continuous buyer. `rows` computes all three for an array of seller
+    profiles. The map keeps no state: a row's prices depend on that row
+    alone, so a row priced alone equals the same row priced in any batch.
     """
 
     def __init__(self, inst: MarketInstance, rule: AllocationRule):
         self.inst = inst
         self.rule = rule
-        self._bgrid = self._bprobs = None  # the buyer rows q averages over, and their weights
+        self._bgrid = self._bprobs = None  # the discrete buyer grid q sums over, and its probabilities
         if all(d.kind == "discrete" for d in inst.buyer_dists):
             self._bgrid, self._bprobs = buyer_grid(inst)
-        elif rule.q_fn is None:
-            # a fixed-seed sample, equally weighted, keeps the map deterministic
-            self._bgrid, _ = inst.sample_profiles(np.random.default_rng(0), SAPP_BUYER_SAMPLE)
-        if self._bgrid is not None:
             self._bphi = inst.virtuals(self._bgrid, "buyer")
+        elif rule.q_fn is None:
+            raise ValueError(f"rule {rule.name!r} has no q_fn, which prices a market with a continuous buyer")
         self._atoms = {}  # per discrete buyer item: atoms, Pr[b > atom], (positive) mass at atom
         for i, d in enumerate(inst.buyer_dists):
             if d.kind == "discrete":
@@ -579,10 +652,7 @@ class SappPriceMap:
         return [S[k:k + step] for k in range(0, len(S) or 1, step)]
 
     def _q_rows(self, kept: np.ndarray) -> np.ndarray:
-        """q from a block's `_kept`: probability-weighted on a grid, else the
-        equally weighted mean of the fixed sample."""
-        if self._bprobs is None:
-            return _ordered_sum(kept, axis=1) / len(self._bgrid)
+        """q from a block's `_kept`, weighted by the buyer grid's probabilities."""
         return _ordered_sum(kept * self._bprobs[:, None], axis=1)
 
     def rows(self, S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

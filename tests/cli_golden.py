@@ -27,6 +27,8 @@ RUNS = {
                             "--samples", "12000", "--seed", "2", "--format", "json"],
     "simulate-a2-sapp-mc": ["simulate", "--example", "a2", "--param", "n=3", "--mechanism", "sapp", "--mechanism",
                             "buyer_offering", "--samples", "1500", "--seed", "3"],
+    "simulate-a2-sapp-reduction-mc": ["simulate", "--example", "a2", "--mechanism", "sapp", "--rule", "reduction", "--seed",
+                                      "1", "--samples", "2000"],
     "bounds-a3": ["bounds", "--example", "a3", "--param", "m=6", "--samples", "2000", "--seed", "4"],
     "oracle-a3": ["oracle", "--example", "a3", "--param", "m=6"],
     "example-a2": ["example", "--example", "a2"],

@@ -192,6 +192,15 @@ def test_empty_instance_file_is_config_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["example", "simulate"])
+def test_unknown_example_param_exits_2(command, capsys):
+    extra = ["--mechanism", "buyer_offering", "--exact"] if command == "simulate" else []
+    code, out, err = run_cli([command, "--example", "a3", "--param", "M=6", *extra], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unknown parameter(s) M for example a3; it accepts m" in err
+
+
 def test_example_dump_round_trips(capsys):
     code, out, _ = run_cli(["example", "--example", "a3", "--param", "m=6"], capsys)
     assert code == 0

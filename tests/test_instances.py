@@ -4,6 +4,7 @@ thin-market additive family, the geometric-support family with exact tables,
 matching markets, reproducible random instances, and JSON round trips.
 """
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -230,3 +231,22 @@ def test_make_example_names():
     assert instances.make_example("a3", m=6).n == 1
     with pytest.raises((ValueError, KeyError)):
         instances.make_example("a9")
+
+
+@pytest.mark.parametrize(
+    "name, params, accepted",
+    [
+        ("a1", {"n": 2}, "t"),
+        ("a2", {"N": 3}, "n, t, C, eps"),
+        ("a2d", {"grids": 8, "Eps": 0.1}, "n, t, C, eps, grid"),
+        ("a3", {"M": 6}, "m"),
+    ],
+)
+def test_make_example_refuses_unknown_parameters(name, params, accepted):
+    # a misspelt key must not fall back to the family's default silently
+    unknown = ", ".join(sorted(params))
+    msg = f"unknown parameter(s) {unknown} for example {name}; it accepts {accepted}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        instances.make_example(name, **params)
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        instances.instance_from_json({"example": name, "params": params})

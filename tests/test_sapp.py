@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import sapp_q_reference
 from sapp_reference import Reference, entry
 
 from gft_lab import audits, bounds
@@ -116,35 +117,36 @@ def test_seller_payments_are_expected_threshold_payments_with_raw_virtual_costs(
     assert abs(float(np.sum(np.outer(t.pS, t.pB) * ironed)) - want) > 1e-3  # 0.35770
 
 
-# q, theta and alpha of the fixed-sample fallback (continuous buyers, a rule
-# without q_fn) at three seller profiles, recorded with the per-sample loop
-FALLBACK_PINS = {
+# q and theta of the reduction rule's q_fn on continuous buyers (alpha is 0)
+# at three seller profiles, recorded from the code and within 1.2e-16 of
+# sapp_q_reference
+REDUCTION_Q_PINS = {
     "a1": [
-        ([0.5], [0.22607421875], [2.045756109293722]),
-        ([2.0], [0.04638671875], [3.192131730961307]),
-        ([3.5], [0.007080078125], [3.8262655867521893]),
+        ([0.5], [0.22660118471195362], [2.043757393968183]),
+        ([2.0], [0.048343487188928114], [3.1690228552905966]),
+        ([3.5], [0.005691604418161076], [3.858040705080182]),
     ],
     "u3": [
         (
             [0.5781896714491933, 0.4520952209321943, 0.7111299277215736],
-            [0.557861328125, 0.092041015625, 0.109375],
-            [1.5594957211060705, 0.7281033394264635, 1.1825096477451282],
+            [0.5664834405079308, 0.08571651260264401, 0.11019979176769666],
+            [1.5549848361143395, 0.7303380870890168, 1.182015044497915],
         ),
         (
             [0.7667820026703474, 0.5829612674687812, 0.8874123761223314],
-            [0.488037109375, 0.06201171875, 0.08349609375],
-            [1.596026098631914, 0.7387141179749614, 1.1980284629987312],
+            [0.500640350500729, 0.05848871008418331, 0.08302195112276121],
+            [1.5894323813714237, 0.7399589644638095, 1.1983127923194878],
         ),
         (
             [0.9553743338915014, 0.7138273140053679, 1.063694824523089],
-            [0.415283203125, 0.020263671875, 0.04541015625],
-            [1.63408921927073, 0.7534656881521415, 1.2208674741266758],
+            [0.42441368905464766, 0.018010231233649008, 0.04716256747967295],
+            [1.6293123652797292, 0.7542619358870483, 1.2198166049029568],
         ),
     ],
 }
 
 
-@pytest.mark.parametrize("name", sorted(FALLBACK_PINS))
+@pytest.mark.parametrize("name", sorted(REDUCTION_Q_PINS))
 def test_fixed_sample_fallback_pinned(name):
     inst = (
         instances.example_a1(4.0)
@@ -152,7 +154,7 @@ def test_fixed_sample_fallback_pinned(name):
         else instances.random_instance(3, "uniform", seed=5, constraint="unit_demand")
     )
     pm = mech.sapp_build(inst, mech.reduction_rule(inst))
-    pins = FALLBACK_PINS[name]
+    pins = REDUCTION_Q_PINS[name]
     S = np.array([s for s, _, _ in pins])
     q, theta, alpha = pm.rows(S)
     for k, (s, q_want, theta_want) in enumerate(pins):
@@ -162,8 +164,9 @@ def test_fixed_sample_fallback_pinned(name):
 
 
 def _regime(name):
-    """A market and rule per way `rows` gets q: the fixed buyer sample (a1,
-    a2), the discrete buyer grid (a2d) and the rule's q_fn (a2-unlikely)."""
+    """A market and rule per way `rows` gets q: the discrete buyer grid (a2d)
+    and a rule's q_fn, the reduction rule's (a1, a2) or the unlikely-trade
+    rule's (a2-unlikely)."""
     if name == "a1":
         inst = instances.example_a1(4.0)
     elif name == "a2d":
@@ -176,7 +179,7 @@ def _regime(name):
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a2d", "a2-unlikely"])
-def test_fixed_sample_fallback_prices_rows_in_bounded_blocks(name, monkeypatch):
+def test_price_rows_depend_on_their_row_alone(name, monkeypatch):
     inst, rule = _regime(name)
     pm = mech.sapp_build(inst, rule)
     S = inst.sample_profiles(np.random.default_rng(3), 600)[1]
@@ -189,7 +192,9 @@ def test_fixed_sample_fallback_prices_rows_in_bounded_blocks(name, monkeypatch):
     for got, one, both in zip(batch, alone, stacked):
         assert got.tobytes() == one.tobytes() == both[: len(S)].tobytes()
         assert got[perm].tobytes() == both[len(S):].tobytes()
-    if pm._bgrid is None:  # q from q_fn: no buyer rows to block over
+    if pm._bgrid is None:  # q from q_fn: the reduction rule's blocks of one row give the same bytes
+        monkeypatch.setattr(mech, "SAPP_ROWS_BYTES", 1)
+        assert all(got[:50].tobytes() == one.tobytes() for got, one in zip(batch, pm.rows(S[:50])))
         return
     blocks = []
     kept = pm._kept
@@ -204,6 +209,74 @@ def test_fixed_sample_fallback_prices_rows_in_bounded_blocks(name, monkeypatch):
     assert blocks[-2:] == [1, 1] and blocks[-len(S) - 1] == len(S)
     for got, want, one in zip(chunked, whole, single):
         assert got.tobytes() == want.tobytes() == one.tobytes()
+
+
+def _q_market(name):
+    if name == "a1":
+        return instances.example_a1(4.0)
+    if name == "a2":
+        return instances.example_a2(4, 6.0)
+    if name == "u3":
+        return instances.random_instance(3, "uniform", seed=31)
+    # an ironed buyer: phi-tilde is a step function of b on a quantile grid,
+    # with 2 levels at sigma 2.5 and 218 at sigma 1.6, a pooled level's
+    # cells rounding to a few neighbouring floats
+    ironed = dst.lognormal(0.0, 2.5 if name.startswith("lognormal-ironed") else 1.6)
+    buyers = [ironed, ironed if name == "lognormal-ironed-pair" else dst.uniform(0.5, 2.0)]
+    return mech.market(buyers, [dst.uniform(0.0, 3.0), dst.uniform(0.0, 1.5)], fea.unit_demand(range(2)))
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "u3", "lognormal-ironed", "lognormal-many-levels", "lognormal-ironed-pair"])
+def test_reduction_q_fn_matches_quadrature_reference(name):
+    inst = _q_market(name)
+    assert name[:9] != "lognormal" or not inst.buyer_ironed[0].exact
+    S = inst.sample_profiles(np.random.default_rng(8), 8)[1]
+    if name == "lognormal-ironed-pair":
+        # equal costs, so the two surpluses tie on every level; below every
+        # level every profile trades, and the surpluses tie with probability 0.42
+        S[:, 1] = S[:, 0]
+        S = np.vstack((S, [-5.0, -5.0]))
+    q = mech.reduction_rule(inst).q_fn(S)
+    for k, s in enumerate(S):
+        assert np.abs(q[k] - sapp_q_reference.q(inst, s)).max() <= 1e-9
+
+
+@st.composite
+def mixed_q_cases(draw):
+    """Up to 3 items, each buyer uniform, ironed lognormal(0, 2.5) or discrete
+    with 2-4 atoms, and two seller rows from a lattice. When an earlier item's
+    buyer is discrete or ironed, the last item copies that buyer and its cost,
+    so their surpluses tie at every atom or level."""
+    n = draw(st.integers(1, 3))
+    buyers = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["uniform", "lognormal", "discrete"]))
+        if kind == "uniform":
+            lo = draw(st.sampled_from(VALUES[:5]))
+            buyers.append(dst.uniform(lo, lo + draw(st.sampled_from(VALUES[1:]))))
+        elif kind == "lognormal":
+            buyers.append(dst.lognormal(0.0, 2.5))
+        else:
+            k = draw(st.integers(2, 4))
+            vals = draw(st.lists(st.sampled_from(VALUES), min_size=k, max_size=k, unique=True))
+            w = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+            buyers.append(d(vals, [x / sum(w) for x in w]))
+    S = np.array(draw(st.lists(st.lists(st.sampled_from(VALUES), min_size=n, max_size=n), min_size=2, max_size=2)))
+    copied = [j for j in range(n - 1) if buyers[j].kind == "discrete" or buyers[j].name == "lognormal"]
+    if copied:
+        j = draw(st.sampled_from(copied))
+        buyers[-1], S[:, -1] = buyers[j], S[:, j]
+    inst = mech.market(buyers, [dst.uniform(0.0, 1.0)] * n, fea.unit_demand(range(n)))
+    return inst, S
+
+
+@given(mixed_q_cases())
+@settings(max_examples=30)
+def test_reduction_q_fn_matches_reference_on_mixed_markets(case):
+    inst, S = case
+    q = mech.reduction_rule(inst).q_fn(S)
+    for k, s in enumerate(S):
+        assert np.abs(q[k] - sapp_q_reference.q(inst, s)).max() <= 1e-9
 
 
 def test_budget_audit_pinned_on_a2():
@@ -261,11 +334,25 @@ def test_validate_rule_rejects(fn, message):
 
 def test_validate_rule_accepts_broadcast_constant():
     inst = _two_uniform_items()
-    const = mech.AllocationRule("const", lambda b, s: np.array([0.5, 0.0]))
+
+    def q_fn(S):  # x_0 = 1/2 times Pr[phi(b) = 2b - 1 >= s_0 - TOL]
+        return np.stack([0.5 * inst.buyer_dists[0].tail((1.0 + S[..., 0] - mech.TOL) / 2.0), np.zeros(S.shape[:-1])], axis=-1)
+
+    const = mech.AllocationRule("const", lambda b, s: np.array([0.5, 0.0]), q_fn)
     pm = mech.sapp_build(inst, const)
     assert const(np.zeros((3, 5, 2)), np.zeros((5, 2))).shape == (3, 5, 2)
-    # phi(b) = 2b - 1 clears 0.2 with probability 0.4 on the fixed buyer sample
-    assert math.isclose(pm.q(np.array([0.2, 0.2]))[0], 0.5 * 0.4, abs_tol=0.02)
+    # phi(b) = 2b - 1 clears 0.2 - TOL with probability 0.4 + TOL / 2
+    assert math.isclose(pm.q(np.array([0.2, 0.2]))[0], 0.5 * (0.4 + mech.TOL / 2.0), abs_tol=1e-12)
+
+
+def test_rule_without_q_fn_is_refused_on_a_continuous_buyer():
+    inst = _two_uniform_items()
+    const = mech.AllocationRule("const", lambda b, s: np.array([0.5, 0.0]))
+    with pytest.raises(ValueError, match="rule 'const' has no q_fn"):
+        mech.sapp_build(inst, const)
+    # discrete buyers: q sums over the buyer grid, so no q_fn is needed
+    grid = mech.market([d([0.0, 1.0], [0.5, 0.5])] * 2, inst.seller_dists, inst.constraint)
+    assert mech.sapp_build(grid, const).q(np.array([0.2, 0.2])).tolist() == [0.25, 0.0]
 
 
 @pytest.mark.parametrize("make", [mech.reduction_rule, lambda inst: mech.unlikely_trade_rule(inst, range(inst.n))])
